@@ -21,9 +21,6 @@ BASE = "base"
 TYPE1 = "t1"
 TYPE2 = "t2"
 
-_KIND_TAG = {BASE: 0, TYPE1: 1, TYPE2: 2}
-
-
 @dataclass(frozen=True)
 class BFunctional:
     """A finite rational combination of unit functionals, stored sorted.
@@ -118,18 +115,6 @@ class GammaElement:
     @property
     def odd_weight(self) -> bool:
         return self.weight_idx % 2 == 1
-
-    @property
-    def even_weight(self) -> bool:
-        return self.has_weight and self.weight_idx % 2 == 0
-
-    def window_start(self) -> int:
-        """Rank below which the element's own b-functional may not reach."""
-        if self.kind == TYPE1:
-            return self.p
-        if self.kind == TYPE2:
-            return -1  # resolved by the universe (rank of xi)
-        return 0
 
     def key(self) -> tuple:
         if self.kind == BASE:

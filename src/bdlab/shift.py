@@ -117,19 +117,18 @@ def s_apply(universe: Universe, x: Vector) -> Vector:
 
     This is exactly the transpose of the coordinate pushforward, and on a
     closed materialized universe it sends each basis vector d_delta to the
-    sum of d_gamma over the preimages of delta.
+    sum of d_gamma over the preimages of delta.  Only preimages of the
+    support of x can read a nonzero value; results come in id order.
     """
-    coords: dict[int, Fraction] = {}
-    for gid in universe.ids():
-        if universe.element(gid).rank > x.horizon:
+    pulled: list[tuple[int, Fraction]] = []
+    for img, value in x.coords.items():
+        if value == 0:
             continue
-        img = universe.f_image_of(gid)
-        if img is None:
-            continue
-        value = x.at(img)
-        if value != 0:
-            coords[gid] = value
-    return Vector(coords, x.horizon)
+        for gid in universe.f_preimages_of(img):
+            if universe.element(gid).rank <= x.horizon:
+                pulled.append((gid, value))
+    pulled.sort()
+    return Vector(dict(pulled), x.horizon)
 
 
 def s_apply_power(universe: Universe, x: Vector, power: int) -> Vector:

@@ -71,7 +71,6 @@ class Universe:
         self._enumerated_to = 0
         self.interior_interns = 0
         self.notes: list[str] = list(config.notes)
-        self._cstar_cache: dict[int, dict[int, Fraction]] = {}
 
     # -- read API ------------------------------------------------------------
 
@@ -391,11 +390,12 @@ class Universe:
         set is a deterministic function of the config alone.
         """
         cap = self.config.level_cap
+        pools = _LevelPools(self, rank)
         streams = [
-            self._stream_t1_even(rank),
-            self._stream_t1_odd(rank),
-            self._stream_t2_even(rank),
-            self._stream_t2_odd(rank),
+            self._stream_t1_even(rank, pools),
+            self._stream_t1_odd(rank, pools),
+            self._stream_t2_even(rank, pools),
+            self._stream_t2_odd(rank, pools),
         ]
         selected: list[Candidate] = []
         live = list(streams)
@@ -420,53 +420,53 @@ class Universe:
         top = min(rank, self.config.num_weights)
         return [w for w in range(1, top + 1, 2)]
 
-    def _stream_t1_even(self, rank: int) -> Iterator[Candidate]:
+    def _stream_t1_even(self, rank: int, pools: "_LevelPools") -> Iterator[Candidate]:
         for p in range(rank - 1):
-            pool = self.ids_in_window(p, rank - 1)
+            pool = pools.window(p)
             for widx in self._even_weights(rank):
                 for b in iter_net(pool, self.config.max_support, self.config.denominator_bound):
                     yield t1_candidate(rank, p, widx, b)
 
-    def _stream_t1_odd(self, rank: int) -> Iterator[Candidate]:
+    def _stream_t1_odd(self, rank: int, pools: "_LevelPools") -> Iterator[Candidate]:
         for p in range(rank - 1):
-            pool = self.ids_in_window(p, rank - 1)
             for widx in self._odd_weights(rank):
                 yield t1_candidate(rank, p, widx, BFunctional.zero())
                 if self.config.max_support < 1:
                     continue
-                for eta in self._odd_support_pool(pool, widx):
+                for eta in pools.odd(p, widx):
                     yield t1_candidate(rank, p, widx, BFunctional.singleton(eta))
 
-    def _stream_t2_even(self, rank: int) -> Iterator[Candidate]:
-        for xi in self._extension_roots(rank, parity=0):
+    def _stream_t2_even(self, rank: int, pools: "_LevelPools") -> Iterator[Candidate]:
+        for xi in pools.roots(parity=0):
             el = self.element(xi)
-            pool = self.ids_in_window(el.rank, rank - 1)
+            pool = pools.window(el.rank)
             for b in iter_net(pool, self.config.max_support, self.config.denominator_bound):
                 yield t2_candidate(rank, xi, el.weight_idx, b)
 
-    def _stream_t2_odd(self, rank: int) -> Iterator[Candidate]:
-        for xi in self._extension_roots(rank, parity=1):
+    def _stream_t2_odd(self, rank: int, pools: "_LevelPools") -> Iterator[Candidate]:
+        for xi in pools.roots(parity=1):
             el = self.element(xi)
-            pool = self.ids_in_window(el.rank, rank - 1)
             yield t2_candidate(rank, xi, el.weight_idx, BFunctional.zero())
             if self.config.max_support < 1:
                 continue
             allowed = self.sigma_set(xi)
-            for eta in self._odd_support_pool(pool, el.weight_idx):
+            for eta in pools.odd(el.rank, el.weight_idx):
                 if self.element(eta).weight_idx // 4 in allowed:
                     yield t2_candidate(rank, xi, el.weight_idx, BFunctional.singleton(eta))
 
-    def _extension_roots(self, rank: int, parity: int) -> list[int]:
-        roots = []
+    def _extension_roots(self, rank: int) -> tuple[list[int], list[int]]:
+        """Ids that admit an age extension at this rank, split by weight parity."""
+        roots: tuple[list[int], list[int]] = ([], [])
         for p in range(1, rank - 1):
             for xi in self._levels.get(p, ()):
                 el = self.elements[xi]
-                if el.weight_idx == 0 or el.weight_idx % 2 != parity:
+                if el.weight_idx == 0:
                     continue
                 if el.age + 1 > self.config.n(el.weight_idx):
                     continue
-                roots.append(xi)
-        roots.sort()
+                roots[el.weight_idx % 2].append(xi)
+        for part in roots:
+            part.sort()
         return roots
 
     def _odd_support_pool(self, pool: Iterable[int], widx: int) -> list[int]:
@@ -511,6 +511,49 @@ class Universe:
                 f"{el.gid} {el.rank} {el.kind} {el.weight_idx} {el.age} {anchor} {b_text} {self._sigma[el.gid]}"
             )
         return lines
+
+
+class _LevelPools:
+    """Extension roots and support pools of one level's candidate selection,
+    computed once each.
+
+    The pool of window start ``lo`` is ``ids_in_window(lo, rank - 1)``; the
+    odd pool of ``(lo, widx)`` is its odd-weight singleton supports, read
+    off the supports of the widest window.  Every root and window start of
+    the level shares them.  They stay valid only while the universe is
+    unchanged, which holds during selection: the level's candidates are
+    interned after selection ends.
+    """
+
+    def __init__(self, universe: Universe, rank: int):
+        self._universe = universe
+        self._rank = rank
+        self._window: dict[int, list[int]] = {}
+        self._odd: dict[tuple[int, int], list[int]] = {}
+        self._roots: Optional[tuple[list[int], list[int]]] = None
+
+    def roots(self, parity: int) -> list[int]:
+        """Extension roots of the level whose weight index has this parity."""
+        if self._roots is None:
+            self._roots = self._universe._extension_roots(self._rank)
+        return self._roots[parity]
+
+    def window(self, lo: int) -> list[int]:
+        pool = self._window.get(lo)
+        if pool is None:
+            pool = self._window[lo] = self._universe.ids_in_window(lo, self._rank - 1)
+        return pool
+
+    def odd(self, lo: int, widx: int) -> list[int]:
+        pool = self._odd.get((lo, widx))
+        if pool is None:
+            if lo == 0:
+                pool = self._universe._odd_support_pool(self.window(0), widx)
+            else:
+                elements = self._universe.elements
+                pool = [eta for eta in self.odd(0, widx) if elements[eta].rank > lo]
+            self._odd[(lo, widx)] = pool
+        return pool
 
 
 def build_universe(config: ConstructionConfig) -> Universe:

@@ -34,12 +34,12 @@ from .algebra import (
     Functional,
     Vector,
     analysis_functional,
+    c_star,
     d_coords_of,
     d_vector,
     e_star,
     evaluation_analysis,
     extend,
-    l1_norm,
     pairing,
     project_star,
     synthesize,
@@ -381,6 +381,36 @@ def run_gamma_suite(universe: Universe, rng: random.Random) -> SuiteReport:
 # -- functional suite -----------------------------------------------------------------
 
 
+def _widest_window_columns(universe: Universe) -> dict[tuple[int, int], tuple[Fraction, int]]:
+    """Per rank window (lo, hi], the largest summable-side column mass of the
+    window projection and the first element (by id) that attains it.
+
+    Column gid is the e*-form of the window restriction of d-row
+    ``to_d_basis(e*_gid)``.  Growing hi adds one rank's e*-contributions to a
+    running sum whose l1 mass is updated entry by entry, so each column is
+    one pass per window start instead of one basis change per window.
+    """
+    top = universe.max_rank
+    best: dict[tuple[int, int], tuple[Fraction, int]] = {}
+    for gid in universe.ids():
+        by_rank: dict[int, list[tuple[int, Fraction]]] = {}
+        for g, a in to_d_basis(universe, e_star(gid)).coords.items():
+            part = by_rank.setdefault(universe.element(g).rank, [])
+            part.append((g, a))
+            part.extend((h, -a * c) for h, c in c_star(universe, g).coords.items())
+        for lo in range(max(by_rank, default=0)):
+            running: dict[int, Fraction] = {}
+            mass = Fraction(0)
+            for hi in range(lo + 1, top + 1):
+                for h, v in by_rank.get(hi, ()):
+                    old = running.get(h, 0)
+                    running[h] = new = old + v
+                    mass += abs(new) - abs(old)
+                if mass > best.get((lo, hi), (0,))[0]:
+                    best[(lo, hi)] = (mass, gid)
+    return best
+
+
 def run_functional_suite(universe: Universe, rng: random.Random) -> SuiteReport:
     checks: list[CheckResult] = []
 
@@ -398,23 +428,13 @@ def run_functional_suite(universe: Universe, rng: random.Random) -> SuiteReport:
         )
     )
 
-    d_rows = {gid: to_d_basis(universe, e_star(gid)) for gid in universe.ids()}
+    widest = _widest_window_columns(universe)
 
     def window_mass(lo: int, hi: Optional[int]) -> tuple[Fraction, str]:
-        worst = Fraction(0)
-        note = ""
-        for gid, row in d_rows.items():
-            kept = {
-                g: c
-                for g, c in row.coords.items()
-                if lo < universe.element(g).rank
-                and (hi is None or universe.element(g).rank <= hi)
-            }
-            mass = l1_norm(universe, Functional(D_BASIS, kept))
-            if mass > worst:
-                worst = mass
-                note = f"window ({lo}, {hi if hi is not None else 'top'}] at element {gid}"
-        return worst, note
+        worst, gid = widest.get((lo, universe.max_rank if hi is None else hi), (0, 0))
+        if not worst:
+            return Fraction(0), ""
+        return worst, f"window ({lo}, {hi if hi is not None else 'top'}] at element {gid}"
 
     initial = Fraction(0)
     initial_note = ""

@@ -9,7 +9,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from bdlab.algebra import Functional, c_star
+from typing import Iterable, Optional
+
+from bdlab.algebra import (
+    D_BASIS,
+    Coords,
+    Functional,
+    Vector,
+    c_star,
+    e_star,
+    l1_norm,
+    to_d_basis,
+)
 from bdlab.universe import Universe
 
 Matrix = list[list[Fraction]]
@@ -65,3 +76,100 @@ def unit_column(n: int, gid: int) -> list[Fraction]:
     col = [Fraction(0)] * n
     col[gid] = Fraction(1)
     return col
+
+
+# -- full sweeps ------------------------------------------------------------------
+#
+# The package's vector routines visit only the elements a sparse solve can
+# reach.  These references sweep every element in (rank, id) order instead,
+# so their results -- key order included -- are what the sparse routines
+# must reproduce.
+
+
+def _ids_by_rank(universe: Universe, lo: int, hi: int) -> Iterable[int]:
+    for rank in range(lo, hi + 1):
+        for gid in sorted(universe.level(rank)):
+            yield gid
+
+
+def sweep_synthesize(
+    universe: Universe, d_coords: Coords, horizon: Optional[int] = None
+) -> Vector:
+    top = universe.max_rank if horizon is None else horizon
+    coords: Coords = {}
+    for gid in _ids_by_rank(universe, 1, top):
+        value = d_coords.get(gid, Fraction(0))
+        for h, c in c_star(universe, gid).coords.items():
+            if c != 0:
+                hv = coords.get(h)
+                if hv is not None:
+                    value += c * hv
+        if value != 0:
+            coords[gid] = value
+    return Vector(coords, top)
+
+
+def sweep_extend(
+    universe: Universe, data: Coords, q: int, horizon: Optional[int] = None
+) -> Vector:
+    top = universe.max_rank if horizon is None else horizon
+    coords: Coords = {}
+    for gid in _ids_by_rank(universe, 1, q):
+        v = data.get(gid, Fraction(0))
+        if v != 0:
+            coords[gid] = v
+    for gid in _ids_by_rank(universe, q + 1, top):
+        value = Fraction(0)
+        for h, c in c_star(universe, gid).coords.items():
+            hv = coords.get(h)
+            if hv is not None:
+                value += c * hv
+        if value != 0:
+            coords[gid] = value
+    return Vector(coords, top)
+
+
+def sweep_d_coords_of(universe: Universe, x: Vector) -> Coords:
+    out: Coords = {}
+    for gid in _ids_by_rank(universe, 1, x.horizon):
+        value = x.at(gid)
+        for h, c in c_star(universe, gid).coords.items():
+            hv = x.coords.get(h)
+            if hv is not None:
+                value -= c * hv
+        if value != 0:
+            out[gid] = value
+    return out
+
+
+def sweep_s_apply(universe: Universe, x: Vector) -> Vector:
+    coords: Coords = {}
+    for gid in universe.ids():
+        if universe.element(gid).rank > x.horizon:
+            continue
+        img = universe.f_image_of(gid)
+        if img is None:
+            continue
+        value = x.at(img)
+        if value != 0:
+            coords[gid] = value
+    return Vector(coords, x.horizon)
+
+
+def sweep_window_mass(universe: Universe, lo: int, hi: Optional[int]) -> tuple[Fraction, int]:
+    """Largest l1 mass, over columns gid, of the e*-form of the (lo, hi]
+    restriction of to_d_basis(e*_gid), and the first gid attaining it; one
+    basis change per column and window (0 and -1 when every mass is 0)."""
+    worst, at = Fraction(0), -1
+    for gid in universe.ids():
+        row = to_d_basis(universe, e_star(gid))
+        kept = {
+            g: c
+            for g, c in row.coords.items()
+            if lo < universe.element(g).rank
+            and (hi is None or universe.element(g).rank <= hi)
+        }
+        mass = l1_norm(universe, Functional(D_BASIS, kept))
+        if mass > worst:
+            worst, at = mass, gid
+    return worst, at

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bdlab.config import make_config
+from bdlab.config import desk_relaxed, desk_strict, make_config
 from bdlab.elements import (
     BFunctional,
     base_candidate,
@@ -14,7 +14,9 @@ from bdlab.elements import (
 from bdlab.universe import (
     DanglingReference,
     InadmissibleElement,
+    Universe,
     UniverseError,
+    _LevelPools,
     build_universe,
 )
 from conftest import micro_config
@@ -244,6 +246,65 @@ def test_desk_relaxed_shape_is_pinned(relaxed_universe):
     u = relaxed_universe
     assert len(u) == 208
     assert u.level_counts() == {1: 3, 2: 25, 3: 47, 4: 48, 5: 43, 6: 42}
+    assert u.fingerprint() == (
+        "bbc13b4b7ccbf00cca0859680e23f4256233c0397f5f926cfde1c9948ce6d27a"
+    )
+
+
+def assert_level_pools_match_direct_scans(u: Universe, rank: int) -> int:
+    """Compare one level's memoized roots and pools with the scans they stand
+    for; returns how many odd pools were nonempty."""
+    cfg = u.config
+    pools = _LevelPools(u, rank)
+    for parity in (0, 1):
+        direct = sorted(
+            g
+            for g in u.ids()
+            if 1 <= u.element(g).rank < rank - 1
+            and u.element(g).weight_idx % 2 == parity
+            and u.element(g).weight_idx > 0
+            and u.element(g).age < cfg.n(u.element(g).weight_idx)
+        )
+        assert pools.roots(parity) == direct
+    nonempty = 0
+    for lo in range(rank - 1):
+        window = u.ids_in_window(lo, rank - 1)
+        assert pools.window(lo) == window
+        for widx in range(1, cfg.num_weights + 1):
+            odd = pools.odd(lo, widx)
+            assert odd == u._odd_support_pool(window, widx), (rank, lo, widx)
+            nonempty += bool(odd)
+    return nonempty
+
+
+@pytest.mark.parametrize("factory", [desk_strict, desk_relaxed])
+def test_level_pools_match_direct_scans(factory):
+    u = Universe(factory())
+    for rank in range(1, u.config.horizon + 1):
+        if rank > 1:
+            assert_level_pools_match_direct_scans(u, rank)
+        u.enumerate_level(rank)
+
+
+def test_level_pools_match_direct_scans_with_odd_supports():
+    # Capped selections rarely admit weight index 4, so odd-weight singleton
+    # pools are empty on the desk configs; intern some at rank 4 by hand.
+    u = Universe(
+        micro_config(
+            k=2, horizon=6, m_seq=(4, 16, 64, 256), n_seq=(16, 18, 20, 22), level_cap=12
+        )
+    )
+    for rank in range(1, 5):
+        u.enumerate_level(rank)
+    for p in range(3):
+        for eta in u.ids_in_window(p, 3):
+            if u.element(eta).weight_idx % 2 == 0 and u.element(eta).weight_idx:
+                u.intern(t1_candidate(4, p, 4, unit(eta)))
+    nonempty = 0
+    for rank in (5, 6):
+        nonempty += assert_level_pools_match_direct_scans(u, rank)
+        u.enumerate_level(rank)
+    assert nonempty > 0
 
 
 def test_selection_cap_can_be_exceeded_by_closure(strict_universe):

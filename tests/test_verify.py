@@ -9,10 +9,12 @@ from bdlab.elements import BFunctional, t1_candidate
 from bdlab.universe import UniverseError, build_universe
 from bdlab.verify import (
     SUITE_ORDER,
+    _widest_window_columns,
     run_gamma_suite,
     run_verification,
 )
 from conftest import micro_config
+from oracles import sweep_window_mass
 
 
 @pytest.fixture(scope="module")
@@ -106,3 +108,15 @@ def test_gamma_suite_downgrades_after_interior_interns():
     by_name = {c.name: c.status for c in suite.checks}
     assert by_name["numbering dominates lower ranks"] == "WARN"
     assert by_name["rebuild determinism"] == "INFO"  # skipped: grown universe
+
+
+@pytest.mark.parametrize("factory", [desk_strict, desk_relaxed])
+def test_window_masses_match_one_basis_change_per_window(factory):
+    u = build_universe(factory())
+    top = u.max_rank
+    widest = _widest_window_columns(u)
+    for lo in range(top + 1):
+        for hi in [None, *range(lo + 1, top + 1)]:
+            want = sweep_window_mass(u, lo, hi)
+            got = widest.get((lo, top if hi is None else hi), (0, -1))
+            assert got == want, (lo, hi)
