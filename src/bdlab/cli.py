@@ -19,28 +19,27 @@ text; reports are byte-identical across reruns unless ``--timing`` is given.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from fractions import Fraction
+from dataclasses import replace
 from typing import Any, Optional
 
-from .algebra import d_vector
 from .config import (
-    HORIZON_ENV_VAR,
     ConfigError,
     ConstructionConfig,
     desk_relaxed,
     desk_strict,
+    env_horizon,
     load_config_file,
     validate_config,
 )
-from .elements import BASE, TYPE1, BFunctional, t1_candidate
+from .elements import BASE, TYPE1
 from .sequences import (
     ConstructionFailure,
     DefaultPairSupplier,
     build_dependent_sequence,
     build_exact_pair,
     check_exact_pair,
+    helper_pair_parts,
     minimal_pair_constant,
 )
 from .serialize import format_rational, stable_json
@@ -56,26 +55,10 @@ def resolve_config(name_or_path: str) -> ConstructionConfig:
     if factory is None:
         return load_config_file(name_or_path)
     cfg = factory()
-    env_horizon = os.environ.get(HORIZON_ENV_VAR)
-    if env_horizon is None:
+    horizon = env_horizon(cfg.horizon)
+    if horizon == cfg.horizon:
         return cfg
-    try:
-        horizon = int(env_horizon)
-    except ValueError as exc:
-        raise ConfigError(f"{HORIZON_ENV_VAR} must be an integer") from exc
-    return validate_config(
-        ConstructionConfig(
-            k=cfg.k,
-            m_seq=cfg.m_seq,
-            n_seq=cfg.n_seq,
-            horizon=horizon,
-            max_support=cfg.max_support,
-            denominator_bound=cfg.denominator_bound,
-            level_cap=cfg.level_cap,
-            regime=cfg.regime,
-            max_elements=cfg.max_elements,
-        )
-    )
+    return validate_config(replace(cfg, horizon=horizon, notes=()))
 
 
 def _emit(args: argparse.Namespace, payload: dict[str, Any], lines: list[str]) -> None:
@@ -152,31 +135,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if report.has_fail else 0
 
 
-def _helper_pair_parts(
-    universe: Universe, count: int, j: int
-) -> tuple[list, tuple[int, ...], list[BFunctional]]:
-    """Fresh helper vectors, cuts, and carried combinations above the top rank."""
-    base_rank = universe.max_rank
-    base0 = universe.level(1)[0]
-    xs = []
-    bs = []
-    cuts = [base_rank + 1]
-    for i in range(1, count + 1):
-        rank = base_rank + 2 * i
-        phi = universe.intern(t1_candidate(rank, 0, 2, BFunctional.zero()))
-        theta = universe.intern(
-            t1_candidate(rank, 0, 2, BFunctional.singleton(base0))
-        )
-        xs.append(d_vector(universe, theta))
-        bs.append(BFunctional.singleton(phi))
-        cuts.append(rank + 1)
-    return xs, tuple(cuts), bs
-
-
 def cmd_pair(args: argparse.Namespace) -> int:
     cfg = resolve_config(args.config)
     universe = build_universe(cfg)
-    xs, cuts, bs = _helper_pair_parts(universe, args.count, args.j)
+    xs, cuts, bs = helper_pair_parts(universe, args.count)
     built = build_exact_pair(universe, xs, cuts, bs, args.j)
     minimal = minimal_pair_constant(universe, built.z, built.eta, built.j)
     at_minimal = check_exact_pair(universe, built.z, built.eta, minimal, built.j)
@@ -244,7 +206,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     pair_json: dict[str, Any]
     pair_ok = True
     try:
-        xs, cuts, bs = _helper_pair_parts(pair_universe, 2, 1)
+        xs, cuts, bs = helper_pair_parts(pair_universe, 2)
         built = build_exact_pair(pair_universe, xs, cuts, bs, 1)
         pair_ok = built.identity_ok
         pair_json = built.to_json_dict()

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -146,18 +146,7 @@ def validate_config(config: ConstructionConfig) -> ConstructionConfig:
             notes.append(f"relaxed regime drops {c.name}: {c.detail}")
     if config.max_support == 0:
         notes.append("net is empty (max_support=0); only zero-b odd-weight elements enumerate")
-    return ConstructionConfig(
-        k=config.k,
-        m_seq=config.m_seq,
-        n_seq=config.n_seq,
-        horizon=config.horizon,
-        max_support=config.max_support,
-        denominator_bound=config.denominator_bound,
-        level_cap=config.level_cap,
-        regime=config.regime,
-        max_elements=config.max_elements,
-        notes=tuple(notes),
-    )
+    return replace(config, notes=tuple(notes))
 
 
 def make_config(**kwargs: Any) -> ConstructionConfig:
@@ -251,6 +240,17 @@ def load_config_file(path: str) -> ConstructionConfig:
     return config_from_dict(raw)
 
 
+def env_horizon(horizon: int) -> int:
+    """The truncation depth set by the environment override, else ``horizon``."""
+    value = os.environ.get(HORIZON_ENV_VAR)
+    if value is None:
+        return horizon
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise ConfigError(f"{HORIZON_ENV_VAR} must be an integer") from exc
+
+
 def config_from_dict(raw: dict[str, Any]) -> ConstructionConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config document must be a JSON object")
@@ -267,18 +267,12 @@ def config_from_dict(raw: dict[str, Any]) -> ConstructionConfig:
     net = raw.get("net", {})
     if not isinstance(net, dict):
         raise ConfigError("config key 'net' must be an object")
-    env_horizon = os.environ.get(HORIZON_ENV_VAR)
-    if env_horizon is not None:
-        try:
-            horizon = int(env_horizon)
-        except ValueError as exc:
-            raise ConfigError(f"{HORIZON_ENV_VAR} must be an integer") from exc
     return validate_config(
         ConstructionConfig(
             k=k,
             m_seq=m_seq,
             n_seq=n_seq,
-            horizon=horizon,
+            horizon=env_horizon(horizon),
             max_support=int(net.get("max_support", 1)),
             denominator_bound=int(net.get("denominator_bound", 1)),
             level_cap=int(net.get("level_cap", 0)),

@@ -60,9 +60,6 @@ class BFunctional:
     def l1(self) -> Fraction:
         return sum((abs(c) for _, c in self.terms), Fraction(0))
 
-    def coeffs(self) -> dict[int, Fraction]:
-        return {eta: c for eta, c in self.terms}
-
     def items(self) -> Iterator[tuple[int, Fraction]]:
         return iter(self.terms)
 
@@ -109,19 +106,8 @@ class GammaElement:
         return self.kind == BASE
 
     @property
-    def has_weight(self) -> bool:
-        return self.weight_idx > 0
-
-    @property
     def odd_weight(self) -> bool:
         return self.weight_idx % 2 == 1
-
-    def key(self) -> tuple:
-        if self.kind == BASE:
-            return (self.rank, 0, self.index)
-        if self.kind == TYPE1:
-            return (self.rank, 1, self.p, self.weight_idx, self.b.key())
-        return (self.rank, 2, self.xi, self.weight_idx, self.b.key())
 
 
 def base_candidate(index: int) -> Candidate:

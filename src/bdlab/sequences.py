@@ -23,9 +23,10 @@ cannot satisfy; nothing is ever silently weakened.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Any, Iterable, Optional, Sequence
+from functools import reduce
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .algebra import (
     AlgebraError,
@@ -51,8 +52,12 @@ FAIL = "FAIL"
 WARN = "WARN"
 INFO = "INFO"
 
+# Least to most severe; a collection of results takes its most severe status.
+STATUS_ORDER = (INFO, PASS, WARN, FAIL)
+
 IDENTITY = "identity"
 MAGNITUDE = "magnitude"
+INFO_KIND = "info"
 
 
 class ConstructionFailure(UniverseError):
@@ -74,7 +79,8 @@ class ClauseResult:
 
     ``kind`` separates identity-level conditions (exact equalities that
     must hold on any truncation) from magnitude conditions (inequalities
-    whose derivations assume uncapped parameters).
+    whose derivations assume uncapped parameters) and from report-only
+    quantities, which are always INFO.
     """
 
     name: str
@@ -104,13 +110,14 @@ def _identity_clause(name: str, ok: bool, detail: str = "") -> ClauseResult:
 
 
 def _bound_clause(
-    name: str,
-    lhs: Fraction,
-    rhs: Fraction,
-    witness: str = "",
-    vacuous: bool = False,
+    name: str, lhs: Fraction, rhs: Fraction, witness: Optional[int] = -1
 ) -> ClauseResult:
-    if vacuous:
+    """The bound lhs <= rhs, at the element ``witness``.
+
+    A scan that found no instance passes None and the bound holds vacuously;
+    a bound that names no element keeps the default -1.
+    """
+    if witness is None:
         return ClauseResult(name=name, status=PASS, kind=MAGNITUDE, witness="no instances")
     return ClauseResult(
         name=name,
@@ -119,17 +126,17 @@ def _bound_clause(
         lhs=format_rational(lhs),
         rhs=format_rational(rhs),
         margin=format_rational(rhs - lhs),
-        witness=witness,
+        witness="" if witness < 0 else f"element {witness}",
     )
 
 
-def worst_status(clauses: Iterable[ClauseResult]) -> str:
-    order = {INFO: 0, PASS: 1, WARN: 2, FAIL: 3}
-    worst = INFO
-    for clause in clauses:
-        if order[clause.status] > order[worst]:
-            worst = clause.status
-    return worst
+def _identities_hold(clauses: Iterable[ClauseResult]) -> bool:
+    return all(c.status == PASS for c in clauses if c.kind == IDENTITY)
+
+
+def worst_status(results: Iterable[Any]) -> str:
+    """The most severe status among the results; INFO when there are none."""
+    return max((r.status for r in results), key=STATUS_ORDER.index, default=INFO)
 
 
 # -- block sequences ---------------------------------------------------------
@@ -142,28 +149,19 @@ class BlockSequence:
     vectors: tuple[Vector, ...]
     ranges: tuple[Optional[tuple[int, int]], ...]
 
+    def _ranges_apart(self, gap: int) -> bool:
+        """Each range starts at least ``gap`` ranks above the previous range's top."""
+        ranges = [r for r in self.ranges if r is not None]
+        return all(nxt[0] >= prev[1] + gap for prev, nxt in zip(ranges, ranges[1:]))
+
     @property
     def is_block(self) -> bool:
-        prev_max: Optional[int] = None
-        for rng in self.ranges:
-            if rng is None:
-                continue
-            if prev_max is not None and rng[0] <= prev_max:
-                return False
-            prev_max = rng[1]
-        return True
+        return self._ranges_apart(1)
 
     @property
     def is_skipped(self) -> bool:
         """Block with at least one untouched rank between consecutive ranges."""
-        prev_max: Optional[int] = None
-        for rng in self.ranges:
-            if rng is None:
-                continue
-            if prev_max is not None and rng[0] < prev_max + 2:
-                return False
-            prev_max = rng[1]
-        return True
+        return self._ranges_apart(2)
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -221,6 +219,32 @@ def _weighted_ids(universe: Universe) -> list[tuple[int, int]]:
     return out
 
 
+def _argmax_weighted(
+    universe: Universe,
+    xs: Sequence[Vector],
+    weight_ok: Callable[[int], bool],
+    score: Callable[[int, int], Fraction],
+) -> tuple[Fraction, Optional[int]]:
+    """Largest ``score(weight index, id)`` over the weighted elements whose
+    weight index passes ``weight_ok`` and whose rank is within every vector's
+    horizon, with the first id, in id order, that attains it; (0, None) when
+    no element passes."""
+    horizon = min((x.horizon for x in xs), default=universe.max_rank)
+    best: tuple[Fraction, Optional[int]] = (Fraction(0), None)
+    for widx, gid in _weighted_ids(universe):
+        if weight_ok(widx) and universe.element(gid).rank <= horizon:
+            value = score(widx, gid)
+            if best[1] is None or value > best[0]:
+                best = (value, gid)
+    return best
+
+
+def _vector_sum(xs: Iterable[Vector]) -> Vector:
+    """Sum of one or more vectors, on the smallest of their horizons."""
+    xs = list(xs)
+    return reduce(Vector.plus, xs, Vector({}, min(x.horizon for x in xs)))
+
+
 def validate_ris(
     universe: Universe,
     seq: BlockSequence,
@@ -274,12 +298,15 @@ def minimal_ris_constant(
     best = Fraction(0)
     for x in seq.vectors:
         best = max(best, sup_norm(x))
-    weighted = _weighted_ids(universe)
     for k, x in enumerate(seq.vectors):
         jk = js[k] if k < len(js) else 1
-        for widx, gid in weighted:
-            if widx < jk:
-                best = max(best, abs(x.at(gid)) / universe.config.weight(widx))
+        worst, _ = _argmax_weighted(
+            universe,
+            [x],
+            lambda w: w < jk,
+            lambda w, g: abs(x.at(g)) / universe.config.weight(w),
+        )
+        best = max(best, worst)
     return best
 
 
@@ -310,7 +337,7 @@ class ExactPairReport:
 
     @property
     def identity_ok(self) -> bool:
-        return all(c.status == PASS for c in self.clauses if c.kind == IDENTITY)
+        return _identities_hold(self.clauses)
 
     @property
     def certifies(self) -> bool:
@@ -354,18 +381,12 @@ def check_exact_pair(
 
     clauses.append(_bound_clause("(1) norm bound", sup_norm(x), C))
 
-    worst = Fraction(0)
-    worst_id = None
+    worst, worst_id = Fraction(0), -1
     for gid, coeff in d_coords_of(universe, x).items():
         if abs(coeff) > worst:
             worst, worst_id = abs(coeff), gid
     clauses.append(
-        _bound_clause(
-            "(2) biorthogonal coefficients",
-            worst,
-            C * cfg.weight(j),
-            witness="" if worst_id is None else f"element {worst_id}",
-        )
+        _bound_clause("(2) biorthogonal coefficients", worst, C * cfg.weight(j), worst_id)
     )
 
     eta_el = universe.element(eta)
@@ -417,35 +438,19 @@ def check_exact_pair(
                 )
             )
 
-    lo_worst = (Fraction(0), None)
-    hi_worst = (Fraction(0), None)
-    for widx, gid in _weighted_ids(universe):
-        if widx == j or universe.element(gid).rank > x.horizon:
-            continue
-        value = abs(x.at(gid))
-        if widx < j:
-            # compare against C * m_widx^{-1}: track the worst normalized value
-            if lo_worst[1] is None or value / cfg.weight(widx) > lo_worst[0]:
-                lo_worst = (value / cfg.weight(widx), gid)
-        else:
-            if hi_worst[1] is None or value > hi_worst[0]:
-                hi_worst = (value, gid)
+    # lower indices compare against C * m_widx^{-1}: scan the normalized value
+    lo_worst, lo_id = _argmax_weighted(
+        universe, [x], lambda w: w < j, lambda w, g: abs(x.at(g)) / cfg.weight(w)
+    )
     clauses.append(
-        _bound_clause(
-            "(5) off-weight coordinates, lower indices",
-            lo_worst[0],
-            C,
-            witness="" if lo_worst[1] is None else f"element {lo_worst[1]}",
-            vacuous=lo_worst[1] is None,
-        )
+        _bound_clause("(5) off-weight coordinates, lower indices", lo_worst, C, lo_id)
+    )
+    hi_worst, hi_id = _argmax_weighted(
+        universe, [x], lambda w: w > j, lambda w, g: abs(x.at(g))
     )
     clauses.append(
         _bound_clause(
-            "(5) off-weight coordinates, higher indices",
-            hi_worst[0],
-            C * cfg.weight(j),
-            witness="" if hi_worst[1] is None else f"element {hi_worst[1]}",
-            vacuous=hi_worst[1] is None,
+            "(5) off-weight coordinates, higher indices", hi_worst, C * cfg.weight(j), hi_id
         )
     )
 
@@ -456,30 +461,26 @@ def check_exact_pair(
 def _tail_estimate_clause(universe: Universe, x: Vector, j: int, C: Fraction) -> ClauseResult:
     """Report-only: tail projections against six times the pair bounds."""
     cfg = universe.config
+    bound = {w: 6 * C * cfg.weight(min(w, j)) for w in range(1, cfg.num_weights + 1)}
     worst_ratio = Fraction(0)
     worst_note = ""
-    for s in range(0, x.horizon + 1):
+    # a zero constant leaves every ratio undefined and the estimate without instances
+    for s in range(0, x.horizon + 1) if C else ():
         tail = project_vector(universe, s, x.horizon, x)
-        for widx, gid in _weighted_ids(universe):
-            if widx == j or universe.element(gid).rank > x.horizon:
-                continue
-            coeff = cfg.weight(widx) if widx < j else cfg.weight(j)
-            bound = 6 * C * coeff
-            value = abs(tail.at(gid))
-            if bound == 0:
-                continue
-            ratio = value / bound
-            if ratio > worst_ratio:
-                worst_ratio = ratio
-                worst_note = (
-                    f"|tail past {s} at element {gid}| = {format_rational(value)} "
-                    f"vs {format_rational(bound)}"
-                )
+        ratio, gid = _argmax_weighted(
+            universe, [x], lambda w: w != j, lambda w, g: abs(tail.at(g)) / bound[w]
+        )
+        if ratio > worst_ratio:
+            worst_ratio = ratio
+            worst_note = (
+                f"|tail past {s} at element {gid}| = {format_rational(abs(tail.at(gid)))} "
+                f"vs {format_rational(bound[universe.element(gid).weight_idx])}"
+            )
     held = worst_ratio <= 1
     return ClauseResult(
         name="windowed tail estimate (reported)",
         status=INFO,
-        kind="info",
+        kind=INFO_KIND,
         lhs=format_rational(worst_ratio),
         rhs="1",
         witness=(worst_note + ("" if held else " [exceeded]")) or "no instances",
@@ -507,13 +508,10 @@ def minimal_pair_constant(
         eps = Fraction(epsilon)
         for power in range(0 if delta == 0 else 1, cfg.k):
             need = max(need, abs(_orbit_value(universe, x, eta, power)) / eps)
-    for widx, gid in _weighted_ids(universe):
-        if widx == j or universe.element(gid).rank > x.horizon:
-            continue
-        value = abs(x.at(gid))
-        coeff = cfg.weight(widx) if widx < j else cfg.weight(j)
-        need = max(need, value / coeff)
-    return need
+    worst, _ = _argmax_weighted(
+        universe, [x], lambda w: w != j, lambda w, g: abs(x.at(g)) / cfg.weight(min(w, j))
+    )
+    return max(need, worst)
 
 
 # -- pair construction over prescribed cuts ---------------------------------------
@@ -534,7 +532,7 @@ class PairConstruction:
 
     @property
     def identity_ok(self) -> bool:
-        return all(c.status == PASS for c in self.clauses if c.kind == IDENTITY)
+        return _identities_hold(self.clauses)
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -551,6 +549,37 @@ class PairConstruction:
 
 def _coords_json(coords: dict[int, Fraction]) -> dict[str, str]:
     return {str(gid): format_rational(c) for gid, c in sorted(coords.items())}
+
+
+def _extend_chain(
+    universe: Universe, chain: list[int], rank: int, p0: int, widx: int, b: BFunctional
+) -> None:
+    """Intern the next chain element of the given rank and append its id: an
+    age-1 element over (p0, rank] first, then age extensions of the last one."""
+    if chain:
+        cand = t2_candidate(rank, chain[-1], widx, b)
+    else:
+        cand = t1_candidate(rank, p0, widx, b)
+    try:
+        chain.append(universe.intern(cand))
+    except InadmissibleElement as err:
+        raise ConstructionFailure("chain admissibility", "; ".join(err.violations)) from err
+
+
+def _echoes_chain(
+    universe: Universe, chain: Sequence[int], cuts: Sequence[int], bs: Sequence[BFunctional]
+) -> bool:
+    """The analysis of the chain's last element records exactly its cuts,
+    chain elements and carried combinations."""
+    analysis = evaluation_analysis(universe, chain[-1])
+    return (
+        analysis.p0 == cuts[0]
+        and analysis.age == len(chain)
+        and all(
+            step.p == cuts[idx + 1] and step.xi == chain[idx] and step.b == bs[idx]
+            for idx, step in enumerate(analysis.steps)
+        )
+    )
 
 
 def build_exact_pair(
@@ -620,24 +649,12 @@ def build_exact_pair(
 
     chain: list[int] = []
     for idx in range(1, a + 1):
-        if idx == 1:
-            cand = t1_candidate(cuts[1], cuts[0], widx, bs[0])
-        else:
-            cand = t2_candidate(cuts[idx], chain[-1], widx, bs[idx - 1])
-        try:
-            chain.append(universe.intern(cand))
-        except InadmissibleElement as err:
-            raise ConstructionFailure(
-                "chain admissibility", "; ".join(err.violations)
-            ) from err
+        _extend_chain(universe, chain, cuts[idx], cuts[0], widx, bs[idx - 1])
     eta = chain[-1]
 
     top = universe.max_rank
-    total = Vector({}, top)
-    for x in xs:
-        total = total.plus(extend_vector(universe, x, top))
     scale = cfg.m(widx) / a
-    z = total.scaled(scale)
+    z = _vector_sum(extend_vector(universe, x, top) for x in xs).scaled(scale)
 
     clauses: list[ClauseResult] = []
     for power in range(cfg.k):
@@ -650,19 +667,10 @@ def build_exact_pair(
         clauses.append(
             _identity_clause(f"orbit vanishing [power {power}]", True)
         )
-    analysis = evaluation_analysis(universe, eta)
-    echo_ok = (
-        analysis.p0 == cuts[0]
-        and analysis.age == a
-        and all(
-            step.p == cuts[idx + 1] and step.xi == chain[idx] and step.b == bs[idx]
-            for idx, step in enumerate(analysis.steps)
-        )
-    )
     clauses.append(
         _identity_clause(
             "analysis echo",
-            echo_ok,
+            _echoes_chain(universe, chain, cuts, bs),
             "recorded chain data differs from the element's analysis",
         )
     )
@@ -681,6 +689,28 @@ def build_exact_pair(
         report=report,
         z_d_coords=tuple(sorted(d_coords_of(universe, z).items())),
     )
+
+
+def helper_pair_parts(
+    universe: Universe, count: int
+) -> tuple[list[Vector], tuple[int, ...], list[BFunctional]]:
+    """Fresh helper vectors, cuts, and carried combinations above the top rank,
+    ready for ``build_exact_pair``."""
+    base_rank = universe.max_rank
+    base0 = universe.level(1)[0]
+    xs = []
+    bs = []
+    cuts = [base_rank + 1]
+    for i in range(1, count + 1):
+        rank = base_rank + 2 * i
+        phi = universe.intern(t1_candidate(rank, 0, 2, BFunctional.zero()))
+        theta = universe.intern(
+            t1_candidate(rank, 0, 2, BFunctional.singleton(base0))
+        )
+        xs.append(d_vector(universe, theta))
+        bs.append(BFunctional.singleton(phi))
+        cuts.append(rank + 1)
+    return xs, tuple(cuts), bs
 
 
 # -- pair suppliers and dependent chains -------------------------------------------
@@ -758,9 +788,7 @@ class DependentSequenceCertificate:
 
     @property
     def identity_ok(self) -> bool:
-        return all(c.status == PASS for c in self.clauses if c.kind == IDENTITY) and all(
-            r.identity_ok for r in self.pair_reports
-        )
+        return _identities_hold(self.clauses) and all(r.identity_ok for r in self.pair_reports)
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -856,20 +884,10 @@ def build_dependent_sequence(
             )
         top = max(eta_el.rank, rng[1] if rng else 0, p_seq[-1] + 1)
         p_i = top + 1
-        if i == 1:
-            cand = t1_candidate(p_i, 0, odd_widx, BFunctional.singleton(supplied.eta))
-        else:
-            cand = t2_candidate(
-                p_i, xi_chain[-1], odd_widx, BFunctional.singleton(supplied.eta)
-            )
-        try:
-            xi = universe.intern(cand)
-        except InadmissibleElement as err:
-            raise ConstructionFailure(
-                "chain admissibility", "; ".join(err.violations)
-            ) from err
+        _extend_chain(
+            universe, xi_chain, p_i, 0, odd_widx, BFunctional.singleton(supplied.eta)
+        )
         p_seq.append(p_i)
-        xi_chain.append(xi)
         eta_seq.append(supplied.eta)
         weight_indices.append(w)
         vectors.append(supplied.x)
@@ -913,18 +931,10 @@ def build_dependent_sequence(
             tail.weight_idx == odd_widx and tail.rank == p_seq[-1],
         )
     )
-    analysis = evaluation_analysis(universe, xi_chain[-1])
-    echo_ok = (
-        analysis.p0 == 0
-        and analysis.age == length
-        and all(
-            step.p == p_seq[idx + 1]
-            and step.xi == xi_chain[idx]
-            and step.b == BFunctional.singleton(eta_seq[idx])
-            for idx, step in enumerate(analysis.steps)
-        )
+    carried = [BFunctional.singleton(eta) for eta in eta_seq]
+    clauses.append(
+        _identity_clause("analysis echo", _echoes_chain(universe, xi_chain, p_seq, carried))
     )
-    clauses.append(_identity_clause("analysis echo", echo_ok))
     linkage_ok = all(
         weight_indices[i] == 4 * universe.sigma(xi_chain[i - 1])
         for i in range(1, length)
@@ -940,27 +950,16 @@ def build_dependent_sequence(
             "carried element weights do not strictly decrease",
         )
     )
-    worst_m = min((cfg.m(w) for w in weight_indices), default=None)
-    if worst_m is None:
-        clauses.append(ClauseResult("odd-weight magnitude", PASS, MAGNITUDE, witness="no instances"))
-    else:
-        magnitude = _bound_clause(
-            "odd-weight magnitude",
-            n_bound,
-            worst_m,  # require n^2 < m(4j): lhs strictly below rhs
+    # require n^2 < m(4j) over the chain's weights: lhs strictly below rhs
+    worst_m = min(cfg.m(w) for w in weight_indices)
+    magnitude = _bound_clause("odd-weight magnitude", n_bound, worst_m)
+    if n_bound == worst_m:
+        magnitude = replace(
+            magnitude,
+            status=FAIL,
+            witness="bound met with equality; strict inequality required",
         )
-        # strict inequality: equality is a violation
-        if magnitude.status == PASS and n_bound == worst_m:
-            magnitude = ClauseResult(
-                name=magnitude.name,
-                status=FAIL,
-                kind=MAGNITUDE,
-                lhs=magnitude.lhs,
-                rhs=magnitude.rhs,
-                margin="0",
-                witness="bound met with equality; strict inequality required",
-            )
-        clauses.append(magnitude)
+    clauses.append(magnitude)
 
     reports = tuple(
         check_exact_pair(
@@ -1011,16 +1010,10 @@ def lower_bound_search(
     cfg = universe.config
     widx = 2 * j
     rhs = cfg.weight(widx) / 2 * sum((sup_norm(x) for x in xs), Fraction(0))
-    best: tuple[Fraction, Optional[int]] = (Fraction(0), None)
-    for cand_widx, gid in _weighted_ids(universe):
-        if cand_widx != widx:
-            continue
-        if any(universe.element(gid).rank > x.horizon for x in xs):
-            continue
-        value = sum((x.at(gid) for x in xs), Fraction(0))
-        if best[1] is None or value > best[0]:
-            best = (value, gid)
-    return SearchResult(witness=best[1], lhs=best[0], rhs=rhs)
+    lhs, witness = _argmax_weighted(
+        universe, xs, lambda w: w == widx, lambda w, g: sum((x.at(g) for x in xs), Fraction(0))
+    )
+    return SearchResult(witness=witness, lhs=lhs, rhs=rhs)
 
 
 # -- shifted pairs ------------------------------------------------------------------
@@ -1113,28 +1106,22 @@ def build_shifted_exact_pair(
     else:
         eps = None
 
+    def outcome(
+        gamma: Optional[int],
+        eta: Optional[int],
+        sx: Optional[Vector],
+        report: Optional[ExactPairReport],
+    ) -> ShiftedPairOutcome:
+        return ShiftedPairOutcome(
+            report is not None, gamma, eta, sx, delta_bound, tuple(clauses), report
+        )
+
     search = lower_bound_search(universe, shifted_once, j)
     scale = cfg.m(2 * j) / a
     if search.witness is None:
-        return ShiftedPairOutcome(
-            found=False,
-            gamma=None,
-            eta=None,
-            shifted=None,
-            delta_bound=delta_bound,
-            clauses=tuple(clauses),
-            report=None,
-        )
+        return outcome(None, None, None, None)
     gamma = search.witness
-    value_at_gamma = search.lhs * scale
-    clauses.append(
-        _bound_clause(
-            "witness value",
-            delta_bound / 2,
-            value_at_gamma,
-            witness=f"element {gamma}",
-        )
-    )
+    clauses.append(_bound_clause("witness value", delta_bound / 2, search.lhs * scale, gamma))
     eta = universe.f_iterate(gamma, m - 1)
     clauses.append(
         _identity_clause(
@@ -1144,31 +1131,9 @@ def build_shifted_exact_pair(
         )
     )
     if eta is None:
-        return ShiftedPairOutcome(
-            found=False,
-            gamma=gamma,
-            eta=None,
-            shifted=None,
-            delta_bound=delta_bound,
-            clauses=tuple(clauses),
-            report=None,
-        )
-    total = Vector({}, xs[0].horizon)
-    for x in xs:
-        total = total.plus(x)
-    sx = s_apply(universe, total.scaled(scale))
-    report = check_exact_pair(
-        universe, sx, eta, 16 * C, 2 * j, delta=0, epsilon=eps
-    )
-    return ShiftedPairOutcome(
-        found=True,
-        gamma=gamma,
-        eta=eta,
-        shifted=sx,
-        delta_bound=delta_bound,
-        clauses=tuple(clauses),
-        report=report,
-    )
+        return outcome(gamma, None, None, None)
+    sx = s_apply(universe, _vector_sum(xs).scaled(scale))
+    return outcome(gamma, eta, sx, check_exact_pair(universe, sx, eta, 16 * C, 2 * j, 0, eps))
 
 
 # -- inequality diagnostics ----------------------------------------------------------
@@ -1220,55 +1185,42 @@ def estimate_ris_averages(
     cfg = universe.config
     a = len(xs)
     avg_coeff = Fraction(1, a)
-    low = (Fraction(0), Fraction(1), None)   # lhs, rhs, witness for h < j0
-    high = (Fraction(0), Fraction(1), None)  # for h >= j0
-    very_high = (Fraction(0), Fraction(1), None)  # for h > j0
-    for widx, gid in _weighted_ids(universe):
-        if any(universe.element(gid).rank > x.horizon for x in xs):
-            continue
-        value = abs(sum((x.at(gid) for x in xs), Fraction(0))) * avg_coeff
-        if widx < j0:
-            rhs = 16 * C * cfg.weight(j0) * cfg.weight(widx)
-            if low[2] is None or value - rhs > low[0] - low[1]:
-                low = (value, rhs, gid)
-        else:
-            rhs = 4 * C / cfg.n(j0) + 6 * C * cfg.weight(widx)
-            if high[2] is None or value - rhs > high[0] - high[1]:
-                high = (value, rhs, gid)
-            if widx > j0:
-                rhs2 = 10 * C * cfg.weight(j0) ** 2
-                if very_high[2] is None or value - rhs2 > very_high[0] - very_high[1]:
-                    very_high = (value, rhs2, gid)
-    clauses = [
-        _bound_clause(
+
+    def average(gid: int) -> Fraction:
+        return abs(sum((x.at(gid) for x in xs), Fraction(0))) * avg_coeff
+
+    cases: list[tuple[str, Callable[[int], bool], Callable[[int], Fraction]]] = [
+        (
             "weights below the sequence index",
-            low[0],
-            low[1],
-            witness="" if low[2] is None else f"element {low[2]}",
-            vacuous=low[2] is None,
+            lambda w: w < j0,
+            lambda w: 16 * C * cfg.weight(j0) * cfg.weight(w),
         ),
-        _bound_clause(
+        (
             "weights at or above the sequence index",
-            high[0],
-            high[1],
-            witness="" if high[2] is None else f"element {high[2]}",
-            vacuous=high[2] is None,
+            lambda w: w >= j0,
+            lambda w: 4 * C / cfg.n(j0) + 6 * C * cfg.weight(w),
         ),
-        _bound_clause(
+        (
             "weights strictly above the sequence index",
-            very_high[0],
-            very_high[1],
-            witness="" if very_high[2] is None else f"element {very_high[2]}",
-            vacuous=very_high[2] is None,
+            lambda w: w > j0,
+            lambda w: 10 * C * cfg.weight(j0) ** 2,
         ),
     ]
-    total = Vector({}, min(x.horizon for x in xs))
-    for x in xs:
-        total = total.plus(x)
+    clauses = []
+    for name, weight_ok, bound in cases:
+        # the worst element is the one with the least margin
+        _, gid = _argmax_weighted(
+            universe, xs, weight_ok, lambda w, g: average(g) - bound(w)
+        )
+        if gid is None:
+            lhs = rhs = Fraction(0)
+        else:
+            lhs, rhs = average(gid), bound(universe.element(gid).weight_idx)
+        clauses.append(_bound_clause(name, lhs, rhs, gid))
     clauses.append(
         _bound_clause(
             "average norm",
-            sup_norm(total.scaled(avg_coeff)),
+            sup_norm(_vector_sum(xs).scaled(avg_coeff)),
             10 * C * cfg.weight(j0),
         )
     )
@@ -1293,36 +1245,40 @@ def estimate_ris_weighted_averages(
     lams = [Fraction(c) for c in lambdas]
     if len(lams) != a:
         raise ConstructionFailure("scalars", "one scalar per vector required")
-    hyp_worst = (Fraction(0), Fraction(1), "")
-    for widx, gid in _weighted_ids(universe):
-        if widx != j0 or any(universe.element(gid).rank > x.horizon for x in xs):
-            continue
-        values = [lam * x.at(gid) for lam, x in zip(lams, xs)]
+
+    def intervals(gid: int) -> list[tuple[Fraction, Fraction, int, int]]:
+        """(|interval sum|, C times the interval's largest |scalar|, lo, hi) at gid."""
         prefix = [Fraction(0)]
-        for v in values:
-            prefix.append(prefix[-1] + v)
-        for lo in range(a):
-            for hi in range(lo + 1, a + 1):
-                lhs = abs(prefix[hi] - prefix[lo])
-                cap = max(abs(l) for l in lams[lo:hi])
-                rhs = C * cap
-                if not hyp_worst[2] or lhs - rhs > hyp_worst[0] - hyp_worst[1]:
-                    hyp_worst = (lhs, rhs, f"element {gid}, interval [{lo + 1}, {hi}]")
+        for lam, x in zip(lams, xs):
+            prefix.append(prefix[-1] + lam * x.at(gid))
+        return [
+            (abs(prefix[hi] - prefix[lo]), C * max(abs(l) for l in lams[lo:hi]), lo, hi)
+            for lo in range(a)
+            for hi in range(lo + 1, a + 1)
+        ]
+
+    def margin(interval: tuple[Fraction, Fraction, int, int]) -> Fraction:
+        return interval[0] - interval[1]
+
+    _, gid = _argmax_weighted(
+        universe, xs, lambda w: w == j0, lambda w, g: max(map(margin, intervals(g)))
+    )
+    hyp_lhs, hyp_rhs, witness = Fraction(0), Fraction(1), "no instances"
+    if gid is not None:
+        hyp_lhs, hyp_rhs, lo, hi = max(intervals(gid), key=margin)
+        witness = f"element {gid}, interval [{lo + 1}, {hi}]"
     hyp = ClauseResult(
         name="interval hypothesis (evaluated)",
         status=INFO,
-        kind="info",
-        lhs=format_rational(hyp_worst[0]),
-        rhs=format_rational(hyp_worst[1]),
-        margin=format_rational(hyp_worst[1] - hyp_worst[0]),
-        witness=hyp_worst[2] or "no instances",
+        kind=INFO_KIND,
+        lhs=format_rational(hyp_lhs),
+        rhs=format_rational(hyp_rhs),
+        margin=format_rational(hyp_rhs - hyp_lhs),
+        witness=witness,
     )
-    total = Vector({}, min(x.horizon for x in xs))
-    for lam, x in zip(lams, xs):
-        total = total.plus(x.scaled(lam))
     conclusion = _bound_clause(
         "weighted average norm",
-        sup_norm(total.scaled(Fraction(1, a))),
+        sup_norm(_vector_sum(x.scaled(lam) for lam, x in zip(lams, xs)).scaled(Fraction(1, a))),
         10 * C * cfg.weight(j0) ** 2,
     )
     return EstimateReport(
@@ -1346,28 +1302,27 @@ def _interval_extremes(values: list[Fraction], signs: bool = False) -> Fraction:
     return hi - lo
 
 
+def _interval_sums_clause(
+    universe: Universe, xs: Sequence[Vector], C: Fraction, j0: int, signs: bool
+) -> ClauseResult:
+    """The largest interval sum, alternating when ``signs``, of a linked
+    chain's vectors at the chain weight, against 7C."""
+    widx = 2 * j0 - 1
+    worst, gid = _argmax_weighted(
+        universe,
+        xs,
+        lambda w: w == widx,
+        lambda w, g: _interval_extremes([x.at(g) for x in xs], signs),
+    )
+    name = "interval sums at the chain weight"
+    return _bound_clause(f"alternating {name}" if signs else name, worst, 7 * C, gid)
+
+
 def estimate_interval_sums(
     universe: Universe, xs: Sequence[Vector], constant: Fraction | int, j0: int
 ) -> EstimateReport:
     """Interval sums of a linked chain's vectors at the chain weight (7C)."""
-    C = Fraction(constant)
-    widx = 2 * j0 - 1
-    worst = (Fraction(0), None)
-    for cand_widx, gid in _weighted_ids(universe):
-        if cand_widx != widx:
-            continue
-        if any(universe.element(gid).rank > x.horizon for x in xs):
-            continue
-        spread = _interval_extremes([x.at(gid) for x in xs])
-        if worst[1] is None or spread > worst[0]:
-            worst = (spread, gid)
-    clause = _bound_clause(
-        "interval sums at the chain weight",
-        worst[0],
-        7 * C,
-        witness="" if worst[1] is None else f"element {worst[1]}",
-        vacuous=worst[1] is None,
-    )
+    clause = _interval_sums_clause(universe, xs, Fraction(constant), j0, False)
     return EstimateReport(name="interval-sums", clauses=(clause,))
 
 
@@ -1378,12 +1333,9 @@ def estimate_dependent_average(
     C = Fraction(constant)
     cfg = universe.config
     a = len(xs)
-    total = Vector({}, min(x.horizon for x in xs))
-    for x in xs:
-        total = total.plus(x)
     clause = _bound_clause(
         "chain average norm",
-        sup_norm(total.scaled(Fraction(1, a))),
+        sup_norm(_vector_sum(xs).scaled(Fraction(1, a))),
         70 * C * cfg.weight(2 * j0 - 1) ** 2,
     )
     return EstimateReport(
@@ -1401,40 +1353,19 @@ def estimate_alternating_sums(
     cfg = universe.config
     widx = 2 * j0 - 1
     a = len(xs)
-    worst = (Fraction(0), None)
-    for cand_widx, gid in _weighted_ids(universe):
-        if cand_widx != widx:
-            continue
-        if any(universe.element(gid).rank > x.horizon for x in xs):
-            continue
-        spread = _interval_extremes([x.at(gid) for x in xs], signs=True)
-        if worst[1] is None or spread > worst[0]:
-            worst = (spread, gid)
-    clauses = [
-        _bound_clause(
-            "alternating interval sums at the chain weight",
-            worst[0],
-            7 * C,
-            witness="" if worst[1] is None else f"element {worst[1]}",
-            vacuous=worst[1] is None,
-        )
-    ]
-    plain = Vector({}, min(x.horizon for x in xs))
-    alt = Vector({}, plain.horizon)
-    for i, x in enumerate(xs, start=1):
-        plain = plain.plus(x)
-        alt = alt.plus(x.scaled(-1 if i % 2 else 1))
+    clauses = [_interval_sums_clause(universe, xs, C, j0, True)]
+    alternating = (x.scaled(-1 if i % 2 else 1) for i, x in enumerate(xs, start=1))
     clauses.append(
         _bound_clause(
             "average norm lower display",
             cfg.weight(widx),
-            sup_norm(plain.scaled(Fraction(1, a))),
+            sup_norm(_vector_sum(xs).scaled(Fraction(1, a))),
         )
     )
     clauses.append(
         _bound_clause(
             "alternating average norm",
-            sup_norm(alt.scaled(Fraction(1, a))),
+            sup_norm(_vector_sum(alternating).scaled(Fraction(1, a))),
             70 * C * cfg.weight(widx) ** 2,
         )
     )
@@ -1490,12 +1421,7 @@ def estimate_lower_bound(
                 witness=f"element {search.witness}",
             )
         )
-    total = Vector({}, min(x.horizon for x in xs))
-    for x in xs:
-        total = total.plus(x)
-    clauses.append(
-        _bound_clause("norm lower display", search.rhs, sup_norm(total))
-    )
+    clauses.append(_bound_clause("norm lower display", search.rhs, sup_norm(_vector_sum(xs))))
     return EstimateReport(name="lower-bound-search", clauses=tuple(clauses))
 
 

@@ -336,13 +336,13 @@ class Universe:
         if image is None:
             self._f_image[gid] = None
         else:
-            img_violations = self.validate_candidate(image)
-            if img_violations:
+            try:
+                img_id = self.intern(image)  # recursion depth bounded by k
+            except InadmissibleElement as err:
                 raise InvariantFault(
                     f"shift image of {describe(element)} is inadmissible: "
-                    + "; ".join(img_violations)
-                )
-            img_id = self.intern(image)  # recursion depth bounded by k
+                    + "; ".join(err.violations)
+                ) from err
             self._f_image[gid] = img_id
             self._f_preimages.setdefault(img_id, []).append(gid)
         return gid
@@ -372,7 +372,6 @@ class Universe:
             )
         before = len(self.elements)
         for cand in sorted(selected, key=lambda c: c.key()):
-            assert not self.validate_candidate(cand), "enumerator produced inadmissible candidate"
             self.intern(cand)
         self._enumerated_to = rank
         return list(range(before, len(self.elements)))

@@ -1,6 +1,6 @@
 """Verification suites over a materialized universe.
 
-Four suites, each a list of named checks with exact outcomes:
+Four suites, each a table of named checks with exact outcomes:
 
 * ``gamma``      -- admissibility, level structure, the numbering and its
                     membership sets, shift closure, rebuild determinism;
@@ -15,18 +15,29 @@ Four suites, each a list of named checks with exact outcomes:
                     laboratory evaluated on canned instances, with the
                     inequality diagnostics reported at exact constants.
 
-Identity-level checks fail hard.  Magnitude checks degrade to warnings when
-the configuration declares the relaxed regime, because their derivations
-assume growth conditions a desk-sized configuration cannot satisfy.  The
-sequence suite interns new elements, so it always runs last and its effect
-is disclosed in the report notes.
+A table entry is a ``Check(name, kind, run)`` whose ``run`` returns
+``(ok, detail)``, or a function that returns several
+``(name, kind, ok, detail)`` outcomes computed from shared work.  Entries run
+in table order against the suite's own seeded generator.
+
+One rule grades every outcome (``_grade``): an info-kind check is INFO, a
+check that holds is PASS, and a check that fails is FAIL unless its kind has
+an excuse that holds for the universe, which makes it WARN.  Identity checks
+have no excuse.  Magnitude checks are excused under the relaxed regime,
+because their derivations assume growth conditions a desk-sized
+configuration cannot satisfy.  ``grown`` checks (rank ordering of the
+numbering) are excused once constructions interned elements below the top
+rank, and the ``net`` check (the compact-difference witness family) on any
+net but the singleton one.  The sequence suite interns new elements, so it
+always runs last and its effect is disclosed in the report notes.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Optional, Sequence
+from functools import reduce
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .algebra import (
     D_BASIS,
@@ -49,8 +60,14 @@ from .algebra import (
 from .config import RELAXED, ConstructionConfig
 from .elements import BASE, BFunctional, candidate_of, t1_candidate
 from .sequences import (
+    FAIL,
     IDENTITY,
+    INFO,
+    INFO_KIND,
     MAGNITUDE,
+    PASS,
+    STATUS_ORDER,
+    WARN,
     DefaultPairSupplier,
     RISInstance,
     SupplierExhausted,
@@ -64,6 +81,7 @@ from .sequences import (
     block_sequence,
     shifted_sequence,
     validate_ris,
+    worst_status,
 )
 from .serialize import format_rational
 from .shift import (
@@ -79,10 +97,10 @@ from .shift import (
 )
 from .universe import Universe, UniverseError, build_universe
 
-PASS = "PASS"
-FAIL = "FAIL"
-WARN = "WARN"
-INFO = "INFO"
+# Check kinds beyond the identity, magnitude and info kinds of the sequence
+# laboratory; the module docstring gives their excuses.
+GROWN = "grown"
+NET = "net"
 
 SUITE_ORDER = ("gamma", "functional", "shift", "sequence")
 
@@ -109,12 +127,8 @@ class SuiteReport:
 
     @property
     def status(self) -> str:
-        order = {INFO: 0, PASS: 1, WARN: 2, FAIL: 3}
-        worst = PASS
-        for check in self.checks:
-            if order[check.status] > order[worst]:
-                worst = check.status
-        return worst
+        """The most severe check status; a suite of INFO checks is PASS."""
+        return max(worst_status(self.checks), PASS, key=STATUS_ORDER.index)
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -176,206 +190,226 @@ class VerificationReport:
         return lines
 
 
-def _graded(regime: str, kind: str = MAGNITUDE) -> str:
-    """Status for a failed check of the given kind under the given regime."""
-    if kind == IDENTITY:
-        return FAIL
-    return WARN if regime == RELAXED else FAIL
+Outcome = tuple[str, str, bool, str]  # check name, kind, ok, detail
+Run = Callable[[Universe, random.Random], tuple[bool, str]]
 
 
-def _check(name: str, ok: bool, detail: str = "", fail_status: str = FAIL) -> CheckResult:
-    return CheckResult(name, PASS if ok else fail_status, detail)
+@dataclass(frozen=True)
+class Check:
+    """A table entry with a single outcome: ``run`` returns ``(ok, detail)``."""
+
+    name: str
+    kind: str
+    run: Run
+
+    def __call__(self, universe: Universe, rng: random.Random) -> list[Outcome]:
+        ok, detail = self.run(universe, rng)
+        return [(self.name, self.kind, ok, detail)]
+
+
+# A table entry: a Check, or a function returning several outcomes computed
+# from shared work.
+Entry = Callable[[Universe, random.Random], Iterable[Outcome]]
+
+# A failed check whose kind has an excuse that holds for the universe is WARN.
+_EXCUSES: dict[str, Callable[[Universe], bool]] = {
+    MAGNITUDE: lambda u: u.config.regime == RELAXED,
+    GROWN: lambda u: u.interior_interns > 0,
+    NET: lambda u: not (u.config.max_support == 1 and u.config.denominator_bound == 1),
+}
+
+
+def _grade(universe: Universe, kind: str, ok: bool) -> str:
+    """The one grading rule for every check of every suite."""
+    if kind == INFO_KIND:
+        return INFO
+    if ok:
+        return PASS
+    excused = _EXCUSES.get(kind)
+    return WARN if excused is not None and excused(universe) else FAIL
+
+
+def _run_table(
+    name: str, table: Sequence[Entry], universe: Universe, rng: random.Random
+) -> SuiteReport:
+    results = [
+        CheckResult(check, _grade(universe, kind, ok), detail)
+        for entry in table
+        for check, kind, ok, detail in entry(universe, rng)
+    ]
+    return SuiteReport(name, tuple(results))
+
+
+def _first_violation(probe: Callable[[Universe, int], str]) -> Run:
+    """A check that holds when ``probe`` reports nothing for any element;
+    its detail is the first report, in id order."""
+
+    def run(universe: Universe, rng: random.Random) -> tuple[bool, str]:
+        found = next(filter(None, (probe(universe, g) for g in universe.ids())), "")
+        return not found, found
+
+    return run
 
 
 # -- seeded sampling helpers -----------------------------------------------------
 
 
-def _random_functional(
-    universe: Universe, rng: random.Random, basis: str, size: int = 4
-) -> Functional:
-    ids = list(universe.ids())
-    chosen = rng.sample(ids, min(size, len(ids)))
-    coords = {
-        gid: Fraction(rng.randint(-8, 8), rng.randint(1, 6)) for gid in chosen
-    }
+def _random_coords(universe: Universe, rng: random.Random) -> dict[int, Fraction]:
+    """Seeded rationals on four distinct elements (all of a smaller universe)."""
+    chosen = rng.sample(list(universe.ids()), min(4, len(universe)))
+    return {gid: Fraction(rng.randint(-8, 8), rng.randint(1, 6)) for gid in chosen}
+
+
+def _random_functional(universe: Universe, rng: random.Random, basis: str) -> Functional:
+    coords = _random_coords(universe, rng)
     return Functional(basis, {g: c for g, c in coords.items() if c != 0})
-
-
-def _random_vector(universe: Universe, rng: random.Random, size: int = 4) -> Vector:
-    ids = list(universe.ids())
-    chosen = rng.sample(ids, min(size, len(ids)))
-    coords = {
-        gid: Fraction(rng.randint(-8, 8), rng.randint(1, 6)) for gid in chosen
-    }
-    return synthesize(universe, coords)
 
 
 # -- gamma suite -------------------------------------------------------------------
 
 
-def run_gamma_suite(universe: Universe, rng: random.Random) -> SuiteReport:
-    checks: list[CheckResult] = []
-    cfg = universe.config
+def _revalidation_fault(universe: Universe, gid: int) -> str:
+    violations = universe.validate_candidate(candidate_of(universe.element(gid)))
+    return f"element {gid}: {violations[0]}" if violations else ""
 
-    bad = ""
-    for gid in universe.ids():
-        violations = universe.validate_candidate(candidate_of(universe.element(gid)))
-        if violations:
-            bad = f"element {gid}: {violations[0]}"
-            break
-    checks.append(_check("element revalidation", not bad, bad))
 
+def _level_structure(universe: Universe, rng: random.Random) -> tuple[bool, str]:
     base_level = universe.level(1)
-    structure_ok = len(base_level) == cfg.k and all(
+    ok = len(base_level) == universe.config.k and all(
         universe.element(g).index == i for i, g in enumerate(base_level)
     )
     for rank in range(1, universe.max_rank + 1):
         level = universe.level(rank)
         if not level or any(universe.element(g).rank != rank for g in level):
-            structure_ok = False
-    checks.append(
-        _check(
-            "level structure",
-            structure_ok,
-            f"{universe.max_rank} levels, base width {len(base_level)}",
-        )
-    )
+            ok = False
+    return ok, f"{universe.max_rank} levels, base width {len(base_level)}"
 
-    above = all(universe.sigma(g) > universe.element(g).rank for g in universe.ids())
-    checks.append(_check("numbering exceeds rank", above))
 
-    values = [universe.sigma(g) for g in universe.ids()]
-    checks.append(_check("numbering injective", len(set(values)) == len(values)))
+def _ranks_climb(members: Callable[[Universe, int], Iterable[int]], offence: str) -> Run:
+    """A check that each rank's members lie above every member of the ranks
+    below it.  ``offence`` names the first rank that does not (``{rank}``
+    and ``{below}`` are filled in), noting a universe grown out of
+    enumeration order."""
 
-    dominance_ok = True
-    dominance_detail = ""
-    running_max = 0
-    for rank in range(1, universe.max_rank + 1):
-        level_sigmas = [universe.sigma(g) for g in universe.level(rank)]
-        if level_sigmas and running_max and min(level_sigmas) <= running_max:
-            dominance_ok = False
-            dominance_detail = f"rank {rank} numbering does not clear rank {rank - 1}"
-            break
-        running_max = max([running_max] + level_sigmas)
-    if not dominance_ok and universe.interior_interns > 0:
-        checks.append(
-            CheckResult(
-                "numbering dominates lower ranks",
-                WARN,
-                dominance_detail + " (universe grew out of enumeration order)",
-            )
-        )
-    else:
-        checks.append(_check("numbering dominates lower ranks", dominance_ok, dominance_detail))
+    def run(universe: Universe, rng: random.Random) -> tuple[bool, str]:
+        top = 0
+        for rank in range(1, universe.max_rank + 1):
+            values = set().union(*(members(universe, g) for g in universe.level(rank)))
+            if values and top and min(values) <= top:
+                offender = offence.format(rank=rank, below=rank - 1)
+                if universe.interior_interns:
+                    offender += " (universe grew out of enumeration order)"
+                return False, offender
+            top = max([top, *values])
+        return True, ""
 
+    return run
+
+
+def _membership_sets(universe: Universe, rng: random.Random) -> tuple[bool, str]:
     recomputed: dict[int, set[int]] = {g: set() for g in universe.ids()}
     for gid in universe.ids():
         cur: Optional[int] = gid
-        for _ in range(cfg.k):
+        for _ in range(universe.config.k):
             if cur is None:
                 break
             recomputed[cur].add(universe.sigma(gid))
             cur = universe.f_image_of(cur)
-    sets_ok = all(
-        frozenset(recomputed[g]) == universe.sigma_set(g) for g in universe.ids()
-    )
-    checks.append(_check("membership sets match the orbit definition", sets_ok))
+    return all(frozenset(recomputed[g]) == universe.sigma_set(g) for g in universe.ids()), ""
 
-    monotone_ok = True
-    for gid in universe.ids():
+
+def _membership_monotone(universe: Universe, rng: random.Random) -> tuple[bool, str]:
+    def holds(gid: int) -> bool:
         image = universe.f_image_of(gid)
-        if image is not None and not universe.sigma_set(gid) <= universe.sigma_set(image):
-            monotone_ok = False
-            break
-    checks.append(_check("membership monotone under the shift", monotone_ok))
+        return image is None or universe.sigma_set(gid) <= universe.sigma_set(image)
 
-    separated_ok = True
-    separated_detail = ""
-    running_sep = 0
-    for rank in range(1, universe.max_rank + 1):
-        spans = [universe.sigma_set(g) for g in universe.level(rank)]
-        if spans:
-            lo = min(min(s) for s in spans)
-            hi = max(max(s) for s in spans)
-            if running_sep and lo <= running_sep:
-                separated_ok = False
-                separated_detail = f"membership overlap between ranks at {rank}"
-                break
-            running_sep = max(running_sep, hi)
-    if not separated_ok and universe.interior_interns > 0:
-        checks.append(
-            CheckResult(
-                "membership separated by rank",
-                WARN,
-                separated_detail + " (universe grew out of enumeration order)",
-            )
-        )
-    else:
-        checks.append(_check("membership separated by rank", separated_ok, separated_detail))
+    return all(map(holds, universe.ids())), ""
 
+
+def _chain_positions(universe: Universe, rng: random.Random) -> tuple[bool, str]:
     by_sigma = {universe.sigma(g): g for g in universe.ids()}
-    chains_ok = True
-    for delta in universe.ids():
-        for value in universe.sigma_set(delta):
-            gamma = by_sigma.get(value)
-            if gamma is None:
-                chains_ok = False
-                break
-            if gamma != delta and all(
-                universe.f_iterate(gamma, j) != delta for j in range(1, cfg.k)
-            ):
-                chains_ok = False
-                break
-        if not chains_ok:
-            break
-    checks.append(_check("membership identifies chain position", chains_ok))
 
-    decrease_ok = True
-    decrease_detail = ""
-    for gid in universe.ids():
-        el = universe.element(gid)
-        if not el.odd_weight or el.kind == BASE:
-            continue
-        carried = []
-        for step in evaluation_analysis(universe, gid).steps:
-            items = list(step.b.items())
-            if items:
-                carried.append(universe.element(items[0][0]).weight_idx)
-        if any(carried[i] <= carried[i + 1] for i in range(len(carried) - 1)):
-            decrease_ok = False
-            decrease_detail = f"element {gid} carries non-decreasing weights"
-            break
-    checks.append(_check("odd-weight carried weights decrease", decrease_ok, decrease_detail))
-
-    laws_ok = True
-    laws_detail = ""
-    for gid in universe.ids():
-        image = universe.f_image_of(gid)
-        if image is None:
-            continue
-        el, im = universe.element(gid), universe.element(image)
-        if el.rank != im.rank or el.weight_idx != im.weight_idx or im.age > el.age:
-            laws_ok = False
-            laws_detail = f"element {gid} -> {image} breaks a preserved quantity"
-            break
-    checks.append(_check("shift image laws", laws_ok, laws_detail))
-
-    if universe.interior_interns == 0:
-        twin = build_universe(universe.config)
-        same = twin.fingerprint() == universe.fingerprint() and len(twin) == len(universe)
-        checks.append(
-            _check("rebuild determinism", same, f"fingerprint {universe.fingerprint()[:16]}...")
-        )
-    else:
-        checks.append(
-            CheckResult(
-                "rebuild determinism",
-                INFO,
-                "skipped: universe contains post-enumeration elements",
-            )
+    def identifies(delta: int, value: int) -> bool:
+        gamma = by_sigma.get(value)
+        return gamma is not None and (
+            gamma == delta
+            or any(universe.f_iterate(gamma, j) == delta for j in range(1, universe.config.k))
         )
 
-    return SuiteReport("gamma", tuple(checks))
+    return all(identifies(d, v) for d in universe.ids() for v in universe.sigma_set(d)), ""
+
+
+def _carried_weights_fault(universe: Universe, gid: int) -> str:
+    el = universe.element(gid)
+    if not el.odd_weight or el.kind == BASE:
+        return ""
+    carried = []
+    for step in evaluation_analysis(universe, gid).steps:
+        items = list(step.b.items())
+        if items:
+            carried.append(universe.element(items[0][0]).weight_idx)
+    if any(a <= b for a, b in zip(carried, carried[1:])):
+        return f"element {gid} carries non-decreasing weights"
+    return ""
+
+
+def _image_law_fault(universe: Universe, gid: int) -> str:
+    image = universe.f_image_of(gid)
+    if image is None:
+        return ""
+    el, im = universe.element(gid), universe.element(image)
+    if el.rank != im.rank or el.weight_idx != im.weight_idx or im.age > el.age:
+        return f"element {gid} -> {image} breaks a preserved quantity"
+    return ""
+
+
+def _rebuild_determinism(universe: Universe, rng: random.Random) -> list[Outcome]:
+    name = "rebuild determinism"
+    if universe.interior_interns:
+        return [(name, INFO_KIND, True, "skipped: universe contains post-enumeration elements")]
+    twin = build_universe(universe.config)
+    same = twin.fingerprint() == universe.fingerprint() and len(twin) == len(universe)
+    return [(name, IDENTITY, same, f"fingerprint {universe.fingerprint()[:16]}...")]
+
+
+_GAMMA: tuple[Entry, ...] = (
+    Check("element revalidation", IDENTITY, _first_violation(_revalidation_fault)),
+    Check("level structure", IDENTITY, _level_structure),
+    Check(
+        "numbering exceeds rank",
+        IDENTITY,
+        lambda u, _: (all(u.sigma(g) > u.element(g).rank for g in u.ids()), ""),
+    ),
+    Check(
+        "numbering injective",
+        IDENTITY,
+        lambda u, _: (len({u.sigma(g) for g in u.ids()}) == len(u), ""),
+    ),
+    Check(
+        "numbering dominates lower ranks",
+        GROWN,
+        _ranks_climb(
+            lambda u, g: {u.sigma(g)}, "rank {rank} numbering does not clear rank {below}"
+        ),
+    ),
+    Check("membership sets match the orbit definition", IDENTITY, _membership_sets),
+    Check("membership monotone under the shift", IDENTITY, _membership_monotone),
+    Check(
+        "membership separated by rank",
+        GROWN,
+        _ranks_climb(lambda u, g: u.sigma_set(g), "membership overlap between ranks at {rank}"),
+    ),
+    Check("membership identifies chain position", IDENTITY, _chain_positions),
+    Check(
+        "odd-weight carried weights decrease", IDENTITY, _first_violation(_carried_weights_fault)
+    ),
+    Check("shift image laws", IDENTITY, _first_violation(_image_law_fault)),
+    _rebuild_determinism,
+)
+
+
+def run_gamma_suite(universe: Universe, rng: random.Random) -> SuiteReport:
+    return _run_table("gamma", _GAMMA, universe, rng)
 
 
 # -- functional suite -----------------------------------------------------------------
@@ -411,284 +445,258 @@ def _widest_window_columns(universe: Universe) -> dict[tuple[int, int], tuple[Fr
     return best
 
 
-def run_functional_suite(universe: Universe, rng: random.Random) -> SuiteReport:
-    checks: list[CheckResult] = []
+def _unit_row_fault(universe: Universe, gid: int) -> str:
+    coords = d_coords_of(universe, d_vector(universe, gid))
+    return "" if coords == {gid: Fraction(1)} else f"row {gid} is not a unit row"
 
-    bad = ""
-    for gid in universe.ids():
-        coords = d_coords_of(universe, d_vector(universe, gid))
-        if coords != {gid: Fraction(1)}:
-            bad = f"row {gid} is not a unit row"
-            break
-    checks.append(
-        _check(
-            "biorthogonal pairing matrix is the identity",
-            not bad,
-            bad or f"{len(universe)} x {len(universe)} exact rows",
-        )
-    )
 
+def _unit_rows(universe: Universe, rng: random.Random) -> tuple[bool, str]:
+    ok, bad = _first_violation(_unit_row_fault)(universe, rng)
+    return ok, bad or f"{len(universe)} x {len(universe)} exact rows"
+
+
+def _window_masses(universe: Universe, rng: random.Random) -> list[Outcome]:
+    top = universe.max_rank
     widest = _widest_window_columns(universe)
 
-    def window_mass(lo: int, hi: Optional[int]) -> tuple[Fraction, str]:
-        worst, gid = widest.get((lo, universe.max_rank if hi is None else hi), (0, 0))
-        if not worst:
-            return Fraction(0), ""
-        return worst, f"window ({lo}, {hi if hi is not None else 'top'}] at element {gid}"
+    def heaviest(windows: Iterable[tuple[int, Optional[int]]]) -> tuple[Fraction, str]:
+        """The first largest column mass over the windows, hi None meaning the top."""
+        mass, note = Fraction(0), ""
+        for lo, hi in windows:
+            found, gid = widest.get((lo, top if hi is None else hi), (0, 0))
+            if found > mass:
+                mass = found
+                note = f"window ({lo}, {'top' if hi is None else hi}] at element {gid}"
+        return mass, note
 
-    initial = Fraction(0)
-    initial_note = ""
-    for q in range(1, universe.max_rank + 1):
-        mass, note = window_mass(0, q)
-        if mass > initial:
-            initial, initial_note = mass, note
+    initial, initial_note = heaviest((0, q) for q in range(1, top + 1))
     bound = 1 / (1 - 2 * universe.config.weight(1))
-    checks.append(
-        _check(
+    general, general_note = heaviest(
+        (lo, hi) for lo in range(top + 1) for hi in [None, *range(lo + 1, top + 1)]
+    )
+    return [
+        (
             "initial projections have summable-side norm within the bound",
+            IDENTITY,  # a magnitude bound, graded FAIL in both regimes
             initial <= bound,
             f"max column mass {format_rational(initial)} <= {format_rational(bound)} "
             f"({initial_note})",
-        )
-    )
-
-    general = Fraction(0)
-    general_note = ""
-    for lo in range(0, universe.max_rank + 1):
-        for hi in [None, *range(lo + 1, universe.max_rank + 1)]:
-            mass, note = window_mass(lo, hi)
-            if mass > general:
-                general, general_note = mass, note
-    checks.append(
-        CheckResult(
+        ),
+        (
             "general window masses (reported)",
-            INFO,
+            INFO_KIND,
+            True,
             f"max column mass {format_rational(general)} ({general_note}); "
             "tails on a truncation may exceed the initial-segment bound",
-        )
-    )
+        ),
+    ]
 
-    round_ok = True
-    for gid in universe.ids():
-        if to_e_basis(universe, to_d_basis(universe, e_star(gid))) != e_star(gid):
-            round_ok = False
-            break
-        one_d = Functional(D_BASIS, {gid: Fraction(1)})
-        if to_d_basis(universe, to_e_basis(universe, one_d)) != one_d:
-            round_ok = False
-            break
+
+def _round_trips(universe: Universe, rng: random.Random) -> tuple[bool, str]:
+    def e_round(f: Functional) -> bool:
+        return to_e_basis(universe, to_d_basis(universe, f)) == f
+
+    def d_round(f: Functional) -> bool:
+        return to_d_basis(universe, to_e_basis(universe, f)) == f
+
+    ok = all(
+        e_round(e_star(g)) and d_round(Functional(D_BASIS, {g: Fraction(1)}))
+        for g in universe.ids()
+    )
     for _ in range(25):
         f = _random_functional(universe, rng, E_BASIS)
-        if to_e_basis(universe, to_d_basis(universe, f)) != f:
-            round_ok = False
         g = _random_functional(universe, rng, D_BASIS)
-        if to_d_basis(universe, to_e_basis(universe, g)) != g:
-            round_ok = False
-    checks.append(_check("basis round trips", round_ok))
+        ok = e_round(f) and d_round(g) and ok
+    return ok, ""
 
-    analysis_ok = True
-    analysis_detail = ""
-    for gid in universe.ids():
-        el = universe.element(gid)
-        if el.kind == BASE:
-            continue
-        target = e_star(gid)
-        analysis = evaluation_analysis(universe, gid)
-        for windowed in (False, True):
-            if analysis_functional(universe, analysis, windowed) != target:
-                analysis_ok = False
-                analysis_detail = f"full form differs at element {gid}"
-        for start in range(1, analysis.age):
-            if analysis_functional(universe, analysis, True, start) != target:
-                analysis_ok = False
-                analysis_detail = f"partial form {start} differs at element {gid}"
-        if not analysis_ok:
-            break
-    checks.append(
-        _check("evaluation analysis rebuilds every element", analysis_ok, analysis_detail)
-    )
 
-    extension_ok = True
+def _analysis_fault(universe: Universe, gid: int) -> str:
+    """The last form of the element's analysis that differs from e*_gid."""
+    if universe.element(gid).kind == BASE:
+        return ""
+    target = e_star(gid)
+    analysis = evaluation_analysis(universe, gid)
+    bad = ""
+    for windowed in (False, True):
+        if analysis_functional(universe, analysis, windowed) != target:
+            bad = f"full form differs at element {gid}"
+    for start in range(1, analysis.age):
+        if analysis_functional(universe, analysis, True, start) != target:
+            bad = f"partial form {start} differs at element {gid}"
+    return bad
+
+
+def _extensions(universe: Universe, rng: random.Random) -> tuple[bool, str]:
+    ok = True
     for q in range(1, universe.max_rank):
         pool = [g for g in universe.ids() if universe.element(g).rank <= q]
         for _ in range(3):
             chosen = rng.sample(pool, min(3, len(pool)))
             data = {g: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for g in chosen}
             x = extend(universe, dict(synthesize(universe, data, q).coords), q)
-            back = d_coords_of(universe, x)
-            if back != {g: c for g, c in data.items() if c != 0}:
-                extension_ok = False
-    checks.append(_check("extensions stay spanned below their cut", extension_ok))
+            ok = d_coords_of(universe, x) == {g: c for g, c in data.items() if c != 0} and ok
+    return ok, ""
 
-    return SuiteReport("functional", tuple(checks))
+
+_FUNCTIONAL: tuple[Entry, ...] = (
+    Check("biorthogonal pairing matrix is the identity", IDENTITY, _unit_rows),
+    _window_masses,
+    Check("basis round trips", IDENTITY, _round_trips),
+    Check(
+        "evaluation analysis rebuilds every element", IDENTITY, _first_violation(_analysis_fault)
+    ),
+    Check("extensions stay spanned below their cut", IDENTITY, _extensions),
+)
+
+
+def run_functional_suite(universe: Universe, rng: random.Random) -> SuiteReport:
+    return _run_table("functional", _FUNCTIONAL, universe, rng)
 
 
 # -- shift suite ------------------------------------------------------------------------
 
+_DUALITY_SAMPLES = 1000
 
-def run_shift_suite(
-    universe: Universe, rng: random.Random, duality_samples: int = 1000
-) -> SuiteReport:
-    checks: list[CheckResult] = []
-    cfg = universe.config
-    k = cfg.k
 
-    table = FMapTable.from_universe(universe)
-    faults = table.check(universe)
-    checks.append(_check("combinatorial table laws", not faults, "; ".join(faults[:3])))
+def _table_laws(universe: Universe, rng: random.Random) -> tuple[bool, str]:
+    faults = FMapTable.from_universe(universe).check(universe)
+    return not faults, "; ".join(faults[:3])
 
-    nil_ok = all(universe.f_iterate(g, k) is None for g in universe.ids())
+
+def _nilpotency(universe: Universe, rng: random.Random) -> tuple[bool, str]:
+    k = universe.config.k
     base_ids = universe.level(1)
-    depth_ok = bool(base_ids) and nilpotency_index(universe, base_ids[-1]) == k
-    checks.append(
-        _check(
-            "operator power k annihilates, power k-1 does not",
-            nil_ok and depth_ok,
-            f"degree {k} witnessed on the base level",
-        )
+    ok = (
+        all(universe.f_iterate(g, k) is None for g in universe.ids())
+        and bool(base_ids)
+        and nilpotency_index(universe, base_ids[-1]) == k
     )
+    return ok, f"degree {k} witnessed on the base level"
 
-    dual_ok = True
-    for _ in range(duality_samples):
+
+def _adjoint(universe: Universe, rng: random.Random) -> tuple[bool, str]:
+    def adjoint_on_a_sample() -> bool:
         f = _random_functional(universe, rng, rng.choice((E_BASIS, D_BASIS)))
-        x = _random_vector(universe, rng)
-        if pairing(universe, s_star(universe, f), x) != pairing(
+        x = synthesize(universe, _random_coords(universe, rng))
+        return pairing(universe, s_star(universe, f), x) == pairing(
             universe, f, s_apply(universe, x)
-        ):
-            dual_ok = False
-            break
-    checks.append(
-        _check(
-            "pushforward and pullback are adjoint",
-            dual_ok,
-            f"{duality_samples} seeded pairs",
         )
-    )
 
-    preimage_ok = True
-    for delta in universe.ids():
+    # sampling stops at the first failure
+    ok = all(adjoint_on_a_sample() for _ in range(_DUALITY_SAMPLES))
+    return ok, f"{_DUALITY_SAMPLES} seeded pairs"
+
+
+def _preimage_sums(universe: Universe, rng: random.Random) -> tuple[bool, str]:
+    def sums(delta: int) -> bool:
         lhs = s_apply(universe, d_vector(universe, delta))
-        rhs: Vector = Vector({}, universe.max_rank)
-        for gamma in universe.f_preimages_of(delta):
-            rhs = rhs.plus(d_vector(universe, gamma))
-        if lhs.coords != rhs.coords:
-            preimage_ok = False
-            break
-    checks.append(
-        _check(
-            "pullback of a basis vector sums its preimages",
-            preimage_ok,
-            f"exhaustive over {len(universe)} elements",
+        rhs = reduce(
+            Vector.plus,
+            (d_vector(universe, gamma) for gamma in universe.f_preimages_of(delta)),
+            Vector({}, universe.max_rank),
         )
-    )
+        return lhs.coords == rhs.coords
 
-    basis_ok = True
-    for _ in range(25):
-        f = _random_functional(universe, rng, D_BASIS)
-        if to_e_basis(universe, s_star(universe, f)) != s_star(
+    return all(map(sums, universe.ids())), f"exhaustive over {len(universe)} elements"
+
+
+# The sampled checks below build lists, not generators: every sample is drawn
+# whatever the outcome, so the checks after them see the same draws.
+
+
+def _basis_change(universe: Universe, rng: random.Random) -> tuple[bool, str]:
+    def respects(f: Functional) -> bool:
+        return to_e_basis(universe, s_star(universe, f)) == s_star(
             universe, to_e_basis(universe, f)
-        ):
-            basis_ok = False
-    checks.append(_check("pushforward respects the basis change", basis_ok))
-
-    commute_ok = True
-    for p in range(0, universe.max_rank + 1):
-        for _ in range(8):
-            f = _random_functional(universe, rng, E_BASIS)
-            left = s_star(universe, project_star(universe, p, None, f))
-            right = project_star(universe, p, None, s_star(universe, f))
-            if to_d_basis(universe, left) != to_d_basis(universe, right):
-                commute_ok = False
-    checks.append(_check("pushforward commutes with tail restriction", commute_ok))
-
-    rank = shift_power_family_rank(universe)
-    checks.append(
-        _check(
-            "operator powers are independent",
-            rank == k,
-            f"family rank {rank}, expected {k}",
         )
-    )
 
+    return all([respects(_random_functional(universe, rng, D_BASIS)) for _ in range(25)]), ""
+
+
+def _tail_commutation(universe: Universe, rng: random.Random) -> tuple[bool, str]:
+    def commutes(p: int) -> bool:
+        f = _random_functional(universe, rng, E_BASIS)
+        left = s_star(universe, project_star(universe, p, None, f))
+        right = project_star(universe, p, None, s_star(universe, f))
+        return to_d_basis(universe, left) == to_d_basis(universe, right)
+
+    return all([commutes(p) for p in range(universe.max_rank + 1) for _ in range(8)]), ""
+
+
+def _powers_independent(universe: Universe, rng: random.Random) -> tuple[bool, str]:
+    rank, k = shift_power_family_rank(universe), universe.config.k
+    return rank == k, f"family rank {rank}, expected {k}"
+
+
+def _matrix_model(universe: Universe, rng: random.Random) -> tuple[bool, str]:
+    k = universe.config.k
     jordan = jordan_block(k)
-    power = toeplitz_repr(tuple([Fraction(1)] + [Fraction(0)] * (k - 1)))
-    for _ in range(k):
-        power = power.multiply(jordan)
-    matrix_ok = power.is_zero
-    before = toeplitz_repr(tuple([Fraction(1)] + [Fraction(0)] * (k - 1)))
-    for _ in range(k - 1):
-        before = before.multiply(jordan)
-    matrix_ok = matrix_ok and not before.is_zero
+    one = toeplitz_repr(tuple([Fraction(1)] + [Fraction(0)] * (k - 1)))
+
+    def power(n: int):
+        out = one
+        for _ in range(n):
+            out = out.multiply(jordan)
+        return out
+
+    ok = power(k).is_zero and not power(k - 1).is_zero
     for _ in range(20):
         a = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(k))
         b = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(k))
         prod = toeplitz_repr(a).multiply(toeplitz_repr(b))
-        if prod != toeplitz_repr(truncated_poly_product(a, b, k)):
-            matrix_ok = False
-    checks.append(_check("scalar matrix model is multiplicative and nilpotent", matrix_ok))
+        ok = prod == toeplitz_repr(truncated_poly_product(a, b, k)) and ok
+    return ok, ""
 
-    witness_checks_ok = True
-    witness_detail = ""
+
+def _compact_differences(universe: Universe, rng: random.Random) -> list[Outcome]:
+    name = "compact difference family exposes each scalar"
+    k = universe.config.k
     try:
         lam_sets = [tuple(Fraction(int(i == t)) for i in range(k)) for t in range(k)]
         for _ in range(5):
             lam_sets.append(
                 tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(k))
             )
-        pairs = 0
+        ok, detail, pairs = True, "", 0
         for j in range(k):
             for rank_n in range(2, universe.max_rank):
                 for rank_m in range(rank_n + 1, universe.max_rank + 1):
                     for lams in lam_sets:
                         got = compact_witness(universe, j, rank_n, rank_m, lams)
-                        want = 2 * sum(
-                            (abs(lams[i]) for i in range(j + 1)), Fraction(0)
-                        )
+                        want = 2 * sum((abs(lams[i]) for i in range(j + 1)), Fraction(0))
                         if got != want:
-                            witness_checks_ok = False
-                            witness_detail = (
+                            ok = False
+                            detail = (
                                 f"family {j}, ranks ({rank_n}, {rank_m}): "
                                 f"{format_rational(got)} != {format_rational(want)}"
                             )
                         pairs += 1
-        if witness_checks_ok:
-            witness_detail = f"{pairs} exact differences"
-        checks.append(
-            _check("compact difference family exposes each scalar", witness_checks_ok, witness_detail)
-        )
     except UniverseError as err:
-        singleton_net = cfg.max_support == 1 and cfg.denominator_bound == 1
-        checks.append(
-            CheckResult(
-                "compact difference family exposes each scalar",
-                FAIL if singleton_net else WARN,
-                f"witness family unavailable: {err}",
-            )
-        )
+        return [(name, NET, False, f"witness family unavailable: {err}")]
+    return [(name, IDENTITY, ok, detail if not ok else f"{pairs} exact differences")]
 
-    return SuiteReport("shift", tuple(checks))
+
+_SHIFT: tuple[Entry, ...] = (
+    Check("combinatorial table laws", IDENTITY, _table_laws),
+    Check("operator power k annihilates, power k-1 does not", IDENTITY, _nilpotency),
+    Check("pushforward and pullback are adjoint", IDENTITY, _adjoint),
+    Check("pullback of a basis vector sums its preimages", IDENTITY, _preimage_sums),
+    Check("pushforward respects the basis change", IDENTITY, _basis_change),
+    Check("pushforward commutes with tail restriction", IDENTITY, _tail_commutation),
+    Check("operator powers are independent", IDENTITY, _powers_independent),
+    Check("scalar matrix model is multiplicative and nilpotent", IDENTITY, _matrix_model),
+    _compact_differences,
+)
+
+
+def run_shift_suite(universe: Universe, rng: random.Random) -> SuiteReport:
+    return _run_table("shift", _SHIFT, universe, rng)
 
 
 # -- sequence suite -------------------------------------------------------------------
 
 
-def run_sequence_suite(universe: Universe, rng: random.Random) -> SuiteReport:
-    checks: list[CheckResult] = []
-    cfg = universe.config
-    regime = cfg.regime
-
-    if universe.max_rank < 4:
-        return SuiteReport(
-            "sequence",
-            (
-                CheckResult(
-                    "sequence laboratory",
-                    INFO,
-                    "universe too shallow for the canned instances (needs 4 levels)",
-                ),
-            ),
-        )
-
+def _ris_certificates(universe: Universe, rng: random.Random) -> list[Outcome]:
     xs = [
         d_vector(universe, universe.level(2)[0]),
         d_vector(universe, universe.level(4)[0]),
@@ -696,31 +704,24 @@ def run_sequence_suite(universe: Universe, rng: random.Random) -> SuiteReport:
     seq = block_sequence(universe, xs)
     constant = minimal_ris_constant(universe, seq)
     cert = validate_ris(universe, seq, constant)
-    checks.append(
-        _check(
+    shifted = validate_ris(universe, shifted_sequence(universe, seq), constant, cert.j_seq)
+    return [
+        (
             "rapid-increase certificate at its exact constant",
+            IDENTITY,
             cert.certifies,
             f"constant {format_rational(constant)}; " + "; ".join(cert.violations[:2]),
-        )
-    )
-
-    shifted_cert = validate_ris(universe, shifted_sequence(universe, seq), constant, cert.j_seq)
-    checks.append(
-        _check(
+        ),
+        (
             "certificates survive the shift",
-            shifted_cert.certifies,
-            "; ".join(shifted_cert.violations[:2]),
-        )
-    )
-
-    checks.append(_constructed_pair_check(universe, regime))
-    checks.extend(_linked_chain_checks(universe, regime))
-    checks.extend(_estimate_checks(universe, regime))
-
-    return SuiteReport("sequence", tuple(checks))
+            IDENTITY,
+            shifted.certifies,
+            "; ".join(shifted.violations[:2]),
+        ),
+    ]
 
 
-def _constructed_pair_check(universe: Universe, regime: str) -> CheckResult:
+def _constructed_pair(universe: Universe, rng: random.Random) -> tuple[bool, str]:
     base_rank = universe.max_rank
     r1 = base_rank + 2
     r2 = r1 + 2
@@ -742,75 +743,51 @@ def _constructed_pair_check(universe: Universe, regime: str) -> CheckResult:
             j=1,
         )
     except UniverseError as err:
-        return CheckResult("constructed pair identities", FAIL, str(err))
+        return False, str(err)
     best = minimal_pair_constant(universe, built.z, built.eta, built.j)
     report = check_exact_pair(universe, built.z, built.eta, best, built.j)
     ok = built.identity_ok and report.identity_ok and report.certifies
-    return _check(
-        "constructed pair identities",
-        ok,
+    return ok, (
         f"element {built.eta}, orbit exactly zero, certifies at constant "
-        f"{format_rational(best)}",
+        f"{format_rational(best)}"
     )
 
 
-def _linked_chain_checks(universe: Universe, regime: str) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _linked_chains(universe: Universe, rng: random.Random) -> list[Outcome]:
+    name = "linked chain of length one"
     try:
         cert = build_dependent_sequence(universe, DefaultPairSupplier(), j0=1, length=1)
     except UniverseError as err:
-        return [CheckResult("linked chain of length one", FAIL, str(err))]
+        return [(name, IDENTITY, False, str(err))]
     magnitude_bad = [
         c.name
         for c in cert.clauses
         if c.kind == MAGNITUDE and c.status not in (PASS, INFO)
     ]
     if not cert.identity_ok:
-        checks.append(
-            CheckResult("linked chain of length one", FAIL, "identity clause failed")
-        )
+        first = (name, IDENTITY, False, "identity clause failed")
     elif magnitude_bad:
-        checks.append(
-            CheckResult(
-                "linked chain of length one",
-                _graded(regime),
-                "magnitude clauses beyond this configuration: " + ", ".join(magnitude_bad),
-            )
-        )
+        detail = "magnitude clauses beyond this configuration: " + ", ".join(magnitude_bad)
+        first = (name, MAGNITUDE, False, detail)
     else:
-        checks.append(
-            CheckResult(
-                "linked chain of length one",
-                PASS,
-                f"chain element {cert.xi_chain[-1]}, weight indices {list(cert.weight_indices)}",
-            )
-        )
+        detail = f"chain element {cert.xi_chain[-1]}, weight indices {list(cert.weight_indices)}"
+        first = (name, IDENTITY, True, detail)
 
+    name = "chain extension stops honestly"
     try:
         longer = build_dependent_sequence(universe, DefaultPairSupplier(), j0=1, length=2)
     except SupplierExhausted as err:
-        checks.append(
-            CheckResult(
-                "chain extension stops honestly",
-                PASS,
-                f"stopped at clause '{err.clause}': {err.detail}",
-            )
-        )
+        ok, detail = True, f"stopped at clause '{err.clause}': {err.detail}"
     except UniverseError as err:
-        checks.append(CheckResult("chain extension stops honestly", FAIL, str(err)))
+        ok, detail = False, str(err)
     else:
-        checks.append(
-            _check(
-                "chain extension stops honestly",
-                longer.identity_ok,
-                f"extended to length 2 with weights {list(longer.weight_indices)}",
-            )
-        )
-    return checks
+        ok = longer.identity_ok
+        detail = f"extended to length 2 with weights {list(longer.weight_indices)}"
+    return [first, (name, IDENTITY, ok, detail)]
 
 
-def _estimate_checks(universe: Universe, regime: str) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _estimates(universe: Universe, rng: random.Random) -> list[Outcome]:
+    outcomes: list[Outcome] = []
     zero = Vector({}, universe.max_rank)
     base0 = universe.level(1)[0]
     instances = [
@@ -818,22 +795,18 @@ def _estimate_checks(universe: Universe, regime: str) -> list[CheckResult]:
         ("base basis vector", RISInstance((d_vector(universe, base0),), Fraction(1), 1)),
     ]
     for label, instance in instances:
+        name = f"inequality diagnostics ({label})"
         cert = validate_ris(
             universe,
             block_sequence(universe, list(instance.vectors)),
             instance.constant,
         )
         reports = evaluate_estimates(universe, instance)
-        bad: list[str] = []
-        for report in reports:
-            for clause in report.clauses:
-                if clause.status == FAIL:
-                    bad.append(f"{report.name}/{clause.name}")
-        name = f"inequality diagnostics ({label})"
+        bad = [f"{r.name}/{c.name}" for r in reports for c in r.clauses if c.status == FAIL]
         if not cert.certifies:
-            checks.append(CheckResult(name, FAIL, "instance fails its certificate"))
+            outcomes.append((name, IDENTITY, False, "instance fails its certificate"))
         elif bad:
-            checks.append(CheckResult(name, _graded(regime), ", ".join(bad[:3])))
+            outcomes.append((name, MAGNITUDE, False, ", ".join(bad[:3])))
         else:
             margins = [
                 f"{r.name}: margin {clause.margin}"
@@ -841,12 +814,13 @@ def _estimate_checks(universe: Universe, regime: str) -> list[CheckResult]:
                 for clause in r.clauses
                 if clause.margin
             ]
-            checks.append(CheckResult(name, PASS, "; ".join(margins[:3])))
+            outcomes.append((name, IDENTITY, True, "; ".join(margins[:3])))
 
     search = lower_bound_search(universe, [d_vector(universe, base0)], 1)
-    checks.append(
-        _check(
+    outcomes.append(
+        (
             "lower-bound witness search",
+            MAGNITUDE,
             search.satisfied,
             (
                 f"witness {search.witness}, value {format_rational(search.lhs)} "
@@ -854,10 +828,30 @@ def _estimate_checks(universe: Universe, regime: str) -> list[CheckResult]:
                 if search.witness is not None
                 else "no witness of the required weight"
             ),
-            fail_status=_graded(regime),
         )
     )
-    return checks
+    return outcomes
+
+
+_SEQUENCE: tuple[Entry, ...] = (
+    _ris_certificates,
+    Check("constructed pair identities", IDENTITY, _constructed_pair),
+    _linked_chains,
+    _estimates,
+)
+
+_SHALLOW_SEQUENCE: tuple[Entry, ...] = (
+    Check(
+        "sequence laboratory",
+        INFO_KIND,
+        lambda u, _: (True, "universe too shallow for the canned instances (needs 4 levels)"),
+    ),
+)
+
+
+def run_sequence_suite(universe: Universe, rng: random.Random) -> SuiteReport:
+    table = _SEQUENCE if universe.max_rank >= 4 else _SHALLOW_SEQUENCE
+    return _run_table("sequence", table, universe, rng)
 
 
 # -- top level ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
 """Byte-identity of the CLI reports.
 
 Each command's stdout is hashed and compared against the digest recorded
-before the verification suites were rewritten as check tables; every one of
-these commands exits 0.  Any change
-to a status, a detail string, a note, the check order or the seeded draw
-order shows up here as a different digest.
+before the verification suites were rewritten as check tables, and each
+command exits 0.  Any change to a status, a detail string, a note, the check
+order or the seeded draw order shows up here as a different digest.
 """
 from __future__ import annotations
 

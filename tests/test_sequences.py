@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bdlab.algebra import d_coords_of, d_vector, evaluation_analysis, synthesize
-from bdlab.elements import BFunctional, t1_candidate
+from bdlab.elements import BFunctional
 from bdlab.sequences import (
     ConstructionFailure,
     DefaultPairSupplier,
@@ -23,6 +23,7 @@ from bdlab.sequences import (
     estimate_ris_weighted_averages,
     evaluate_estimates,
     greedy_j_seq,
+    helper_pair_parts,
     lower_bound_search,
     minimal_pair_constant,
     minimal_ris_constant,
@@ -47,20 +48,6 @@ def steep_universe():
         m_seq=STEEP_M, n_seq=tuple(range(16, 16 + len(STEEP_M))), horizon=2
     )
     return build_universe(cfg)
-
-
-def helper_pair_parts(u, count: int):
-    """Fresh helper vectors/cuts/combinations above the current top rank."""
-    base_rank = u.max_rank
-    xs, bs, cuts = [], [], [base_rank + 1]
-    for i in range(1, count + 1):
-        rank = base_rank + 2 * i
-        phi = u.intern(t1_candidate(rank, 0, 2, BFunctional.zero()))
-        theta = u.intern(t1_candidate(rank, 0, 2, BFunctional.singleton(0)))
-        xs.append(d_vector(u, theta))
-        bs.append(BFunctional.singleton(phi))
-        cuts.append(rank + 1)
-    return xs, tuple(cuts), bs
 
 
 # -- block sequences and the rapid-increase certificate ---------------------------

@@ -26,7 +26,7 @@ from bdlab.algebra import (
     synthesize,
 )
 from bdlab.config import desk_relaxed, desk_strict
-from bdlab.sequences import build_exact_pair
+from bdlab.sequences import build_exact_pair, helper_pair_parts
 from bdlab.shift import s_apply
 from bdlab.universe import Universe, build_universe
 from conftest import micro_config
@@ -38,7 +38,6 @@ from oracles import (
     sweep_s_apply,
     sweep_synthesize,
 )
-from test_sequences import helper_pair_parts
 
 FIXTURES = {"desk-strict": desk_strict, "desk-relaxed": desk_relaxed}
 

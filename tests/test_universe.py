@@ -14,6 +14,7 @@ from bdlab.elements import (
 from bdlab.universe import (
     DanglingReference,
     InadmissibleElement,
+    InvariantFault,
     Universe,
     UniverseError,
     _LevelPools,
@@ -219,6 +220,34 @@ def test_element_budget_is_enforced():
     cfg = micro_config(max_elements=5)
     with pytest.raises(UniverseError, match="budget"):
         build_universe(cfg)
+
+
+def test_each_new_element_is_validated_once(monkeypatch):
+    calls = []
+    validate = Universe.validate_candidate
+
+    def counted(self, cand):
+        calls.append(cand.key())
+        return validate(self, cand)
+
+    monkeypatch.setattr(Universe, "validate_candidate", counted)
+    u = build_universe(desk_relaxed())
+    assert len(calls) == len(u)
+    assert len(set(calls)) == len(calls)
+
+
+def test_inadmissible_shift_image_is_an_invariant_fault(micro_universe, monkeypatch):
+    u = micro_universe
+    cand = t1_candidate(3, 0, 2, unit(1))  # its image carries unit(0): a new element
+    validate = Universe.validate_candidate
+
+    def planted(self, c):
+        return validate(self, c) if c == cand else ["planted violation"]
+
+    monkeypatch.setattr(Universe, "validate_candidate", planted)
+    message = r"^shift image of #\d+ .* is inadmissible: planted violation$"
+    with pytest.raises(InvariantFault, match=message):
+        u.intern(cand)
 
 
 # -- determinism ----------------------------------------------------------------

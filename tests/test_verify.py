@@ -63,6 +63,31 @@ def test_missing_witnesses_fail_under_a_singleton_net():
     assert "witness family unavailable" in failing[0].detail
 
 
+@pytest.mark.parametrize("net, status", [((1, 1), "FAIL"), ((2, 2), "WARN")])
+def test_missing_witnesses_are_graded_by_the_net_in_either_regime(net, status):
+    # the strict regime does not make an unavailable witness family a FAIL:
+    # only the singleton net guarantees the family
+    cfg = micro_config(
+        horizon=3,
+        level_cap=1,
+        n_seq=(16, 2**32),
+        regime="strict",
+        max_support=net[0],
+        denominator_bound=net[1],
+    )
+    shift = run_verification(cfg, suites=["shift"]).suites[0]
+    check = next(c for c in shift.checks if c.name.startswith("compact difference"))
+    assert (check.status, shift.status) == (status, status)
+    assert "witness family unavailable" in check.detail
+
+
+def test_shallow_sequence_suite_reports_info_and_passes():
+    report = run_verification(micro_config(horizon=3), suites=["sequence"])
+    suite = report.suites[0]
+    assert [(c.name, c.status) for c in suite.checks] == [("sequence laboratory", "INFO")]
+    assert suite.status == "PASS" and not report.has_fail
+
+
 def test_suite_filter_and_order():
     report = run_verification(micro_config(), suites=["shift", "gamma"])
     assert [s.name for s in report.suites] == ["gamma", "shift"]
