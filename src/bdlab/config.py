@@ -23,6 +23,7 @@ import json
 import os
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Optional
 
 from .serialize import format_rational, parse_rational
@@ -67,8 +68,14 @@ class ConstructionConfig:
         """n_j, 1-indexed."""
         return self.n_seq[j - 1]
 
+    @cached_property
+    def weights(self) -> tuple[Fraction, ...]:
+        """The weights 1/m_j in order, built once per config."""
+        return tuple(1 / m for m in self.m_seq)
+
     def weight(self, j: int) -> Fraction:
-        return 1 / self.m(j)
+        """1/m_j, 1-indexed."""
+        return self.weights[j - 1]
 
     @property
     def num_weights(self) -> int:

@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 from typing import Any, Callable, Iterable, Optional, Sequence
+from weakref import WeakKeyDictionary
 
 from .algebra import (
     AlgebraError,
@@ -37,8 +38,8 @@ from .algebra import (
     evaluation_analysis,
     extend_vector,
     pairing,
-    project_vector,
     sup_norm,
+    synthesize,
     vector_range,
 )
 from .config import STRICT
@@ -219,6 +220,19 @@ def _weighted_ids(universe: Universe) -> list[tuple[int, int]]:
     return out
 
 
+_WEIGHT_CLASSES: "WeakKeyDictionary[Universe, dict[int, list[int]]]" = WeakKeyDictionary()
+
+
+def _weight_classes(universe: Universe) -> dict[int, list[int]]:
+    """The universe's ids by weight index, ascending.  Synced on read, since
+    interns, interior ones included, only ever append ids; weight index 0 is
+    kept too, so the lists together hold every id synced so far."""
+    classes = _WEIGHT_CLASSES.setdefault(universe, {})
+    for el in universe.elements[sum(map(len, classes.values())):]:
+        classes.setdefault(el.weight_idx, []).append(el.gid)
+    return classes
+
+
 def _argmax_weighted(
     universe: Universe,
     xs: Sequence[Vector],
@@ -228,12 +242,29 @@ def _argmax_weighted(
     """Largest ``score(weight index, id)`` over the weighted elements whose
     weight index passes ``weight_ok`` and whose rank is within every vector's
     horizon, with the first id, in id order, that attains it; (0, None) when
-    no element passes."""
+    no element passes.
+
+    ``score`` may read only the weight index and the values of ``xs`` at the
+    id, so every element outside their supports scores like the first such
+    element of its weight index.  Only the supports, plus that first
+    off-support id per weight index within the horizon, are scored, in id
+    order.
+    """
     horizon = min((x.horizon for x in xs), default=universe.max_rank)
+    elements = universe.elements
+    support = {g for x in xs for g in x.coords if 0 <= g < len(elements)}
+    candidates = set(support)
+    for widx, ids in _weight_classes(universe).items():
+        if widx > 0 and weight_ok(widx):
+            off = (g for g in ids if g not in support and elements[g].rank <= horizon)
+            first = next(off, None)
+            if first is not None:
+                candidates.add(first)
     best: tuple[Fraction, Optional[int]] = (Fraction(0), None)
-    for widx, gid in _weighted_ids(universe):
-        if weight_ok(widx) and universe.element(gid).rank <= horizon:
-            value = score(widx, gid)
+    for gid in sorted(candidates):
+        el = elements[gid]
+        if el.weight_idx > 0 and weight_ok(el.weight_idx) and el.rank <= horizon:
+            value = score(el.weight_idx, gid)
             if best[1] is None or value > best[0]:
                 best = (value, gid)
     return best
@@ -464,11 +495,17 @@ def _tail_estimate_clause(universe: Universe, x: Vector, j: int, C: Fraction) ->
     bound = {w: 6 * C * cfg.weight(min(w, j)) for w in range(1, cfg.num_weights + 1)}
     worst_ratio = Fraction(0)
     worst_note = ""
-    # a zero constant leaves every ratio undefined and the estimate without instances
-    for s in range(0, x.horizon + 1) if C else ():
-        tail = project_vector(universe, s, x.horizon, x)
+    d = d_coords_of(universe, x)
+    rank = {g: universe.element(g).rank for g in d}
+    # The tail past s only changes where s passes a rank of x's d-support, so
+    # the first cut of each stretch stands for the stretch.  A zero constant
+    # leaves every ratio undefined and the estimate without instances.
+    cuts = sorted({0, *(r for r in rank.values() if r <= x.horizon)}) if C else []
+    for s in cuts:
+        kept = {g: c for g, c in d.items() if s < rank[g] <= x.horizon}
+        tail = synthesize(universe, kept, x.horizon)
         ratio, gid = _argmax_weighted(
-            universe, [x], lambda w: w != j, lambda w, g: abs(tail.at(g)) / bound[w]
+            universe, [tail], lambda w: w != j, lambda w, g: abs(tail.at(g)) / bound[w]
         )
         if ratio > worst_ratio:
             worst_ratio = ratio

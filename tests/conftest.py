@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
 from bdlab.config import desk_relaxed, desk_strict, make_config
 from bdlab.universe import Universe, build_universe
@@ -36,3 +37,19 @@ def micro_config(k: int = 3, horizon: int = 2, **overrides):
 @pytest.fixture()
 def micro_universe() -> Universe:
     return build_universe(micro_config())
+
+
+@st.composite
+def small_universes(draw) -> Universe:
+    """Built universes of small random configs: k 2-4, horizon 1-4, nets of
+    support up to 2 and denominator up to 2, level caps 1-10."""
+    cfg = micro_config(
+        k=draw(st.integers(min_value=2, max_value=4)),
+        horizon=draw(st.integers(min_value=1, max_value=4)),
+        m_seq=(4, 16, 64, 256),
+        n_seq=(16, 18, 20, 22),
+        max_support=draw(st.integers(min_value=1, max_value=2)),
+        denominator_bound=draw(st.integers(min_value=1, max_value=2)),
+        level_cap=draw(st.integers(min_value=1, max_value=10)),
+    )
+    return build_universe(cfg)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from bdlab.algebra import (
     D_BASIS,
@@ -19,8 +19,11 @@ from bdlab.algebra import (
     c_star,
     e_star,
     l1_norm,
+    project_vector,
     to_d_basis,
 )
+from bdlab.sequences import INFO, INFO_KIND, ClauseResult
+from bdlab.serialize import format_rational
 from bdlab.universe import Universe
 
 Matrix = list[list[Fraction]]
@@ -173,3 +176,74 @@ def sweep_window_mass(universe: Universe, lo: int, hi: Optional[int]) -> tuple[F
         if mass > worst:
             worst, at = mass, gid
     return worst, at
+
+
+def sweep_heaviest_windows(universe: Universe) -> tuple[tuple[Fraction, str], tuple[Fraction, str]]:
+    """The initial-segment and the general window maxima with their notes, the
+    way the functional suite reports them: every window in report order (lo
+    ascending, then hi = top, then lo+1..top), the first window that attains
+    the maximum and the first gid attaining it there, one sweep_window_mass
+    per window."""
+    top = universe.max_rank
+
+    def heaviest(windows: Iterable[tuple[int, Optional[int]]]) -> tuple[Fraction, str]:
+        mass, note = Fraction(0), ""
+        for lo, hi in windows:
+            found, gid = sweep_window_mass(universe, lo, hi)
+            if found > mass:
+                mass = found
+                note = f"window ({lo}, {'top' if hi is None else hi}] at element {gid}"
+        return mass, note
+
+    return (
+        heaviest((0, q) for q in range(1, top + 1)),
+        heaviest((lo, hi) for lo in range(top + 1) for hi in [None, *range(lo + 1, top + 1)]),
+    )
+
+
+def scan_argmax_weighted(
+    universe: Universe,
+    xs: Sequence[Vector],
+    weight_ok: Callable[[int], bool],
+    score: Callable[[int, int], Fraction],
+) -> tuple[Fraction, Optional[int]]:
+    """Largest score over every weighted element within the vectors' horizon
+    whose weight index passes weight_ok, with the first id attaining it; one
+    score per element, in id order ((0, None) when none passes)."""
+    horizon = min((x.horizon for x in xs), default=universe.max_rank)
+    best: tuple[Fraction, Optional[int]] = (Fraction(0), None)
+    for gid in universe.ids():
+        el = universe.element(gid)
+        if el.weight_idx > 0 and weight_ok(el.weight_idx) and el.rank <= horizon:
+            value = score(el.weight_idx, gid)
+            if best[1] is None or value > best[0]:
+                best = (value, gid)
+    return best
+
+
+def every_cut_tail_estimate(universe: Universe, x: Vector, j: int, C: Fraction) -> ClauseResult:
+    """The windowed tail estimate of an exact pair with one tail projection
+    and one full weighted scan per cut 0..horizon."""
+    cfg = universe.config
+    bound = {w: 6 * C * cfg.weight(min(w, j)) for w in range(1, cfg.num_weights + 1)}
+    worst_ratio, worst_note = Fraction(0), ""
+    for s in range(0, x.horizon + 1) if C else ():
+        tail = project_vector(universe, s, x.horizon, x)
+        ratio, gid = scan_argmax_weighted(
+            universe, [x], lambda w: w != j, lambda w, g: abs(tail.at(g)) / bound[w]
+        )
+        if ratio > worst_ratio:
+            worst_ratio = ratio
+            worst_note = (
+                f"|tail past {s} at element {gid}| = {format_rational(abs(tail.at(gid)))} "
+                f"vs {format_rational(bound[universe.element(gid).weight_idx])}"
+            )
+    held = worst_ratio <= 1
+    return ClauseResult(
+        name="windowed tail estimate (reported)",
+        status=INFO,
+        kind=INFO_KIND,
+        lhs=format_rational(worst_ratio),
+        rhs="1",
+        witness=(worst_note + ("" if held else " [exceeded]")) or "no instances",
+    )

@@ -3,15 +3,21 @@
 Each command's stdout is hashed and compared against the digest recorded
 before the verification suites were rewritten as check tables, and each
 command exits 0.  Any change to a status, a detail string, a note, the check
-order or the seeded draw order shows up here as a different digest.
+order or the seeded draw order shows up here as a different digest.  The
+``wide.json`` run reads the benchmark's committed config (n=746), where the
+window masses and the weighted scans have many more blocks and ids to get
+wrong than on the desk fixtures.
 """
 from __future__ import annotations
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
 from bdlab.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 GOLDEN = [
     (
@@ -42,6 +48,10 @@ GOLDEN = [
         ["report", "--config", "desk-relaxed"],
         "3179de2f6d1ad022206ea9495cfef31935ba77b78209003391f3ed4f6d242204",
     ),
+    (
+        ["verify", "--config", "perfbench/configs/wide.json", "--format", "json"],
+        "adb8e7b899066219c66b8831fa774691f3a149c4884b6ef9dd919c0d2c521ec4",
+    ),
 ]
 
 
@@ -50,6 +60,7 @@ GOLDEN = [
 )
 def test_stdout_is_byte_identical(args, digest, capsys, monkeypatch):
     monkeypatch.delenv("BDLAB_HORIZON", raising=False)
+    monkeypatch.chdir(ROOT)  # config paths are relative to the checkout
     assert main(args) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -29,7 +29,7 @@ from bdlab.config import desk_relaxed, desk_strict
 from bdlab.sequences import build_exact_pair, helper_pair_parts
 from bdlab.shift import s_apply
 from bdlab.universe import Universe, build_universe
-from conftest import micro_config
+from conftest import small_universes
 from oracles import (
     dstar_matrix,
     solve_exact,
@@ -145,20 +145,6 @@ def test_build_and_enumerate_compute_no_coding_rows(monkeypatch, capsys):
 
 
 # -- property: synthesis inverts the coordinate read-off and matches the dense solve --
-
-
-@st.composite
-def small_universes(draw) -> Universe:
-    cfg = micro_config(
-        k=draw(st.integers(min_value=2, max_value=4)),
-        horizon=draw(st.integers(min_value=1, max_value=4)),
-        m_seq=(4, 16, 64, 256),
-        n_seq=(16, 18, 20, 22),
-        max_support=draw(st.integers(min_value=1, max_value=2)),
-        denominator_bound=draw(st.integers(min_value=1, max_value=2)),
-        level_cap=draw(st.integers(min_value=1, max_value=10)),
-    )
-    return build_universe(cfg)
 
 
 @settings(
