@@ -1,7 +1,7 @@
 """Growth table of ``verify`` over a depth ladder and a width ladder.
 
-Each ladder row runs the four verification suites once per repeat in a fresh
-child process against one source tree, and keeps the fastest repeat:
+Each ladder row runs the four verification suites ``REPEAT`` times, each in a
+fresh child process against one source tree, and keeps the fastest repeat:
 
 * depth: ``perfbench/configs/deep.json`` at horizon R = 10, 25, 50, 100;
 * width: ``perfbench/configs/wide.json`` (R = 10) at level_cap 24, 72, 288.
@@ -38,6 +38,8 @@ LADDERS = {
     "width": ("perfbench/configs/wide.json", "level_cap", (24, 72, 288)),
 }
 
+REPEAT = 2
+
 # Runs in the child with the chosen source tree first on sys.path.
 CHILD = r"""
 import hashlib, json, sys, time
@@ -65,12 +67,12 @@ print(json.dumps({
 """
 
 
-def run_row(src: Path, path: str, field: str, value: int, repeat: int) -> dict:
+def run_row(src: Path, path: str, field: str, value: int) -> dict:
     env = {k: v for k, v in os.environ.items() if not k.startswith(("PYTHON", "BDLAB_"))}
     env["PYTHONPATH"] = str(src)
     env["PYTHONHASHSEED"] = "0"
     best = None
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         out = subprocess.run(
             [sys.executable, "-c", CHILD, path, field, str(value)],
             cwd=ROOT, env=env, capture_output=True, text=True, check=True,
@@ -104,7 +106,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--label", default="after", help="name of this run in the table")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="source tree to time")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_7.json")
-    parser.add_argument("--repeat", type=int, default=2, help="runs per row; the fastest is kept")
     args = parser.parse_args(argv)
 
     table = json.loads(args.out.read_text()) if args.out.exists() else {"runs": {}}
@@ -112,7 +113,7 @@ def main(argv: list[str] | None = None) -> int:
     for ladder, (path, field, values) in LADDERS.items():
         rows[ladder] = []
         for value in values:
-            row = run_row(args.src.resolve(), path, field, value, args.repeat)
+            row = run_row(args.src.resolve(), path, field, value)
             print(f"{args.label} {ladder} {field}={value}: n={row['n']} R={row['R']} "
                   f"verify {row['seconds']['verify']}s", file=sys.stderr)
             rows[ladder].append(row)

@@ -430,15 +430,6 @@ def vector_range(universe: Universe, x: Vector) -> Optional[tuple[int, int]]:
     return (min(ranks), max(ranks))
 
 
-def project_vector(universe: Universe, lo: int, hi: int, x: Vector) -> Vector:
-    """Restrict the d-coordinates of x to ranks in (lo, hi] and resynthesize."""
-    d = d_coords_of(universe, x)
-    kept = {
-        g: c for g, c in d.items() if lo < universe.element(g).rank <= hi
-    }
-    return synthesize(universe, kept, x.horizon)
-
-
 # -- pairings and norms ---------------------------------------------------------
 
 

@@ -19,7 +19,6 @@ from bdlab.algebra import (
     c_star,
     e_star,
     l1_norm,
-    project_vector,
     to_d_basis,
 )
 from bdlab.sequences import INFO, INFO_KIND, ClauseResult
@@ -143,6 +142,13 @@ def sweep_d_coords_of(universe: Universe, x: Vector) -> Coords:
         if value != 0:
             out[gid] = value
     return out
+
+
+def project_vector(universe: Universe, lo: int, hi: int, x: Vector) -> Vector:
+    """Restrict the d-coordinates of x to ranks in (lo, hi] and resynthesize."""
+    d = sweep_d_coords_of(universe, x)
+    kept = {g: c for g, c in d.items() if lo < universe.element(g).rank <= hi}
+    return sweep_synthesize(universe, kept, x.horizon)
 
 
 def sweep_s_apply(universe: Universe, x: Vector) -> Vector:

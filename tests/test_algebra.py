@@ -22,7 +22,6 @@ from bdlab.algebra import (
     op_norm_l1,
     pairing,
     project_star,
-    project_vector,
     sup_norm,
     synthesize,
     to_d_basis,
@@ -32,7 +31,14 @@ from bdlab.algebra import (
 from bdlab.elements import BFunctional, t1_candidate, t2_candidate
 from bdlab.universe import build_universe
 from conftest import micro_config
-from oracles import dstar_matrix, functional_column, solve_exact, transpose, unit_column
+from oracles import (
+    dstar_matrix,
+    functional_column,
+    project_vector,
+    solve_exact,
+    transpose,
+    unit_column,
+)
 
 half = Fraction(1, 2)
 F = Fraction
