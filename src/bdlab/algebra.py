@@ -507,34 +507,3 @@ def evaluation_analysis(universe: Universe, gid: int) -> EvaluationAnalysis:
     return EvaluationAnalysis(
         gid=gid, weight_idx=el.weight_idx, p0=cur.p, steps=tuple(steps)
     )
-
-
-def analysis_functional(
-    universe: Universe,
-    analysis: EvaluationAnalysis,
-    windowed: bool,
-    start: int = 0,
-) -> Functional:
-    """Rebuild e*_gamma from analysis data.
-
-    With ``start == t > 0`` the first t steps collapse into e* of the t-th
-    chain element (the partial form).  ``windowed`` selects bounded rank
-    windows (p_{r-1}, p_r] for the carried combinations instead of
-    (p_{r-1}, infinity); the two agree because each step's combination is
-    supported strictly below its own cut.
-    """
-    if not 0 <= start < analysis.age:
-        raise AlgebraError(f"partial index {start} outside 0..{analysis.age - 1}")
-    beta = universe.config.weight(analysis.weight_idx)
-    cuts = analysis.cut_points()
-    if start == 0:
-        total = Functional(E_BASIS)
-    else:
-        total = e_star(analysis.steps[start - 1].xi)
-    for r in range(start, analysis.age):
-        step = analysis.steps[r]
-        total = total.plus(d_star(universe, step.xi))
-        hi = cuts[r + 1] if windowed else None
-        piece = project_star(universe, cuts[r], hi, b_as_functional(step.b))
-        total = total.plus(piece.scaled(beta))
-    return total

@@ -123,7 +123,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         "elements": [_element_json(universe, g) for g in universe.ids()],
         "notes": list(universe.notes),
     }
-    _emit(args, payload, universe.dump_lines())
+    _emit(args, payload, [] if args.format == "json" else universe.dump_lines())
     return 0
 
 

@@ -757,7 +757,6 @@ def helper_pair_parts(
 class SuppliedPair:
     x: Vector
     eta: int
-    constant: Fraction
 
 
 class DefaultPairSupplier:
@@ -776,7 +775,6 @@ class DefaultPairSupplier:
         min_p: int,
         weight_index: int,
         delta: int = 0,
-        epsilon: Optional[Fraction] = None,
     ) -> SuppliedPair:
         cfg = universe.config
         if delta != 0:
@@ -801,9 +799,7 @@ class DefaultPairSupplier:
             raise SupplierExhausted(
                 "helper admissibility", "; ".join(err.violations)
             ) from err
-        x = d_vector(universe, theta)
-        constant = minimal_pair_constant(universe, x, eta, weight_index, delta, epsilon)
-        return SuppliedPair(x=x, eta=eta, constant=constant)
+        return SuppliedPair(x=d_vector(universe, theta), eta=eta)
 
 
 @dataclass(frozen=True)
@@ -905,9 +901,7 @@ def build_dependent_sequence(
                 f"step {i} needs weight index {w} but the config has only "
                 f"{cfg.num_weights} weights",
             )
-        supplied = supplier.supply(
-            universe, min_p=p_seq[-1], weight_index=w, delta=delta, epsilon=epsilon
-        )
+        supplied = supplier.supply(universe, min_p=p_seq[-1], weight_index=w, delta=delta)
         eta_el = universe.element(supplied.eta)
         if eta_el.weight_idx != w:
             raise ConstructionFailure(

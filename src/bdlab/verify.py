@@ -8,9 +8,10 @@ Four suites, each a table of named checks with exact outcomes:
                     projection norms, basis round trips, the step-by-step
                     evaluation identities, extension uniqueness;
 * ``shift``      -- the operator's combinatorial table, nilpotency, duality
-                    between pushforward and pullback, commutation with tail
-                    restrictions, independence of the operator powers, the
-                    scalar matrix model, compact difference families;
+                    between pushforward and pullback and its agreement with
+                    the basis change, commutation with tail restrictions,
+                    independence of the operator powers, the scalar matrix
+                    model, compact difference families;
 * ``sequence``   -- certificates and constructions from the sequence
                     laboratory evaluated on canned instances, with the
                     inequality diagnostics reported at exact constants.
@@ -19,6 +20,14 @@ A table entry is a ``Check(name, kind, run)`` whose ``run`` returns
 ``(ok, detail)``, or a function that returns several
 ``(name, kind, ok, detail)`` outcomes computed from shared work.  Entries run
 in table order against the suite's own seeded generator.
+
+A linear identity that holds on a basis holds everywhere, so the basis round
+trips, the duality of pushforward and pullback, its agreement with the basis
+change and the pullback of basis vectors are checked on every basis element,
+which proves them.  The shift suite's three such checks count the elements
+they covered, or the violations with the first of them.  Tail commutation,
+the extensions, the scalar matrix model and the compact-difference scalars
+stay seeded samples.
 
 One rule grades every outcome (``_grade``): an info-kind check is INFO, a
 check that holds is PASS, and a check that fails is FAIL unless its kind has
@@ -43,23 +52,24 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 from .algebra import (
     D_BASIS,
     E_BASIS,
+    AnalysisStep,
     Functional,
     Vector,
-    analysis_functional,
+    b_as_functional,
     c_star,
     d_coords_of,
+    d_star,
     d_vector,
     e_star,
     evaluation_analysis,
     extend,
-    pairing,
     project_star,
     synthesize,
     to_d_basis,
     to_e_basis,
 )
 from .config import RELAXED, ConstructionConfig
-from .elements import BASE, BFunctional, candidate_of, t1_candidate
+from .elements import BASE, BFunctional, candidate_of, describe, t1_candidate
 from .sequences import (
     FAIL,
     IDENTITY,
@@ -252,18 +262,26 @@ def _first_violation(probe: Callable[[Universe, int], str]) -> Run:
     return run
 
 
-# -- seeded sampling helpers -----------------------------------------------------
+def _exhaustive(universe: Universe, violated: Callable[[int], bool]) -> tuple[bool, str]:
+    """A basis identity checked at every element: the detail counts the
+    elements, or the violations with the first of them, in id order."""
+    bad = [g for g in universe.ids() if violated(g)]
+    if not bad:
+        return True, f"exhaustive over {len(universe)} elements"
+    first = describe(universe.element(bad[0]))
+    return False, f"{len(bad)} of {len(universe)} elements violate it; first {first}"
 
 
-def _random_coords(universe: Universe, rng: random.Random) -> dict[int, Fraction]:
-    """Seeded rationals on four distinct elements (all of a smaller universe)."""
+# -- seeded sampling helper --------------------------------------------------------
+
+
+def _random_functional(universe: Universe, rng: random.Random) -> Functional:
+    """An e*-functional with seeded rationals on four distinct elements (all
+    of a smaller universe)."""
     chosen = rng.sample(list(universe.ids()), min(4, len(universe)))
-    return {gid: Fraction(rng.randint(-8, 8), rng.randint(1, 6)) for gid in chosen}
-
-
-def _random_functional(universe: Universe, rng: random.Random, basis: str) -> Functional:
-    coords = _random_coords(universe, rng)
-    return Functional(basis, {g: c for g, c in coords.items() if c != 0})
+    return Functional(
+        E_BASIS, {gid: Fraction(rng.randint(-8, 8), rng.randint(1, 6)) for gid in chosen}
+    )
 
 
 # -- gamma suite -------------------------------------------------------------------
@@ -519,6 +537,9 @@ def _window_masses(universe: Universe, rng: random.Random) -> list[Outcome]:
 
 
 def _round_trips(universe: Universe, rng: random.Random) -> tuple[bool, str]:
+    """Both conversions are linear, so round trips of every e*- and d*-unit
+    functional prove them mutually inverse."""
+
     def e_round(f: Functional) -> bool:
         return to_e_basis(universe, to_d_basis(universe, f)) == f
 
@@ -529,27 +550,70 @@ def _round_trips(universe: Universe, rng: random.Random) -> tuple[bool, str]:
         e_round(e_star(g)) and d_round(Functional(D_BASIS, {g: Fraction(1)}))
         for g in universe.ids()
     )
-    for _ in range(25):
-        f = _random_functional(universe, rng, E_BASIS)
-        g = _random_functional(universe, rng, D_BASIS)
-        ok = e_round(f) and d_round(g) and ok
     return ok, ""
 
 
-def _analysis_fault(universe: Universe, gid: int) -> str:
-    """The last form of the element's analysis that differs from e*_gid."""
+# The windowed and unwindowed analysis pieces of a chain element xi: d*_xi
+# plus beta times its combination projected on (lo, p] and on (lo, infinity).
+# beta is the analysed element's weight, so the weight index is in the key.
+Pieces = dict[tuple[int, int], tuple[Functional, Functional]]
+
+
+def _analysis_pieces(
+    universe: Universe, step: AnalysisStep, lo: int, beta: Fraction
+) -> tuple[Functional, Functional]:
+    head = d_star(universe, step.xi)
+    b = to_d_basis(universe, b_as_functional(step.b))
+    windowed, unwindowed = (
+        head.plus(to_e_basis(universe, project_star(universe, lo, hi, b)).scaled(beta))
+        for hi in (step.p, None)
+    )
+    return windowed, unwindowed
+
+
+def _analysis_fault(universe: Universe, gid: int, memo: Pieces) -> str:
+    """The last form of the element's analysis that differs from e*_gid.
+
+    Along the chain xi_0, ..., xi_(a-1) = gid with cuts p_(-1) < p_0 < ...,
+    step r contributes the piece d*_(xi_r) plus beta times its combination
+    projected on (p_(r-1), p_r] (windowed) or on (p_(r-1), infinity).  The
+    full forms sum every step's piece; partial form t (1 <= t < a) puts
+    e*_(xi_(t-1)) in place of the first t steps and sums the windowed
+    pieces of the rest.  Each form should be e*_gid; the windowed and
+    unwindowed ones agree because each combination lies below its own cut.
+    In report order the forms are the unwindowed and windowed full forms,
+    then partial forms 1..a-1.  A piece depends only on its chain element,
+    so pieces are shared by every element whose chain passes through it,
+    and the partial forms are suffix sums: the forms are tried from the
+    last one back, and the first that differs is named.
+    """
     if universe.element(gid).kind == BASE:
         return ""
     target = e_star(gid)
     analysis = evaluation_analysis(universe, gid)
-    bad = ""
-    for windowed in (False, True):
-        if analysis_functional(universe, analysis, windowed) != target:
-            bad = f"full form differs at element {gid}"
-    for start in range(1, analysis.age):
-        if analysis_functional(universe, analysis, True, start) != target:
-            bad = f"partial form {start} differs at element {gid}"
-    return bad
+    beta = universe.config.weight(analysis.weight_idx)
+    cuts = analysis.cut_points()
+    pieces = []
+    for r, step in enumerate(analysis.steps):
+        key = (step.xi, analysis.weight_idx)
+        if key not in memo:
+            memo[key] = _analysis_pieces(universe, step, cuts[r], beta)
+        pieces.append(memo[key])
+    suffix = Functional(E_BASIS)
+    for start in range(analysis.age - 1, 0, -1):
+        suffix = suffix.plus(pieces[start][0])
+        if suffix.plus(e_star(analysis.steps[start - 1].xi)) != target:
+            return f"partial form {start} differs at element {gid}"
+    full = suffix.plus(pieces[0][0])
+    unwindowed = reduce(Functional.plus, (piece for _, piece in pieces))
+    if full != target or unwindowed != target:
+        return f"full form differs at element {gid}"
+    return ""
+
+
+def _analysis_forms(universe: Universe, rng: random.Random) -> tuple[bool, str]:
+    memo: Pieces = {}
+    return _first_violation(lambda u, g: _analysis_fault(u, g, memo))(universe, rng)
 
 
 def _extensions(universe: Universe, rng: random.Random) -> tuple[bool, str]:
@@ -568,9 +632,7 @@ _FUNCTIONAL: tuple[Entry, ...] = (
     Check("biorthogonal pairing matrix is the identity", IDENTITY, _unit_rows),
     _window_masses,
     Check("basis round trips", IDENTITY, _round_trips),
-    Check(
-        "evaluation analysis rebuilds every element", IDENTITY, _first_violation(_analysis_fault)
-    ),
+    Check("evaluation analysis rebuilds every element", IDENTITY, _analysis_forms),
     Check("extensions stay spanned below their cut", IDENTITY, _extensions),
 )
 
@@ -580,8 +642,6 @@ def run_functional_suite(universe: Universe, rng: random.Random) -> SuiteReport:
 
 
 # -- shift suite ------------------------------------------------------------------------
-
-_DUALITY_SAMPLES = 1000
 
 
 def _table_laws(universe: Universe, rng: random.Random) -> tuple[bool, str]:
@@ -601,47 +661,64 @@ def _nilpotency(universe: Universe, rng: random.Random) -> tuple[bool, str]:
 
 
 def _adjoint(universe: Universe, rng: random.Random) -> tuple[bool, str]:
-    def adjoint_on_a_sample() -> bool:
-        f = _random_functional(universe, rng, rng.choice((E_BASIS, D_BASIS)))
-        x = synthesize(universe, _random_coords(universe, rng))
-        return pairing(universe, s_star(universe, f), x) == pairing(
-            universe, f, s_apply(universe, x)
+    """The pushforward sends each e*_gamma to e*_F(gamma), or to zero where F
+    is undefined, and the pullback sends each unit vector e_gamma to the sum
+    of e_pi over the preimages pi of gamma under F.  So the pullback is the
+    transpose of the pushforward on the unit bases, and with the basis-change
+    check <S* f, x> = <f, S x> holds for every f in either basis and every x.
+    """
+    top = universe.max_rank
+    preimages: dict[int, list[int]] = {}
+    for g in universe.ids():
+        image = universe.f_image_of(g)
+        if image is not None:
+            preimages.setdefault(image, []).append(g)
+
+    def violated(gid: int) -> bool:
+        image = universe.f_image_of(gid)
+        pushed = Functional(E_BASIS, {} if image is None else {image: Fraction(1)})
+        pulled = {pi: Fraction(1) for pi in preimages.get(gid, ())}
+        return (
+            s_star(universe, e_star(gid)) != pushed
+            or s_apply(universe, Vector({gid: Fraction(1)}, top)).coords != pulled
         )
 
-    # sampling stops at the first failure
-    ok = all(adjoint_on_a_sample() for _ in range(_DUALITY_SAMPLES))
-    return ok, f"{_DUALITY_SAMPLES} seeded pairs"
+    return _exhaustive(universe, violated)
 
 
 def _preimage_sums(universe: Universe, rng: random.Random) -> tuple[bool, str]:
-    def sums(delta: int) -> bool:
+    def violated(delta: int) -> bool:
         lhs = s_apply(universe, d_vector(universe, delta))
         rhs = reduce(
             Vector.plus,
             (d_vector(universe, gamma) for gamma in universe.f_preimages_of(delta)),
             Vector({}, universe.max_rank),
         )
-        return lhs.coords == rhs.coords
+        return lhs.coords != rhs.coords
 
-    return all(map(sums, universe.ids())), f"exhaustive over {len(universe)} elements"
-
-
-# The sampled checks below build lists, not generators: every sample is drawn
-# whatever the outcome, so the checks after them see the same draws.
+    return _exhaustive(universe, violated)
 
 
 def _basis_change(universe: Universe, rng: random.Random) -> tuple[bool, str]:
-    def respects(f: Functional) -> bool:
-        return to_e_basis(universe, s_star(universe, f)) == s_star(
+    """The pushforward commutes with the change to e*-coordinates on every
+    d*-unit functional, hence on every functional."""
+
+    def violated(gid: int) -> bool:
+        f = Functional(D_BASIS, {gid: Fraction(1)})
+        return to_e_basis(universe, s_star(universe, f)) != s_star(
             universe, to_e_basis(universe, f)
         )
 
-    return all([respects(_random_functional(universe, rng, D_BASIS)) for _ in range(25)]), ""
+    return _exhaustive(universe, violated)
+
+
+# The sampled check below builds a list, not a generator: every sample is
+# drawn whatever the outcome, so the checks after it see the same draws.
 
 
 def _tail_commutation(universe: Universe, rng: random.Random) -> tuple[bool, str]:
     def commutes(p: int) -> bool:
-        f = _random_functional(universe, rng, E_BASIS)
+        f = _random_functional(universe, rng)
         left = s_star(universe, project_star(universe, p, None, f))
         right = project_star(universe, p, None, s_star(universe, f))
         return to_d_basis(universe, left) == to_d_basis(universe, right)

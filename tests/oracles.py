@@ -13,14 +13,22 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from bdlab.algebra import (
     D_BASIS,
+    E_BASIS,
+    AlgebraError,
     Coords,
+    EvaluationAnalysis,
     Functional,
     Vector,
+    b_as_functional,
     c_star,
+    d_star,
     e_star,
+    evaluation_analysis,
     l1_norm,
+    project_star,
     to_d_basis,
 )
+from bdlab.elements import BASE
 from bdlab.sequences import INFO, INFO_KIND, ClauseResult
 from bdlab.serialize import format_rational
 from bdlab.universe import Universe
@@ -253,3 +261,58 @@ def every_cut_tail_estimate(universe: Universe, x: Vector, j: int, C: Fraction) 
         rhs="1",
         witness=(worst_note + ("" if held else " [exceeded]")) or "no instances",
     )
+
+
+def analysis_functional(
+    universe: Universe,
+    analysis: EvaluationAnalysis,
+    windowed: bool,
+    start: int = 0,
+) -> Functional:
+    """Rebuild e*_gamma from analysis data.
+
+    With ``start == t > 0`` the first t steps collapse into e* of the t-th
+    chain element (the partial form).  ``windowed`` selects bounded rank
+    windows (p_{r-1}, p_r] for the carried combinations instead of
+    (p_{r-1}, infinity); the two agree because each step's combination is
+    supported strictly below its own cut.
+    """
+    if not 0 <= start < analysis.age:
+        raise AlgebraError(f"partial index {start} outside 0..{analysis.age - 1}")
+    beta = universe.config.weight(analysis.weight_idx)
+    cuts = analysis.cut_points()
+    if start == 0:
+        total = Functional(E_BASIS)
+    else:
+        total = e_star(analysis.steps[start - 1].xi)
+    for r in range(start, analysis.age):
+        step = analysis.steps[r]
+        total = total.plus(d_star(universe, step.xi))
+        hi = cuts[r + 1] if windowed else None
+        piece = project_star(universe, cuts[r], hi, b_as_functional(step.b))
+        total = total.plus(piece.scaled(beta))
+    return total
+
+
+def per_form_analysis_fault(universe: Universe, gid: int) -> str:
+    """The last form of the element's analysis that differs from e*_gid,
+    each form rebuilt from scratch by ``analysis_functional``."""
+    if universe.element(gid).kind == BASE:
+        return ""
+    target = e_star(gid)
+    analysis = evaluation_analysis(universe, gid)
+    bad = ""
+    for windowed in (False, True):
+        if analysis_functional(universe, analysis, windowed) != target:
+            bad = f"full form differs at element {gid}"
+    for start in range(1, analysis.age):
+        if analysis_functional(universe, analysis, True, start) != target:
+            bad = f"partial form {start} differs at element {gid}"
+    return bad
+
+
+def per_form_analysis_check(universe: Universe) -> tuple[bool, str]:
+    """The analysis check as ``(ok, detail)``: the first faulty element's
+    report, in id order."""
+    found = next(filter(None, (per_form_analysis_fault(universe, g) for g in universe.ids())), "")
+    return not found, found

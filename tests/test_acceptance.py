@@ -17,7 +17,6 @@ import pytest
 
 from bdlab.algebra import (
     Functional,
-    analysis_functional,
     d_star,
     d_vector,
     e_star,
@@ -50,7 +49,14 @@ from bdlab.shift import (
 from bdlab.universe import build_universe
 from bdlab.verify import run_verification
 from conftest import micro_config
-from oracles import dstar_matrix, functional_column, solve_exact, transpose, unit_column
+from oracles import (
+    analysis_functional,
+    dstar_matrix,
+    functional_column,
+    solve_exact,
+    transpose,
+    unit_column,
+)
 
 F = Fraction
 

@@ -16,7 +16,6 @@ from bdlab.algebra import (
     d_vector,
     e_star,
     evaluation_analysis,
-    analysis_functional,
     extend,
     l1_norm,
     op_norm_l1,
@@ -32,6 +31,7 @@ from bdlab.elements import BFunctional, t1_candidate, t2_candidate
 from bdlab.universe import build_universe
 from conftest import micro_config
 from oracles import (
+    analysis_functional,
     dstar_matrix,
     functional_column,
     project_vector,

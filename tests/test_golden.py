@@ -1,12 +1,16 @@
 """Byte-identity of the CLI reports.
 
-Each command's stdout is hashed and compared against the digest recorded
-before the verification suites were rewritten as check tables, and each
-command exits 0.  Any change to a status, a detail string, a note, the check
-order or the seeded draw order shows up here as a different digest.  The
-``wide.json`` run reads the benchmark's committed config (n=746), where the
-window masses and the weighted scans have many more blocks and ids to get
-wrong than on the desk fixtures.
+Each command's stdout is hashed and compared against a recorded digest, and
+each command exits 0.  Any change to a status, a detail string, a note, the
+check order or the seeded draw order shows up here as a different digest.
+The ``verify`` and ``report`` digests were re-recorded when the shift suite's
+duality and basis-change checks became proofs over a basis; the only lines
+that moved are those two checks' details, which now read "exhaustive over N
+elements" (``test_shift_duality_details_name_the_basis_size`` pins them).
+The ``enumerate``, ``pair`` and ``depseq`` digests were recorded before that
+change and still hold.  The ``wide.json`` run reads the benchmark's committed
+config (n=746), where the window masses and the weighted scans have many more
+blocks and ids to get wrong than on the desk fixtures.
 """
 from __future__ import annotations
 
@@ -22,35 +26,51 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = [
     (
         ["verify", "--config", "desk-strict", "--format", "json"],
-        "ac7218a6e420e68d185c5d5e2142fe980528a14c5e42551a2d9a157dc9bf6568",
+        "20e691e465c663bf58b1e1a1a0f5aad751c3a621ec63f15fb73596389c9757e9",
     ),
     (
         ["verify", "--config", "desk-relaxed", "--format", "json"],
-        "f06faa2c1631940e7c4ab4558482809c2e371ae295ddec0835fbe3b7a5443808",
+        "d7657f0d7092d07ce1078e5394a8924642efdb930a480b1bb30d3505aebc0cc5",
     ),
     (
         ["verify", "--config", "desk-relaxed", "--seed", "7", "--format", "json"],
-        "b259853937d54ceeef270a7d1e41688fb088d4d3466fc452da24fbb0ceff3bb6",
+        "205307e2c69fe5db31f0f9cf82bee78883bf90e8836d06a0754aaf3dd09d7448",
     ),
     (
         ["verify", "--config", "desk-strict"],
-        "79a841737d558c70f89325269de128ceb1634ccbc110b0a2589eb1ad0899bf88",
+        "5c54bc6dd8320effd393ec2c4b89fa333c014d9c0bd08850e08a09c58f41761c",
     ),
     (
         ["report", "--config", "desk-strict", "--format", "json"],
-        "5862181606b63ec9254c536d3c3c968101bc5328bda7b4b437f85c8b1fb03939",
+        "76fb0866291b09d635cffc13357de530b1b34c4322c4dcaafe1b2b55fceba29f",
     ),
     (
         ["report", "--config", "desk-relaxed", "--format", "json"],
-        "1a7a723b6dfc07b2cc7100808b8abe9e1f4bce3dd7b0abd293dfad2552948b00",
+        "41df979f9a322742529d20c8202d666715deed1906127ef6213a8392fcd41d40",
     ),
     (
         ["report", "--config", "desk-relaxed"],
-        "3179de2f6d1ad022206ea9495cfef31935ba77b78209003391f3ed4f6d242204",
+        "a9cdf05055cc83ad0399aedb29ee975cda9b4f112521b28a8573cce74fa115a4",
     ),
     (
         ["verify", "--config", "perfbench/configs/wide.json", "--format", "json"],
-        "adb8e7b899066219c66b8831fa774691f3a149c4884b6ef9dd919c0d2c521ec4",
+        "cd69b18eacdf1814202c2cd51fc557ee3c0a0e49b50436a8bb006ad6924c6d02",
+    ),
+    (
+        ["enumerate", "--config", "desk-strict"],
+        "9ecaf0445840b866b9fe1705b210fe275511d0df0058a7da47989bed6a02d94d",
+    ),
+    (
+        ["enumerate", "--config", "desk-relaxed", "--format", "json"],
+        "8ad6adae0efb68554513a82389613ac60bcee714086eadae0fe9445b0d717dea",
+    ),
+    (
+        ["pair", "--config", "desk-strict"],
+        "ff1f0836ff2b21652ee3f26ea270de6faf47510a7df760974d2ace19402527ff",
+    ),
+    (
+        ["depseq", "--config", "desk-relaxed", "--format", "json"],
+        "15ce05c8372b36dfa568d516cafd968e49c2b5ab4fab511343ca2426351da99c",
     ),
 ]
 
@@ -64,3 +84,13 @@ def test_stdout_is_byte_identical(args, digest, capsys, monkeypatch):
     assert main(args) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("config, n", [("desk-strict", 60), ("desk-relaxed", 208)])
+def test_shift_duality_details_name_the_basis_size(config, n, capsys, monkeypatch):
+    monkeypatch.delenv("BDLAB_HORIZON", raising=False)
+    assert main(["verify", "--config", config, "--suites", "shift"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    exhaustive = f"exhaustive over {n} elements"
+    assert f"  [PASS] pushforward and pullback are adjoint -- {exhaustive}" in lines
+    assert f"  [PASS] pushforward respects the basis change -- {exhaustive}" in lines

@@ -205,7 +205,8 @@ def test_pair_vector_range_window_and_orthogonality_gates():
 def test_default_supplier_produces_a_certified_pair():
     u = build_universe(micro_config(horizon=2))
     supplied = DefaultPairSupplier().supply(u, min_p=0, weight_index=2)
-    report = check_exact_pair(u, supplied.x, supplied.eta, supplied.constant, 2)
+    constant = minimal_pair_constant(u, supplied.x, supplied.eta, 2)
+    report = check_exact_pair(u, supplied.x, supplied.eta, constant, 2)
     assert report.identity_ok and report.certifies
 
 

@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from bdlab import verify
+from bdlab.algebra import E_BASIS, Functional, Vector, c_star, evaluation_analysis, row_store
 from bdlab.config import desk_relaxed, desk_strict
-from bdlab.elements import BFunctional, t1_candidate
+from bdlab.elements import BASE, TYPE1, TYPE2, BFunctional, describe, t1_candidate
 from bdlab.universe import UniverseError, build_universe
 from bdlab.verify import (
     SUITE_ORDER,
@@ -19,7 +21,7 @@ from bdlab.verify import (
     run_verification,
 )
 from conftest import micro_config, small_universes
-from oracles import sweep_heaviest_windows
+from oracles import per_form_analysis_check, sweep_heaviest_windows
 
 
 @pytest.fixture(scope="module")
@@ -190,3 +192,155 @@ def test_initial_projection_bound_is_graded_as_a_magnitude(regime, status):
     check = next(c for c in suite.checks if c.name.startswith("initial projections"))
     assert check.status == status
     assert check.detail == "max column mass 1 <= -1 (window (0, 1] at element 0)"
+
+
+# -- proofs over a basis -----------------------------------------------------------
+
+
+def proof(check, u):
+    return check(u, random.Random(0))
+
+
+def violation(u, gid, count=1):
+    return f"{count} of {len(u)} elements violate it; first {describe(u.element(gid))}"
+
+
+def interior_used(u):
+    """The first element with a nonzero coding row that other rows mention."""
+    users = row_store(u).users
+    return next(g for g in u.ids() if c_star(u, g).coords and users[g])
+
+
+def corrupt_row(u, gid, h):
+    """Add 1 at h to the stored coding row of gid."""
+    store = row_store(u)
+    coords = dict(c_star(u, gid).coords)
+    coords[h] = coords.get(h, Fraction(0)) + 1
+    store.rows[gid] = Functional(E_BASIS, coords)
+
+
+@pytest.mark.parametrize("where", ["top", "interior"])
+def test_pushforward_wrong_at_one_element_fails_both_proofs(where, strict_universe, monkeypatch):
+    # the faulty pushforward also keeps the coordinate at gid where it was
+    u = strict_universe
+    gid = len(u) - 1 if where == "top" else interior_used(u)
+    assert c_star(u, gid).coords
+    real = verify.s_star
+
+    def s_star(universe, f):
+        out = real(universe, f)
+        if gid not in f.coords:
+            return out
+        return out.plus(Functional(f.basis, {gid: f.coords[gid]}))
+
+    monkeypatch.setattr(verify, "s_star", s_star)
+    assert proof(verify._adjoint, u) == (False, violation(u, gid))
+    # the d*-unit at gid fails, and so does each d*-unit whose row uses gid;
+    # those come later in id order
+    users = row_store(u).users[gid]
+    assert (where == "top") == (not users)
+    assert proof(verify._basis_change, u) == (False, violation(u, gid, 1 + len(users)))
+
+
+@pytest.mark.parametrize("where", ["top", "interior"])
+def test_pullback_wrong_at_one_element_fails_the_adjoint_proof(where, strict_universe, monkeypatch):
+    u = strict_universe
+    gid = len(u) - 1 if where == "top" else len(u) // 2
+    real = verify.s_apply
+
+    def s_apply(universe, x):
+        out = real(universe, x)
+        if gid not in x.coords:
+            return out
+        return out.plus(Vector({gid: x.coords[gid]}, x.horizon))
+
+    monkeypatch.setattr(verify, "s_apply", s_apply)
+    assert proof(verify._adjoint, u) == (False, violation(u, gid))
+    assert proof(verify._basis_change, u) == (True, f"exhaustive over {len(u)} elements")
+
+
+def test_corrupted_coding_row_fails_the_basis_change_proof():
+    u = build_universe(desk_strict())
+    # an element with an image, no preimages and a nonzero row: its d*-unit
+    # is the only one whose check reads that row
+    gid = next(
+        g
+        for g in u.ids()
+        if u.f_image_of(g) is not None and not u.f_preimages_of(g) and c_star(u, g).coords
+    )
+    h = next(
+        h
+        for h in u.ids()
+        if u.element(h).rank < u.element(gid).rank and u.f_image_of(h) is not None
+    )
+    assert proof(verify._basis_change, u) == (True, f"exhaustive over {len(u)} elements")
+    corrupt_row(u, gid, h)
+    assert proof(verify._basis_change, u) == (False, violation(u, gid))
+    assert proof(verify._adjoint, u)[0]  # the shift table is untouched
+
+
+def test_preimage_table_out_of_step_with_the_images_fails_the_adjoint_proof():
+    u = build_universe(desk_strict())
+    gid = next(g for g in u.ids() if u.f_image_of(g) is not None)
+    image = u.f_image_of(gid)
+    u._f_image[gid] = None  # the preimage table still lists gid under its image
+    assert proof(verify._adjoint, u) == (False, violation(u, image))
+
+
+def test_passing_proofs_count_the_basis(relaxed_universe):
+    u = relaxed_universe
+    for check in (verify._adjoint, verify._basis_change, verify._preimage_sums):
+        assert proof(check, u) == (True, "exhaustive over 208 elements")
+
+
+@pytest.mark.parametrize("factory", [desk_strict, desk_relaxed])
+def test_analysis_check_matches_the_per_form_oracle(factory):
+    u = build_universe(factory())
+    assert proof(verify._analysis_forms, u) == per_form_analysis_check(u) == (True, "")
+
+
+@settings(
+    max_examples=20,
+    derandomize=True,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(small_universes())
+def test_analysis_check_matches_the_per_form_oracle_on_small_configs(u):
+    assert proof(verify._analysis_forms, u) == per_form_analysis_check(u)
+
+
+@pytest.mark.parametrize("kind", [TYPE1, TYPE2])
+def test_corrupted_analysis_piece_names_the_last_affected_form(kind):
+    # Corrupting the row of a chain element xi of age a changes d*_xi, the
+    # last piece of xi's own analysis: both full forms of xi differ, and so
+    # does every partial form, of which partial form a-1 is the last.  No
+    # element below xi reads that row, so xi is the first witness.
+    u = build_universe(desk_relaxed())
+    xi = next(g for g in u.ids() if u.element(g).kind == kind)
+    age = evaluation_analysis(u, xi).age
+    h = next(g for g in u.ids() if u.element(g).kind == BASE)
+    corrupt_row(u, xi, h)
+    last = f"partial form {age - 1}" if age > 1 else "full form"
+    expected = (False, f"{last} differs at element {xi}")
+    assert per_form_analysis_check(u) == expected
+    assert proof(verify._analysis_forms, u) == expected
+
+
+@pytest.mark.parametrize("kind", [TYPE1, TYPE2])
+def test_combination_above_its_cut_breaks_only_the_unwindowed_form(kind):
+    # A combination term at an element eta above xi's own cut, with an empty
+    # coding row, adds e*_eta to the unwindowed piece of xi and leaves the
+    # windowed one alone, so only the unwindowed full form of xi differs.
+    u = build_universe(desk_relaxed())
+    xi = next(g for g in u.ids() if u.element(g).kind == kind)
+    c_star(u, xi)  # rows are synced before the corruption
+    el = u.element(xi)
+    eta = next(
+        g for g in u.ids() if u.element(g).rank > el.rank and not c_star(u, g).coords
+    )
+    u.elements[xi] = replace(el, b=BFunctional.from_dict({**dict(el.b.items()), eta: Fraction(1)}))
+    expected = (False, f"full form differs at element {xi}")
+    assert per_form_analysis_check(u) == expected
+    assert proof(verify._analysis_forms, u) == expected
