@@ -3,22 +3,24 @@
 Each ladder row runs the four verification suites ``REPEAT`` times, each in a
 fresh child process against one source tree, and keeps the fastest repeat:
 
-* depth: ``perfbench/configs/deep.json`` at horizon R = 10, 25, 50, 100;
+* depth: ``perfbench/configs/deep.json`` at horizon R = 10, 25, 50, 100, 200;
 * width: ``perfbench/configs/wide.json`` (R = 10) at level_cap 24, 72, 288.
 
-A row holds n (elements built), R, the seconds of each suite and of the whole
-in-process ``verify`` (build included), and the sha256 of the report exactly
-as ``verify --format json`` prints it.  Runs are stored under a label, so the
-same table can hold the code before and after a change::
+A row holds n (elements built), R, the seconds of one ``build_universe``
+(fastest repeat), of each suite and of the whole in-process ``verify`` (build
+included), and the sha256 of the report exactly as ``verify --format json``
+prints it.  Runs are stored under a label, so the same table can hold the
+code before and after a change::
 
     python scripts/growth.py --label before --src /path/to/other/checkout/src
     python scripts/growth.py --label after
 
 Rerunning a label replaces its rows and keeps the others.  Per label the table
-states two fitted exponents, least-squares slopes on log-log axes: ``n`` is
+states three fitted exponents, least-squares slopes on log-log axes: ``n`` is
 verify seconds against n on the width ladder (R fixed), ``R`` is verify
 seconds against R on the depth ladder (where n grows with R too, so a verify
-that is linear in depth has an R exponent near 1).  Standard library only.
+that is linear in depth has an R exponent near 1), and ``build_R`` is build
+seconds against R on the depth ladder.  Standard library only.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 LADDERS = {
-    "depth": ("perfbench/configs/deep.json", "horizon", (10, 25, 50, 100)),
+    "depth": ("perfbench/configs/deep.json", "horizon", (10, 25, 50, 100, 200)),
     "width": ("perfbench/configs/wide.json", "level_cap", (24, 72, 288)),
 }
 
@@ -46,6 +48,7 @@ import hashlib, json, sys, time
 from dataclasses import replace
 from bdlab.config import load_config_file, validate_config
 from bdlab.serialize import stable_json
+from bdlab.universe import build_universe
 from bdlab.verify import run_verification
 
 path, field, value = sys.argv[1], sys.argv[2], int(sys.argv[3])
@@ -53,11 +56,15 @@ cfg = load_config_file(path)
 if getattr(cfg, field) != value:
     cfg = validate_config(replace(cfg, notes=(), **{field: value}))
 started = time.perf_counter()
+build_universe(cfg)
+build = time.perf_counter() - started
+started = time.perf_counter()
 report = run_verification(cfg, timings=True)
 total = time.perf_counter() - started
 payload = report.to_json_dict()
 seconds = {name: float(s) for name, s in payload.pop("timings").items()}
 seconds["verify"] = round(total, 3)
+seconds["build"] = round(build, 3)
 print(json.dumps({
     "n": report.element_count,
     "R": max(int(r) for r in payload["level_counts"]),
@@ -71,7 +78,7 @@ def run_row(src: Path, path: str, field: str, value: int) -> dict:
     env = {k: v for k, v in os.environ.items() if not k.startswith(("PYTHON", "BDLAB_"))}
     env["PYTHONPATH"] = str(src)
     env["PYTHONHASHSEED"] = "0"
-    best = None
+    best, build = None, math.inf
     for _ in range(REPEAT):
         out = subprocess.run(
             [sys.executable, "-c", CHILD, path, field, str(value)],
@@ -82,6 +89,8 @@ def run_row(src: Path, path: str, field: str, value: int) -> dict:
             raise SystemExit(f"{path} {field}={value}: report differs between repeats")
         if best is None or row["seconds"]["verify"] < best["seconds"]["verify"]:
             best = row
+        build = min(build, row["seconds"]["build"])
+    best["seconds"]["build"] = build
     return {"config": path, field: value, **best}
 
 
@@ -98,6 +107,7 @@ def exponents(rows: dict[str, list[dict]]) -> dict[str, float]:
     return {
         "n": slope([(r["n"], r["seconds"]["verify"]) for r in rows["width"]]),
         "R": slope([(r["R"], r["seconds"]["verify"]) for r in rows["depth"]]),
+        "build_R": slope([(r["R"], r["seconds"]["build"]) for r in rows["depth"]]),
     }
 
 
@@ -105,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", default="after", help="name of this run in the table")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="source tree to time")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_7.json")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_9.json")
     args = parser.parse_args(argv)
 
     table = json.loads(args.out.read_text()) if args.out.exists() else {"runs": {}}
@@ -115,7 +125,8 @@ def main(argv: list[str] | None = None) -> int:
         for value in values:
             row = run_row(args.src.resolve(), path, field, value)
             print(f"{args.label} {ladder} {field}={value}: n={row['n']} R={row['R']} "
-                  f"verify {row['seconds']['verify']}s", file=sys.stderr)
+                  f"build {row['seconds']['build']}s verify {row['seconds']['verify']}s",
+                  file=sys.stderr)
             rows[ladder].append(row)
     table["runs"][args.label] = {"rows": rows, "exponents": exponents(rows)}
     table["machine"] = {

@@ -114,6 +114,9 @@ def _clause_lines(clauses: Any) -> list[str]:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     cfg = resolve_config(args.config)
     universe = build_universe(cfg)
+    if args.format != "json":
+        _emit(args, {}, universe.dump_lines())
+        return 0
     payload = {
         "schema": "bdlab.enumerate/1",
         "config": cfg.to_json_dict(),
@@ -123,7 +126,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         "elements": [_element_json(universe, g) for g in universe.ids()],
         "notes": list(universe.notes),
     }
-    _emit(args, payload, [] if args.format == "json" else universe.dump_lines())
+    _emit(args, payload, [])
     return 0
 
 

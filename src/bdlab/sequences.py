@@ -23,11 +23,11 @@ cannot satisfy; nothing is ever silently weakened.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 from typing import Any, Callable, Iterable, Optional, Sequence
-from weakref import WeakKeyDictionary
 
 from .algebra import (
     AlgebraError,
@@ -210,29 +210,6 @@ def greedy_j_seq(universe: Universe, seq: BlockSequence) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _weighted_ids(universe: Universe) -> list[tuple[int, int]]:
-    """(weight index, id) for every materialized element carrying a weight."""
-    out = []
-    for gid in universe.ids():
-        widx = universe.element(gid).weight_idx
-        if widx > 0:
-            out.append((widx, gid))
-    return out
-
-
-_WEIGHT_CLASSES: "WeakKeyDictionary[Universe, dict[int, list[int]]]" = WeakKeyDictionary()
-
-
-def _weight_classes(universe: Universe) -> dict[int, list[int]]:
-    """The universe's ids by weight index, ascending.  Synced on read, since
-    interns, interior ones included, only ever append ids; weight index 0 is
-    kept too, so the lists together hold every id synced so far."""
-    classes = _WEIGHT_CLASSES.setdefault(universe, {})
-    for el in universe.elements[sum(map(len, classes.values())):]:
-        classes.setdefault(el.weight_idx, []).append(el.gid)
-    return classes
-
-
 def _argmax_weighted(
     universe: Universe,
     xs: Sequence[Vector],
@@ -254,7 +231,7 @@ def _argmax_weighted(
     elements = universe.elements
     support = {g for x in xs for g in x.coords if 0 <= g < len(elements)}
     candidates = set(support)
-    for widx, ids in _weight_classes(universe).items():
+    for widx, ids in universe._by_weight.items():
         if widx > 0 and weight_ok(widx):
             off = (g for g in ids if g not in support and elements[g].rank <= horizon)
             first = next(off, None)
@@ -303,19 +280,20 @@ def validate_ris(
             bad.append(
                 f"(2) cut growth: index {js[k + 1]} not beyond range top {rng[1]}"
             )
-    weighted = _weighted_ids(universe)
+    elements = universe.elements
     for k, x in enumerate(seq.vectors):
         jk = js[k]
-        for widx, gid in weighted:
-            if widx < jk:
-                bound = constant * universe.config.weight(widx)
-                value = abs(x.at(gid))
-                if value > bound:
-                    bad.append(
-                        f"(3) weight decay: vector {k + 1} at element {gid} "
-                        f"(weight index {widx}) has |coordinate| {format_rational(value)} "
-                        f"> {format_rational(bound)}"
-                    )
+        classes = [ids for widx, ids in universe._by_weight.items() if 0 < widx < jk]
+        for gid in heapq.merge(*classes):
+            widx = elements[gid].weight_idx
+            bound = constant * universe.config.weight(widx)
+            value = abs(x.at(gid))
+            if value > bound:
+                bad.append(
+                    f"(3) weight decay: vector {k + 1} at element {gid} "
+                    f"(weight index {widx}) has |coordinate| {format_rational(value)} "
+                    f"> {format_rational(bound)}"
+                )
     return RISCertificate(constant, js, tuple(bad))
 
 

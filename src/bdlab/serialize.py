@@ -14,7 +14,7 @@ from typing import Any
 
 def format_rational(value: Fraction | int) -> str:
     """Render a rational as ``num/den`` (``den`` omitted when 1)."""
-    frac = Fraction(value)
+    frac = value if isinstance(value, Fraction) else Fraction(value)
     if frac.denominator == 1:
         return str(frac.numerator)
     return f"{frac.numerator}/{frac.denominator}"
@@ -50,12 +50,18 @@ def stable_hash(payload: Any) -> str:
 
 def _reject_floats(payload: Any) -> None:
     # Floats silently destroy exactness; fail loudly before they reach disk.
-    if isinstance(payload, float):
-        raise ValueError("refusing to serialize a float; use format_rational")
-    if isinstance(payload, dict):
-        for key, value in payload.items():
-            _reject_floats(key)
-            _reject_floats(value)
-    elif isinstance(payload, (list, tuple)):
-        for value in payload:
-            _reject_floats(value)
+    # One explicit stack instead of one call per node; strings and ints,
+    # nearly every node, are settled by one exact-type test.
+    stack = [payload]
+    while stack:
+        item = stack.pop()
+        kind = type(item)
+        if kind is str or kind is int:
+            continue
+        if isinstance(item, float):
+            raise ValueError("refusing to serialize a float; use format_rational")
+        if isinstance(item, dict):
+            stack.extend(item)
+            stack.extend(item.values())
+        elif isinstance(item, (list, tuple)):
+            stack.extend(item)

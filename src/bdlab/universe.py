@@ -19,8 +19,10 @@ with no tolerance even under aggressive caps.
 """
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_right
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .config import ConstructionConfig, RELAXED, STRICT
 from .elements import (
@@ -64,6 +66,12 @@ class Universe:
         self.elements: list[GammaElement] = []
         self._key_to_id: dict[tuple, int] = {}
         self._levels: dict[int, list[int]] = {}
+        self._max_rank = 0
+        # Ids by weight index (0 included), and the ids that admit an age
+        # extension (a weight and age < n[weight]) split by weight parity;
+        # both ascending, since interns only ever append ids.
+        self._by_weight: dict[int, list[int]] = {}
+        self._roots: tuple[list[int], list[int]] = ([], [])
         self._sigma: dict[int, int] = {}
         self._sigma_counter = 0
         self._f_image: dict[int, Optional[int]] = {}
@@ -88,7 +96,7 @@ class Universe:
 
     @property
     def max_rank(self) -> int:
-        return max(self._levels) if self._levels else 0
+        return self._max_rank
 
     def level(self, rank: int) -> tuple[int, ...]:
         return tuple(self._levels.get(rank, ()))
@@ -305,7 +313,7 @@ class Universe:
             raise UniverseError(
                 f"element budget exceeded ({self.config.max_elements})"
             )
-        if self._levels and cand.rank < self.max_rank:
+        if cand.rank < self._max_rank:
             self.interior_interns += 1
 
         gid = len(self.elements)
@@ -329,6 +337,10 @@ class Universe:
         self.elements.append(element)
         self._key_to_id[key] = gid
         self._levels.setdefault(cand.rank, []).append(gid)
+        self._max_rank = max(self._max_rank, cand.rank)
+        self._by_weight.setdefault(cand.weight_idx, []).append(gid)
+        if cand.weight_idx and age < self.config.n(cand.weight_idx):
+            self._roots[cand.weight_idx % 2].append(gid)
         self._sigma[gid] = max(self._sigma_counter, cand.rank) + 1
         self._sigma_counter = self._sigma[gid]
 
@@ -453,34 +465,6 @@ class Universe:
                 if self.element(eta).weight_idx // 4 in allowed:
                     yield t2_candidate(rank, xi, el.weight_idx, BFunctional.singleton(eta))
 
-    def _extension_roots(self, rank: int) -> tuple[list[int], list[int]]:
-        """Ids that admit an age extension at this rank, split by weight parity."""
-        roots: tuple[list[int], list[int]] = ([], [])
-        for p in range(1, rank - 1):
-            for xi in self._levels.get(p, ()):
-                el = self.elements[xi]
-                if el.weight_idx == 0:
-                    continue
-                if el.age + 1 > self.config.n(el.weight_idx):
-                    continue
-                roots[el.weight_idx % 2].append(xi)
-        for part in roots:
-            part.sort()
-        return roots
-
-    def _odd_support_pool(self, pool: Iterable[int], widx: int) -> list[int]:
-        """Support choices for odd-weight singletons within a window pool."""
-        cfg = self.config
-        out = []
-        for eta in pool:
-            el = self.elements[eta]
-            if el.weight_idx == 0 or el.weight_idx % 4 != 0:
-                continue
-            if cfg.regime == STRICT and not cfg.m(el.weight_idx) > cfg.n(widx) ** 2:
-                continue
-            out.append(eta)
-        return out
-
     # -- dump --------------------------------------------------------------------
 
     def dump_lines(self) -> list[str]:
@@ -514,45 +498,59 @@ class Universe:
 
 class _LevelPools:
     """Extension roots and support pools of one level's candidate selection,
-    computed once each.
+    read off the universe's indexes without scanning the levels below.
 
-    The pool of window start ``lo`` is ``ids_in_window(lo, rank - 1)``; the
-    odd pool of ``(lo, widx)`` is its odd-weight singleton supports, read
-    off the supports of the widest window.  Every root and window start of
-    the level shares them.  They stay valid only while the universe is
-    unchanged, which holds during selection: the level's candidates are
-    interned after selection ends.
+    The roots are the indexed extension roots of rank below ``rank - 1``;
+    the pool of window start ``lo`` is ``ids_in_window(lo, rank - 1)``; the
+    odd pool of ``(lo, widx)`` holds the ids of that window whose weight
+    index is a positive multiple of 4 (in the strict regime also with
+    m[weight] > n[widx]^2).  All are ascending by id.  While ranks ascend
+    with ids (no interior interns), each is a contiguous run of its index,
+    found by bisection and read lazily.  They stay valid only while the
+    universe is unchanged, which holds during selection: the level's
+    candidates are interned after selection ends.
     """
 
     def __init__(self, universe: Universe, rank: int):
         self._universe = universe
         self._rank = rank
-        self._window: dict[int, list[int]] = {}
-        self._odd: dict[tuple[int, int], list[int]] = {}
-        self._roots: Optional[tuple[list[int], list[int]]] = None
+        self._ordered = universe.interior_interns == 0
+        self._window: dict[int, Sequence[int]] = {}
 
-    def roots(self, parity: int) -> list[int]:
+    def roots(self, parity: int) -> Iterator[int]:
         """Extension roots of the level whose weight index has this parity."""
-        if self._roots is None:
-            self._roots = self._universe._extension_roots(self._rank)
-        return self._roots[parity]
+        return self._span(self._universe._roots[parity], 0, self._rank - 2)
 
-    def window(self, lo: int) -> list[int]:
+    def window(self, lo: int) -> Sequence[int]:
         pool = self._window.get(lo)
         if pool is None:
-            pool = self._window[lo] = self._universe.ids_in_window(lo, self._rank - 1)
+            ids = self._universe.ids()
+            if self._ordered:
+                pool = ids[bisect_right(ids, lo, key=self._rank_of):]
+            else:
+                pool = self._universe.ids_in_window(lo, self._rank - 1)
+            self._window[lo] = pool
         return pool
 
-    def odd(self, lo: int, widx: int) -> list[int]:
-        pool = self._odd.get((lo, widx))
-        if pool is None:
-            if lo == 0:
-                pool = self._universe._odd_support_pool(self.window(0), widx)
-            else:
-                elements = self._universe.elements
-                pool = [eta for eta in self.odd(0, widx) if elements[eta].rank > lo]
-            self._odd[(lo, widx)] = pool
-        return pool
+    def odd(self, lo: int, widx: int) -> Iterator[int]:
+        cfg = self._universe.config
+        return heapq.merge(*(
+            self._span(ids, lo, self._rank - 1)
+            for w, ids in self._universe._by_weight.items()
+            if w and w % 4 == 0
+            and (cfg.regime != STRICT or cfg.m(w) > cfg.n(widx) ** 2)
+        ))
+
+    def _rank_of(self, gid: int) -> int:
+        return self._universe.elements[gid].rank
+
+    def _span(self, ids: list[int], lo: int, hi: int) -> Iterator[int]:
+        """The ids of the ascending list with lo < rank <= hi, in order."""
+        rank = self._rank_of
+        if not self._ordered:
+            return (g for g in ids if lo < rank(g) <= hi)
+        start = bisect_right(ids, lo, key=rank)
+        return map(ids.__getitem__, range(start, bisect_right(ids, hi, start, key=rank)))
 
 
 def build_universe(config: ConstructionConfig) -> Universe:
@@ -562,16 +560,16 @@ def build_universe(config: ConstructionConfig) -> Universe:
 # -- net enumeration -------------------------------------------------------------
 
 
-def iter_net(pool: list[int], max_support: int, denominator_bound: int) -> Iterator[BFunctional]:
-    """Nonzero net combinations over a support pool, in canonical key order.
+def iter_net(pool: Sequence[int], max_support: int, denominator_bound: int) -> Iterator[BFunctional]:
+    """Nonzero net combinations over an ascending support pool, in canonical
+    key order.
 
     Coefficients are z / denominator_bound with total |z| mass at most the
-    bound; depth-first emission over sorted supports matches the lexicographic
-    order of BFunctional keys, letting callers truncate lazily.
+    bound; depth-first emission over the sorted supports matches the
+    lexicographic order of BFunctional keys, letting callers truncate lazily.
     """
     if max_support < 1 or not pool:
         return
-    pool = sorted(pool)
 
     def coeff_choices(budget: int) -> list[Fraction]:
         opts = {

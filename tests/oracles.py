@@ -28,6 +28,7 @@ from bdlab.algebra import (
     project_star,
     to_d_basis,
 )
+from bdlab.config import STRICT
 from bdlab.elements import BASE
 from bdlab.sequences import INFO, INFO_KIND, ClauseResult
 from bdlab.serialize import format_rational
@@ -233,6 +234,67 @@ def scan_argmax_weighted(
             if best[1] is None or value > best[0]:
                 best = (value, gid)
     return best
+
+
+def scan_weight_decay_violations(
+    universe: Universe, xs: Sequence[Vector], constant: Fraction, js: Sequence[int]
+) -> list[str]:
+    """The rapid-increase clause (3) messages of validate_ris, one pass over
+    every id per vector, in id order."""
+    out = []
+    for k, (x, jk) in enumerate(zip(xs, js)):
+        for gid in universe.ids():
+            widx = universe.element(gid).weight_idx
+            if 0 < widx < jk:
+                bound = constant * universe.config.weight(widx)
+                value = abs(x.at(gid))
+                if value > bound:
+                    out.append(
+                        f"(3) weight decay: vector {k + 1} at element {gid} "
+                        f"(weight index {widx}) has |coordinate| {format_rational(value)} "
+                        f"> {format_rational(bound)}"
+                    )
+    return out
+
+
+def scan_ids_by_weight(universe: Universe) -> dict[int, list[int]]:
+    """Every id under its weight index (0 included), ascending."""
+    out: dict[int, list[int]] = {}
+    for el in universe.elements:
+        out.setdefault(el.weight_idx, []).append(el.gid)
+    return out
+
+
+def scan_extension_roots(universe: Universe, rank: int) -> tuple[list[int], list[int]]:
+    """Ids that admit an age extension at this rank, split by weight parity:
+    one pass over every level below rank - 1."""
+    roots: tuple[list[int], list[int]] = ([], [])
+    for p in range(1, rank - 1):
+        for xi in universe.level(p):
+            el = universe.element(xi)
+            if el.weight_idx == 0:
+                continue
+            if el.age + 1 > universe.config.n(el.weight_idx):
+                continue
+            roots[el.weight_idx % 2].append(xi)
+    for part in roots:
+        part.sort()
+    return roots
+
+
+def scan_odd_support_pool(universe: Universe, pool: Iterable[int], widx: int) -> list[int]:
+    """Support choices for odd-weight singletons within a window pool: one
+    pass over the pool."""
+    cfg = universe.config
+    out = []
+    for eta in pool:
+        el = universe.element(eta)
+        if el.weight_idx == 0 or el.weight_idx % 4 != 0:
+            continue
+        if cfg.regime == STRICT and not cfg.m(el.weight_idx) > cfg.n(widx) ** 2:
+            continue
+        out.append(eta)
+    return out
 
 
 def every_cut_tail_estimate(universe: Universe, x: Vector, j: int, C: Fraction) -> ClauseResult:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bdlab.algebra import d_coords_of, d_vector, evaluation_analysis, synthesize
+from bdlab.algebra import Vector, d_coords_of, d_vector, evaluation_analysis, synthesize
 from bdlab.elements import BFunctional
 from bdlab.sequences import (
     ConstructionFailure,
@@ -33,6 +33,7 @@ from bdlab.sequences import (
 )
 from bdlab.universe import build_universe
 from conftest import micro_config
+from oracles import scan_weight_decay_violations
 
 F = Fraction
 
@@ -78,6 +79,22 @@ def test_ris_certificate_at_minimal_constant():
     squeezed = validate_ris(u, seq, minimal / 2)
     assert not squeezed.certifies
     assert any(v.startswith("(3) weight decay") for v in squeezed.violations)
+
+
+def test_ris_weight_decay_violations_come_in_id_order(relaxed_universe):
+    u = relaxed_universe
+    weighted = [g for g in u.ids() if u.element(g).weight_idx]
+    xs = [
+        Vector({g: F(1) for g in weighted[::2]}, u.max_rank),
+        Vector({g: F(-2, 3) for g in weighted[1::3]}, u.max_rank),
+    ]
+    constant, js = F(1, 10**6), (5, 6)
+    cert = validate_ris(u, block_sequence(u, xs), constant, j_seq=js)
+    decay = [v for v in cert.violations if v.startswith("(3)")]
+    assert decay == scan_weight_decay_violations(u, xs, constant, js)
+    # weight classes interleave in id order, so a per-class order would differ
+    first = [u.element(g).weight_idx for g in sorted(xs[0].coords)]
+    assert first != sorted(first) and len(decay) > 100
 
 
 def test_ris_violations_name_structure_problems():

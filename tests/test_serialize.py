@@ -43,11 +43,34 @@ def test_stable_json_sorts_keys_and_strips_spaces():
     assert stable_json({"b": 1, "a": [2, 3]}) == '{"a":[2,3],"b":1}\n'
 
 
+class _Real(float):
+    pass
+
+
 def test_stable_json_rejects_floats():
     with pytest.raises(ValueError):
         stable_json({"x": 0.5})
     with pytest.raises(ValueError):
         stable_json([1, [2.0]])
+    for payload in (
+        1.5,
+        {0.5: "x"},
+        {"a": {"b": [1, {"c": (2, 3.0)}]}},
+        ("x", (1, (2, -0.0))),
+        [{"deep": [[[[float("inf")]]]]}],
+        _Real(2),
+        {"x": [_Real(1)]},
+        {_Real(1): 1},
+    ):
+        with pytest.raises(ValueError, match="float"):
+            stable_json(payload)
+
+
+def test_stable_json_accepts_bools_and_ints():
+    payload = {"flag": True, "off": False, "n": [0, -3, 2**70], "t": (1, "1/2")}
+    assert stable_json(payload) == (
+        '{"flag":true,"n":[0,-3,1180591620717411303424],"off":false,"t":[1,"1/2"]}\n'
+    )
 
 
 def test_stable_hash_is_deterministic():

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from bdlab.config import desk_relaxed, desk_strict, make_config
+from bdlab.config import desk_relaxed, desk_strict, make_config, validate_config
 from bdlab.elements import (
     BFunctional,
     base_candidate,
@@ -21,6 +24,7 @@ from bdlab.universe import (
     build_universe,
 )
 from conftest import micro_config
+from oracles import scan_extension_roots, scan_ids_by_weight, scan_odd_support_pool
 
 
 def unit(eta: int, coeff=1) -> BFunctional:
@@ -281,27 +285,21 @@ def test_desk_relaxed_shape_is_pinned(relaxed_universe):
 
 
 def assert_level_pools_match_direct_scans(u: Universe, rank: int) -> int:
-    """Compare one level's memoized roots and pools with the scans they stand
-    for; returns how many odd pools were nonempty."""
-    cfg = u.config
+    """Compare one level's indexed roots and pools, and the ids-by-weight
+    index, with the scans they stand for; returns how many odd pools were
+    nonempty."""
+    assert u._by_weight == scan_ids_by_weight(u)
     pools = _LevelPools(u, rank)
+    roots = scan_extension_roots(u, rank)
     for parity in (0, 1):
-        direct = sorted(
-            g
-            for g in u.ids()
-            if 1 <= u.element(g).rank < rank - 1
-            and u.element(g).weight_idx % 2 == parity
-            and u.element(g).weight_idx > 0
-            and u.element(g).age < cfg.n(u.element(g).weight_idx)
-        )
-        assert pools.roots(parity) == direct
+        assert list(pools.roots(parity)) == roots[parity]
     nonempty = 0
     for lo in range(rank - 1):
         window = u.ids_in_window(lo, rank - 1)
-        assert pools.window(lo) == window
-        for widx in range(1, cfg.num_weights + 1):
-            odd = pools.odd(lo, widx)
-            assert odd == u._odd_support_pool(window, widx), (rank, lo, widx)
+        assert list(pools.window(lo)) == window
+        for widx in range(1, u.config.num_weights + 1):
+            odd = list(pools.odd(lo, widx))
+            assert odd == scan_odd_support_pool(u, window, widx), (rank, lo, widx)
             nonempty += bool(odd)
     return nonempty
 
@@ -334,6 +332,63 @@ def test_level_pools_match_direct_scans_with_odd_supports():
         nonempty += assert_level_pools_match_direct_scans(u, rank)
         u.enumerate_level(rank)
     assert nonempty > 0
+
+
+def _drawn_candidate(data, u: Universe):
+    """An admissible t1 or t2 shape of rank 2..max_rank with b zero or a unit
+    singleton, or None when the drawn shape is inadmissible."""
+    rank = data.draw(st.integers(min_value=2, max_value=u.max_rank))
+    roots = [g for g in u.ids_in_window(0, rank - 2) if u.element(g).weight_idx]
+    if not roots or data.draw(st.booleans()):
+        p = data.draw(st.integers(min_value=0, max_value=rank - 2))
+        # highest weight first: weight index 4 feeds the odd-weight pools
+        widx = data.draw(st.sampled_from(range(min(rank, u.config.num_weights), 0, -1)))
+        cand = t1_candidate(rank, p, widx, BFunctional.zero())
+        lo = p
+    else:
+        xi = u.element(data.draw(st.sampled_from(roots)))
+        cand = t2_candidate(rank, xi.gid, xi.weight_idx, BFunctional.zero())
+        lo = xi.rank
+    pool = u.ids_in_window(lo, rank - 1)
+    if cand.weight_idx % 2:
+        pool = [g for g in pool if u.element(g).weight_idx % 4 == 0 < u.element(g).weight_idx]
+    if pool and not data.draw(st.booleans()):
+        cand = replace(cand, b=unit(data.draw(st.sampled_from(pool))))
+    return None if u.validate_candidate(cand) else cand
+
+
+@settings(
+    max_examples=60,
+    derandomize=True,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.data())
+def test_indexes_match_scans_through_interior_interns(data):
+    cap = data.draw(st.integers(min_value=2, max_value=10))
+    if data.draw(st.booleans()):
+        cfg = validate_config(replace(desk_strict(), horizon=6, level_cap=cap))
+    else:
+        cfg = micro_config(
+            k=data.draw(st.integers(min_value=2, max_value=3)),
+            horizon=6,
+            m_seq=(4, 16, 64, 256),
+            # small n caps ages, so some elements admit no age extension
+            n_seq=data.draw(st.sampled_from([(16, 18, 20, 22), (1, 2, 3, 4)])),
+            max_support=data.draw(st.integers(min_value=1, max_value=2)),
+            level_cap=cap,
+        )
+    u = Universe(cfg)
+    for rank in range(1, cfg.horizon + 1):
+        u.enumerate_level(rank)
+        interns = data.draw(st.integers(min_value=0, max_value=4)) if rank > 1 else 0
+        for step in range(interns + 1):
+            if step:
+                cand = _drawn_candidate(data, u)
+                if cand is not None:
+                    u.intern(cand)
+            assert_level_pools_match_direct_scans(u, rank + 1)
 
 
 def test_selection_cap_can_be_exceeded_by_closure(strict_universe):
