@@ -15,7 +15,7 @@ rows mention it).  The store is synced on read: every entry point first
 appends rows for ids it has not seen yet, which is sound because a row only
 mentions ids of lower rank interned earlier.  Building or growing a universe
 therefore computes no rows.  Rows are immutable once stored; ``c_star``
-hands out the stored row itself, with a read-only coordinate mapping.
+hands out a read-only view of the stored row.
 
 Vectors are coordinate arrays over the materialized universe up to a stated
 horizon.  They are synthesized from prescribed ``d``-coordinates by forward
@@ -26,12 +26,21 @@ the elements reachable from the data through the users index, in (rank, id)
 order (Gilbert and Peierls, SIAM J. Sci. Stat. Comput. 9(5), 1988); every
 other coordinate is zero.
 
-Everything is a Fraction; there is no tolerance anywhere in this module.
+Integers inside, Fractions at the boundary, never a float.  Each coding row
+is stored once, as integer numerators over the row's least denominator, and
+the store's kernels (``CodingRows.to_d`` and the rest) carry integer
+numerators over one common denominator per call.  That denominator grows,
+and every numerator with it, only where a division by a row's denominator is
+inexact; it stays the least common denominator of the values seen, in the
+spirit of fraction-free elimination (Bareiss, Math. Comp. 22, 1968).  A
+``Fraction`` is built only where a ``Functional``, ``Vector`` or ``Coords``
+leaves this module.  There is no tolerance anywhere in this module.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional
 from weakref import WeakKeyDictionary
@@ -43,8 +52,8 @@ E_BASIS = "e*"
 D_BASIS = "d*"
 
 Coords = dict[int, Fraction]
+IntCoords = dict[int, int]  # numerators over a denominator carried beside them
 
-_ZERO = Fraction(0)
 
 
 class AlgebraError(ValueError):
@@ -52,7 +61,7 @@ class AlgebraError(ValueError):
 
 
 def _clean(coords: Coords) -> Coords:
-    return {gid: c for gid, c in coords.items() if c != 0}
+    return {gid: c for gid, c in coords.items() if c}
 
 
 @dataclass
@@ -125,23 +134,47 @@ def b_as_functional(b: BFunctional) -> Functional:
     return Functional(E_BASIS, dict(b.items()))
 
 
+def to_integers(coords: Mapping[int, Fraction]) -> tuple[IntCoords, int]:
+    """Rational coordinates as numerators over their least common
+    denominator, zeros dropped, order kept."""
+    q = lcm(*(c.denominator for c in coords.values()))
+    return {g: c.numerator * (q // c.denominator) for g, c in coords.items() if c}, q
+
+
+def _fractions(coords: IntCoords, q: int) -> Coords:
+    return {g: Fraction(v, q) for g, v in coords.items()}
+
+
+def _grow(t: int, *parts: IntCoords) -> None:
+    """Scale every numerator by t in place: their common denominator grew by t."""
+    for part in parts:
+        for g in part:
+            part[g] *= t
+
+
 # -- the coding-row store -------------------------------------------------------
 
 
 class CodingRows:
-    """Append-only coding rows of one universe, indexed by element id.
+    """Append-only coding rows of one universe, indexed by element id, and the
+    integer kernels that read them.
 
-    ``rank[g]`` is the element's rank, ``rows[g]`` its coding row as an
-    e*-``Functional`` whose coordinate mapping is read-only, and ``users[g]``
+    ``rank[g]`` is the element's rank; ``num[g]`` and ``den[g]`` are its
+    coding row, the e*-coordinate at h being ``num[g][h] / den[g]`` with
+    ``den[g]`` the least common denominator of the row; ``users[g]`` holds
     the ascending ids whose rows mention ``g``.  Entry g depends only on
     entries below g, so entries are appended in id order and never change.
+
+    Each kernel takes numerators with their common denominator q and returns
+    its result the same way; q grows only where a division is inexact.
     """
 
-    __slots__ = ("rank", "rows", "users")
+    __slots__ = ("rank", "num", "den", "users")
 
     def __init__(self) -> None:
         self.rank: list[int] = []
-        self.rows: list[Functional] = []
+        self.num: list[IntCoords] = []
+        self.den: list[int] = []
         self.users: list[list[int]] = []
 
     def __len__(self) -> int:
@@ -150,14 +183,122 @@ class CodingRows:
     def sync(self, universe: Universe) -> None:
         """Append the rows of every element interned since the last sync."""
         for el in universe.elements[len(self.rank):]:
-            coords = _compute_cstar(self, universe, el)
-            row = Functional(E_BASIS)
-            row.coords = MappingProxyType(coords)
-            for h in coords:
+            row, den = _compute_cstar(self, universe, el)
+            for h in row:
                 self.users[h].append(el.gid)
             self.rank.append(el.rank)
-            self.rows.append(row)
+            self.num.append(row)
+            self.den.append(den)
             self.users.append([])
+
+    def restrict(self, coords: IntCoords, lo: int, hi: Optional[int]) -> IntCoords:
+        """The coordinates on ranks in (lo, hi]; hi=None means no top."""
+        rank = self.rank
+        return {
+            g: c
+            for g, c in coords.items()
+            if lo < rank[g] and (hi is None or rank[g] <= hi)
+        }
+
+    def to_d(self, coords: IntCoords, q: int) -> tuple[IntCoords, int]:
+        """Back-substitute from the top rank down (unitriangular system).
+
+        Rows only mention lower ranks, so the work set is bucketed by rank once
+        and each bucket is final when its rank is reached.  Output order: rank
+        descending, id ascending within a rank.  Each output numerator is a
+        multiple of its own row's denominator.
+        """
+        rank, num, den = self.rank, self.num, self.den
+        work = dict(coords)
+        buckets: dict[int, list[int]] = {}
+        for g in work:
+            buckets.setdefault(rank[g], []).append(g)
+        out: IntCoords = {}
+        for r in range(max(buckets, default=0), 0, -1):
+            layer = buckets.get(r)
+            if not layer:
+                continue
+            layer.sort()
+            for gid in layer:
+                a = work.pop(gid)
+                if not a:
+                    continue
+                d = den[gid]
+                if a % d:
+                    t = d // gcd(a, d)
+                    q, a = q * t, a * t
+                    _grow(t, work, out)
+                out[gid] = a
+                a //= d
+                for h, c in num[gid].items():
+                    if h in work:
+                        work[h] += a * c
+                    else:
+                        work[h] = a * c
+                        buckets.setdefault(rank[h], []).append(h)
+        return out, q
+
+    def to_e(self, coords: IntCoords, q: int) -> tuple[IntCoords, int]:
+        """e*-coordinates of d*-coordinates: each d*_g is e*_g minus row g."""
+        num, den = self.num, self.den
+        t = lcm(*(den[g] // gcd(a, den[g]) for g, a in coords.items()))
+        out: IntCoords = {}
+        for gid, a in coords.items():
+            a *= t
+            out[gid] = out.get(gid, 0) + a
+            a //= den[gid]
+            for h, c in num[gid].items():
+                out[h] = out.get(h, 0) - a * c
+        return {g: v for g, v in out.items() if v}, q * t
+
+    def _substitute(
+        self, x: IntCoords, q: int, order: list[int], data: IntCoords, out: IntCoords, sign: int
+    ) -> int:
+        """At each id of ``order`` in turn, ``out`` gets its datum plus ``sign``
+        times the pairing of its row with x, where x is ``out`` itself (forward
+        substitution) or ``data`` (read-off).  Numerators are over q; returns
+        the denominator that ``data`` and ``out`` end over."""
+        num, den = self.num, self.den
+        for gid in order:
+            s = 0
+            for h, c in num[gid].items():
+                hv = x.get(h)
+                if hv is not None:
+                    s += c * hv
+            d = den[gid]
+            if s % d:
+                t = d // gcd(s, d)
+                q, s = q * t, s * t
+                _grow(t, data, out)
+            value = data.get(gid, 0) + sign * (s // d)
+            if value:
+                out[gid] = value
+        return q
+
+    def synthesize(self, data: IntCoords, q: int, top: int) -> tuple[IntCoords, int]:
+        """The vector with d-coordinates ``data`` up to rank ``top``."""
+        seeds = _below(self, data, top)
+        order = _ascending(self.rank, _reach(self, seeds, 0, top).union(seeds))
+        x: IntCoords = {}
+        return x, self._substitute(x, q, order, dict(data), x, 1)
+
+    def extend(self, data: IntCoords, q: int, cut: int, top: int) -> tuple[IntCoords, int]:
+        """The vector spanned below ``cut`` that equals ``data`` on ranks <= cut."""
+        x = {g: data[g] for g in _ascending(self.rank, _below(self, data, cut))}
+        order = _ascending(self.rank, _reach(self, list(x), cut, top))
+        return x, self._substitute(x, q, order, {}, x, 1)
+
+    def read_off(self, x: IntCoords, q: int, top: int) -> tuple[IntCoords, int]:
+        """d-coordinates of x up to rank ``top``: at each element, coordinate
+        minus coding pairing.  Only the support of x and its direct users can
+        have a nonzero reading."""
+        rank, users = self.rank, self.users
+        support = _below(self, x, top)
+        visit = set(support)
+        for g in support:
+            visit.update(u for u in users[g] if rank[u] <= top)
+        data, out = dict(x), {}
+        return out, self._substitute(data, q, _ascending(rank, visit), data, out, -1)
 
 
 _STORES: "WeakKeyDictionary[Universe, CodingRows]" = WeakKeyDictionary()
@@ -171,7 +312,7 @@ def row_store(universe: Universe) -> CodingRows:
     return store
 
 
-def _rows(universe: Universe) -> CodingRows:
+def coding_rows(universe: Universe) -> CodingRows:
     """The universe's store, synced up to its newest element."""
     store = _STORES.get(universe)
     if store is None or len(store.rank) < len(universe.elements):
@@ -211,30 +352,42 @@ def _reach(store: CodingRows, seeds: Iterable[int], lo: int, hi: int) -> set[int
     return seen
 
 
+def _below(store: CodingRows, ids: Iterable[int], top: int) -> list[int]:
+    """The ids that are elements of rank <= top; others are ignored."""
+    rank = store.rank
+    n = len(rank)
+    return [g for g in ids if 0 <= g < n and rank[g] <= top]
+
+
 # -- coding functionals and the basis change ---------------------------------
 
 
 def c_star(universe: Universe, gid: int) -> Functional:
-    """The coding functional of an element, in e*-coordinates (the stored row)."""
-    store = _rows(universe)
+    """The coding functional of an element, in e*-coordinates: a read-only
+    view of the stored row."""
+    store = coding_rows(universe)
     _checked(universe, store, (gid,))
-    return store.rows[gid]
+    row = Functional(E_BASIS)
+    row.coords = MappingProxyType(_fractions(store.num[gid], store.den[gid]))
+    return row
 
 
-def _compute_cstar(store: CodingRows, universe: Universe, el: GammaElement) -> Coords:
+def _compute_cstar(
+    store: CodingRows, universe: Universe, el: GammaElement
+) -> tuple[IntCoords, int]:
+    """The element's coding row as numerators over its least denominator."""
     if el.kind == BASE:
-        return {}
+        return {}, 1
     beta = universe.config.weight(el.weight_idx)
-    if el.kind == TYPE1:
-        lo = el.p
-        out: Coords = {}
-    else:
-        lo = store.rank[el.xi]
-        out = {el.xi: Fraction(1)}
-    tail = _to_e(store, _restrict(store, _to_d(store, dict(el.b.items())), lo, None))
+    lo = el.p if el.kind == TYPE1 else store.rank[el.xi]
+    d, q = store.to_d(*to_integers(dict(el.b.items())))
+    tail, q = store.to_e(store.restrict(d, lo, None), q)
+    den = q * beta.denominator
+    row = {el.xi: den} if el.kind == TYPE2 else {}
     for g, c in tail.items():
-        out[g] = out.get(g, _ZERO) + c * beta
-    return _clean(out)
+        row[g] = row.get(g, 0) + c * beta.numerator
+    common = gcd(den, *row.values())
+    return {g: v // common for g, v in row.items() if v}, den // common
 
 
 def d_star(universe: Universe, gid: int) -> Functional:
@@ -242,97 +395,36 @@ def d_star(universe: Universe, gid: int) -> Functional:
     return e_star(gid).plus(c_star(universe, gid).scaled(-1))
 
 
-def _to_d(store: CodingRows, coords: Mapping[int, Fraction]) -> Coords:
-    """Back-substitute from the top rank down (unitriangular system).
-
-    Rows only mention lower ranks, so the work set is bucketed by rank once
-    and each bucket is final when its rank is reached.  Output order: rank
-    descending, id ascending within a rank.
-    """
-    rank, rows = store.rank, store.rows
-    work = dict(coords)
-    buckets: dict[int, list[int]] = {}
-    for g in work:
-        buckets.setdefault(rank[g], []).append(g)
-    out: Coords = {}
-    for r in range(max(buckets, default=0), 0, -1):
-        layer = buckets.get(r)
-        if not layer:
-            continue
-        layer.sort()
-        for gid in layer:
-            a = work.pop(gid)
-            if a == 0:
-                continue
-            out[gid] = a
-            for h, c in rows[gid].coords.items():
-                if h in work:
-                    work[h] += a * c
-                else:
-                    work[h] = a * c
-                    buckets.setdefault(rank[h], []).append(h)
-    return out
-
-
-def _to_e(store: CodingRows, coords: Mapping[int, Fraction]) -> Coords:
-    rows = store.rows
-    out: Coords = {}
-    for gid, a in coords.items():
-        out[gid] = out.get(gid, _ZERO) + a
-        for h, c in rows[gid].coords.items():
-            out[h] = out.get(h, _ZERO) - a * c
-    return _clean(out)
-
-
-def _restrict(
-    store: CodingRows, coords: Mapping[int, Fraction], lo: int, hi: Optional[int]
-) -> Coords:
-    rank = store.rank
-    return {
-        g: c
-        for g, c in coords.items()
-        if lo < rank[g] and (hi is None or rank[g] <= hi)
-    }
-
-
 def to_d_basis(universe: Universe, f: Functional) -> Functional:
     """Back-substitute from the top rank down (unitriangular system)."""
     if f.basis == D_BASIS:
         return Functional(D_BASIS, dict(f.coords))
-    store = _rows(universe)
+    store = coding_rows(universe)
     _checked(universe, store, f.coords)
-    return Functional(D_BASIS, _to_d(store, f.coords))
+    return Functional(D_BASIS, _fractions(*store.to_d(*to_integers(f.coords))))
 
 
 def to_e_basis(universe: Universe, f: Functional) -> Functional:
     if f.basis == E_BASIS:
         return Functional(E_BASIS, dict(f.coords))
-    store = _rows(universe)
+    store = coding_rows(universe)
     _checked(universe, store, f.coords)
-    return Functional(E_BASIS, _to_e(store, f.coords))
+    return Functional(E_BASIS, _fractions(*store.to_e(*to_integers(f.coords))))
 
 
 def project_star(
     universe: Universe, lo: int, hi: Optional[int], f: Functional
 ) -> Functional:
     """Restrict to ranks in (lo, hi] in d*-coordinates; hi=None means no top."""
-    store = _rows(universe)
+    store = coding_rows(universe)
     _checked(universe, store, f.coords)
-    d = f.coords if f.basis == D_BASIS else _to_d(store, f.coords)
-    kept = _restrict(store, d, lo, hi)
-    if f.basis == E_BASIS:
-        return Functional(E_BASIS, _to_e(store, kept))
-    return Functional(D_BASIS, kept)
+    if f.basis == D_BASIS:
+        return Functional(D_BASIS, store.restrict(f.coords, lo, hi))
+    d, q = store.to_d(*to_integers(f.coords))
+    return Functional(E_BASIS, _fractions(*store.to_e(store.restrict(d, lo, hi), q)))
 
 
 # -- vectors ------------------------------------------------------------------
-
-
-def _below(store: CodingRows, ids: Iterable[int], top: int) -> list[int]:
-    """The ids that are elements of rank <= top; others are ignored."""
-    rank = store.rank
-    n = len(rank)
-    return [g for g in ids if 0 <= g < n and rank[g] <= top]
 
 
 def synthesize(universe: Universe, d_coords: Coords, horizon: Optional[int] = None) -> Vector:
@@ -341,22 +433,12 @@ def synthesize(universe: Universe, d_coords: Coords, horizon: Optional[int] = No
     Forward substitution: the coordinate at each element is its prescribed
     d-coordinate plus the pairing of its coding functional with the part of
     the vector already built.  Only elements reachable from the nonzero
-    data through the users index can be nonzero; each visited element's row
-    is read through ``c_star``, so its call count is the number visited.
+    data through the users index can be nonzero.  The rows are read from
+    the store directly, not through ``c_star``.
     """
     top = universe.max_rank if horizon is None else horizon
-    store = _rows(universe)
-    seeds = _below(store, (g for g, v in d_coords.items() if v != 0), top)
-    coords: Coords = {}
-    for gid in _ascending(store.rank, _reach(store, seeds, 0, top).union(seeds)):
-        value = d_coords.get(gid, _ZERO)
-        for h, c in c_star(universe, gid).coords.items():
-            hv = coords.get(h)
-            if hv is not None:
-                value += c * hv
-        if value != 0:
-            coords[gid] = value
-    return Vector(coords, top)
+    store = coding_rows(universe)
+    return Vector(_fractions(*store.synthesize(*to_integers(d_coords), top)), top)
 
 
 def d_vector(universe: Universe, gid: int, horizon: Optional[int] = None) -> Vector:
@@ -371,22 +453,8 @@ def extend(universe: Universe, data: Coords, q: int, horizon: Optional[int] = No
     whose restriction to ranks <= q equals ``data``.
     """
     top = universe.max_rank if horizon is None else horizon
-    store = _rows(universe)
-    rows = store.rows
-    coords: Coords = {}
-    for gid in _ascending(store.rank, _below(store, data, q)):
-        v = data[gid]
-        if v != 0:
-            coords[gid] = v
-    for gid in _ascending(store.rank, _reach(store, list(coords), q, top)):
-        value = _ZERO
-        for h, c in rows[gid].coords.items():
-            hv = coords.get(h)
-            if hv is not None:
-                value += c * hv
-        if value != 0:
-            coords[gid] = value
-    return Vector(coords, top)
+    store = coding_rows(universe)
+    return Vector(_fractions(*store.extend(*to_integers(data), q, top)), top)
 
 
 def extend_vector(universe: Universe, x: Vector, horizon: int) -> Vector:
@@ -401,24 +469,8 @@ def d_coords_of(universe: Universe, x: Vector) -> Coords:
 
     Only the support of x and its direct users can have a nonzero reading.
     """
-    store = _rows(universe)
-    rank, rows, users = store.rank, store.rows, store.users
-    xc = x.coords
-    top = x.horizon
-    support = _below(store, xc, top)
-    visit = set(support)
-    for g in support:
-        visit.update(u for u in users[g] if rank[u] <= top)
-    out: Coords = {}
-    for gid in _ascending(rank, visit):
-        value = xc.get(gid, _ZERO)
-        for h, c in rows[gid].coords.items():
-            hv = xc.get(h)
-            if hv is not None:
-                value -= c * hv
-        if value != 0:
-            out[gid] = value
-    return out
+    store = coding_rows(universe)
+    return _fractions(*store.read_off(*to_integers(x.coords), x.horizon))
 
 
 def vector_range(universe: Universe, x: Vector) -> Optional[tuple[int, int]]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from fractions import Fraction
+from functools import cache
 from typing import Iterator, Optional, Sequence
 
 from .config import ConstructionConfig, RELAXED, STRICT
@@ -560,6 +561,14 @@ def build_universe(config: ConstructionConfig) -> Universe:
 # -- net enumeration -------------------------------------------------------------
 
 
+@cache
+def _coeff_choices(budget: int, denominator_bound: int) -> tuple[tuple[Fraction, int], ...]:
+    """The coefficients z / denominator_bound with 0 < |z| <= budget in key
+    order, each with the budget |z| it uses; built once per budget."""
+    choices = [(Fraction(z, denominator_bound), abs(z)) for z in range(-budget, budget + 1) if z]
+    return tuple(sorted(choices, key=lambda pair: (pair[0].numerator, pair[0].denominator)))
+
+
 def iter_net(pool: Sequence[int], max_support: int, denominator_bound: int) -> Iterator[BFunctional]:
     """Nonzero net combinations over an ascending support pool, in canonical
     key order.
@@ -571,18 +580,9 @@ def iter_net(pool: Sequence[int], max_support: int, denominator_bound: int) -> I
     if max_support < 1 or not pool:
         return
 
-    def coeff_choices(budget: int) -> list[Fraction]:
-        opts = {
-            Fraction(z, denominator_bound)
-            for z in range(-budget, budget + 1)
-            if z != 0
-        }
-        return sorted(opts, key=lambda f: (f.numerator, f.denominator))
-
     def walk(start: int, budget: int, terms: list[tuple[int, Fraction]]) -> Iterator[BFunctional]:
         for pos in range(start, len(pool)):
-            for coeff in coeff_choices(budget):
-                used = abs(coeff.numerator) * (denominator_bound // coeff.denominator)
+            for coeff, used in _coeff_choices(budget, denominator_bound):
                 head = terms + [(pool[pos], coeff)]
                 yield BFunctional(tuple(head))
                 if len(head) < max_support and budget - used >= 1:

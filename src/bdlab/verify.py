@@ -27,7 +27,10 @@ change and the pullback of basis vectors are checked on every basis element,
 which proves them.  The shift suite's three such checks count the elements
 they covered, or the violations with the first of them.  Tail commutation,
 the extensions, the scalar matrix model and the compact-difference scalars
-stay seeded samples.
+stay seeded samples.  The functional suite's proofs (unit rows, round trips,
+window columns, analysis forms) run on the coding-row store's integer
+kernels and compare integer numerators over a common denominator; a
+``Fraction`` is built only for a reported mass.
 
 One rule grades every outcome (``_grade``): an info-kind check is INFO, a
 check that holds is PASS, and a check that fails is FAIL unless its kind has
@@ -53,12 +56,12 @@ from .algebra import (
     D_BASIS,
     E_BASIS,
     AnalysisStep,
+    CodingRows,
     Functional,
+    IntCoords,
     Vector,
-    b_as_functional,
-    c_star,
+    coding_rows,
     d_coords_of,
-    d_star,
     d_vector,
     e_star,
     evaluation_analysis,
@@ -67,6 +70,7 @@ from .algebra import (
     synthesize,
     to_d_basis,
     to_e_basis,
+    to_integers,
 )
 from .config import RELAXED, ConstructionConfig
 from .elements import BASE, BFunctional, candidate_of, describe, t1_candidate
@@ -434,19 +438,25 @@ def run_gamma_suite(universe: Universe, rng: random.Random) -> SuiteReport:
 # -- functional suite -----------------------------------------------------------------
 
 
-Column = dict[int, list[tuple[int, Fraction]]]  # rank -> (e*-id, value) entries
+# A column as (denominator, rank -> (e*-id, numerator) entries).
+Column = tuple[int, dict[int, list[tuple[int, int]]]]
 
 
 def _window_column(universe: Universe, gid: int) -> Column:
     """Column gid, the e*-form of d-row ``to_d_basis(e*_gid)``, split by the
     rank of the d-coordinate that contributes each entry; the e*-form of the
-    window (lo, hi] restriction sums the entries of the ranks in (lo, hi]."""
-    column: Column = {}
-    for g, a in to_d_basis(universe, e_star(gid)).coords.items():
-        part = column.setdefault(universe.element(g).rank, [])
+    window (lo, hi] restriction sums the entries of the ranks in (lo, hi].
+    All entries are numerators over the d-row's denominator, since each
+    numerator of a d-row is a multiple of its own row's denominator."""
+    rows = coding_rows(universe)
+    rank, num, den = rows.rank, rows.num, rows.den
+    d, q = rows.to_d({gid: 1}, 1)
+    column: dict[int, list[tuple[int, int]]] = {}
+    for g, a in d.items():
+        part = column.setdefault(rank[g], [])
         part.append((g, a))
-        part.extend((h, -a * c) for h, c in c_star(universe, g).coords.items())
-    return column
+        part.extend((h, -(a // den[g]) * c) for h, c in num[g].items())
+    return q, column
 
 
 def _heaviest_windows(
@@ -463,16 +473,14 @@ def _heaviest_windows(
     j = m), and within a block only the window that comes first in report
     order (lo ascending, then hi = top, then lo+1..top) can be the witness.
     So each column is one pass over pairs of its ranks, streamed into the two
-    running maxima.
+    running maxima, whose masses are compared by cross-multiplication.
     """
-    # (mass, first window's position in report order, gid)
-    initial: tuple[Fraction, int, int] = (Fraction(0), 0, -1)
-    general: tuple[Fraction, tuple[int, int], int] = (Fraction(0), (-1, 0), -1)
-    for gid, column in columns:
+    # (mass numerator, its denominator, first window's position in report order, gid)
+    initial: tuple[int, int, int, int] = (0, 1, 0, -1)
+    general: tuple[int, int, tuple[int, int], int] = (0, 1, (-1, 0), -1)
+    for gid, (scale, column) in columns:
         ranks = sorted(column)
-        # the entries as integers over one common denominator
-        scale = lcm(*(v.denominator for part in column.values() for _, v in part))
-        parts = [[(h, v.numerator * (scale // v.denominator)) for h, v in column[r]] for r in ranks]
+        parts = [column[r] for r in ranks]
         for i in range(len(ranks)):
             lo = ranks[i - 1] if i else 0
             running: dict[int, int] = {}
@@ -482,27 +490,31 @@ def _heaviest_windows(
                     old = running.get(h, 0)
                     running[h] = new = old + v
                     total += abs(new) - abs(old)
-                mass = Fraction(total, scale)
                 # hi = top comes first for each lo; 0 stands for it
                 hi = 0 if j + 1 == len(ranks) else ranks[j]
-                if mass > general[0] or (mass == general[0] and (lo, hi) < general[1]):
-                    general = (mass, (lo, hi), gid)
-                if not i and (
-                    mass > initial[0] or (mass == initial[0] and ranks[j] < initial[1])
-                ):
-                    initial = (mass, ranks[j], gid)
+                versus = total * general[1] - general[0] * scale
+                if versus > 0 or (versus == 0 and (lo, hi) < general[2]):
+                    general = (total, scale, (lo, hi), gid)
+                if not i:
+                    versus = total * initial[1] - initial[0] * scale
+                    if versus > 0 or (versus == 0 and ranks[j] < initial[2]):
+                        initial = (total, scale, ranks[j], gid)
     initial_note = general_note = ""
     if initial[0]:
-        initial_note = f"window (0, {initial[1]}] at element {initial[2]}"
+        initial_note = f"window (0, {initial[2]}] at element {initial[3]}"
     if general[0]:
-        (lo, hi), gid = general[1], general[2]
+        (lo, hi), gid = general[2], general[3]
         general_note = f"window ({lo}, {hi or 'top'}] at element {gid}"
-    return (initial[0], initial_note), (general[0], general_note)
+    return (
+        (Fraction(initial[0], initial[1]), initial_note),
+        (Fraction(general[0], general[1]), general_note),
+    )
 
 
 def _unit_row_fault(universe: Universe, gid: int) -> str:
-    coords = d_coords_of(universe, d_vector(universe, gid))
-    return "" if coords == {gid: Fraction(1)} else f"row {gid} is not a unit row"
+    rows, top = coding_rows(universe), universe.max_rank
+    coords, q = rows.read_off(*rows.synthesize({gid: 1}, 1, top), top)
+    return "" if coords == {gid: q} else f"row {gid} is not a unit row"
 
 
 def _unit_rows(universe: Universe, rng: random.Random) -> tuple[bool, str]:
@@ -539,34 +551,48 @@ def _window_masses(universe: Universe, rng: random.Random) -> list[Outcome]:
 def _round_trips(universe: Universe, rng: random.Random) -> tuple[bool, str]:
     """Both conversions are linear, so round trips of every e*- and d*-unit
     functional prove them mutually inverse."""
+    rows = coding_rows(universe)
 
-    def e_round(f: Functional) -> bool:
-        return to_e_basis(universe, to_d_basis(universe, f)) == f
-
-    def d_round(f: Functional) -> bool:
-        return to_d_basis(universe, to_e_basis(universe, f)) == f
+    def round_trip(gid: int, there: Callable, back: Callable) -> bool:
+        coords, q = back(*there({gid: 1}, 1))
+        return coords == {gid: q}
 
     ok = all(
-        e_round(e_star(g)) and d_round(Functional(D_BASIS, {g: Fraction(1)}))
+        round_trip(g, rows.to_d, rows.to_e) and round_trip(g, rows.to_e, rows.to_d)
         for g in universe.ids()
     )
     return ok, ""
 
 
+# An integer functional: e*-numerators over one denominator.
+IntFunctional = tuple[IntCoords, int]
+
 # The windowed and unwindowed analysis pieces of a chain element xi: d*_xi
 # plus beta times its combination projected on (lo, p] and on (lo, infinity).
 # beta is the analysed element's weight, so the weight index is in the key.
-Pieces = dict[tuple[int, int], tuple[Functional, Functional]]
+Pieces = dict[tuple[int, int], tuple[IntFunctional, IntFunctional]]
+
+
+def _sum(*terms: tuple[IntCoords, int, int]) -> IntFunctional:
+    """The sum of factor * coords / den over the terms (coords, den, factor),
+    as numerators over the least common denominator of the terms."""
+    common = lcm(*(den for _, den, _ in terms))
+    out: IntCoords = {}
+    for coords, den, factor in terms:
+        factor *= common // den
+        for g, v in coords.items():
+            out[g] = out.get(g, 0) + factor * v
+    return {g: v for g, v in out.items() if v}, common
 
 
 def _analysis_pieces(
-    universe: Universe, step: AnalysisStep, lo: int, beta: Fraction
-) -> tuple[Functional, Functional]:
-    head = d_star(universe, step.xi)
-    b = to_d_basis(universe, b_as_functional(step.b))
+    rows: CodingRows, step: AnalysisStep, lo: int, beta: Fraction
+) -> tuple[IntFunctional, IntFunctional]:
+    head = (({step.xi: 1}, 1, 1), (rows.num[step.xi], rows.den[step.xi], -1))
+    b, q = rows.to_d(*to_integers(dict(step.b.items())))
     windowed, unwindowed = (
-        head.plus(to_e_basis(universe, project_star(universe, lo, hi, b)).scaled(beta))
-        for hi in (step.p, None)
+        _sum(*head, (tail, tq * beta.denominator, beta.numerator))
+        for tail, tq in (rows.to_e(rows.restrict(b, lo, hi), q) for hi in (step.p, None))
     )
     return windowed, unwindowed
 
@@ -585,11 +611,12 @@ def _analysis_fault(universe: Universe, gid: int, memo: Pieces) -> str:
     then partial forms 1..a-1.  A piece depends only on its chain element,
     so pieces are shared by every element whose chain passes through it,
     and the partial forms are suffix sums: the forms are tried from the
-    last one back, and the first that differs is named.
+    last one back, and the first that differs is named.  Forms are compared
+    as numerators over their own denominator.
     """
     if universe.element(gid).kind == BASE:
         return ""
-    target = e_star(gid)
+    rows = coding_rows(universe)
     analysis = evaluation_analysis(universe, gid)
     beta = universe.config.weight(analysis.weight_idx)
     cuts = analysis.cut_points()
@@ -597,16 +624,18 @@ def _analysis_fault(universe: Universe, gid: int, memo: Pieces) -> str:
     for r, step in enumerate(analysis.steps):
         key = (step.xi, analysis.weight_idx)
         if key not in memo:
-            memo[key] = _analysis_pieces(universe, step, cuts[r], beta)
+            memo[key] = _analysis_pieces(rows, step, cuts[r], beta)
         pieces.append(memo[key])
-    suffix = Functional(E_BASIS)
+    suffix: IntFunctional = ({}, 1)
     for start in range(analysis.age - 1, 0, -1):
-        suffix = suffix.plus(pieces[start][0])
-        if suffix.plus(e_star(analysis.steps[start - 1].xi)) != target:
+        suffix = _sum((*suffix, 1), (*pieces[start][0], 1))
+        coords, q = suffix
+        # e*_(xi_(start-1)) + suffix = e*_gid; chain elements are distinct
+        if coords != {gid: q, analysis.steps[start - 1].xi: -q}:
             return f"partial form {start} differs at element {gid}"
-    full = suffix.plus(pieces[0][0])
-    unwindowed = reduce(Functional.plus, (piece for _, piece in pieces))
-    if full != target or unwindowed != target:
+    full = _sum((*suffix, 1), (*pieces[0][0], 1))
+    unwindowed = _sum(*((*piece, 1) for _, piece in pieces))
+    if any(coords != {gid: q} for coords, q in (full, unwindowed)):
         return f"full form differs at element {gid}"
     return ""
 

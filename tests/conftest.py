@@ -53,3 +53,21 @@ def small_universes(draw) -> Universe:
         level_cap=draw(st.integers(min_value=1, max_value=10)),
     )
     return build_universe(cfg)
+
+
+@st.composite
+def quinary_universes(draw) -> Universe:
+    """Built universes whose denominators are not powers of two: weights
+    1/5^i and net coefficients z/3, so coding rows lie over 75 and common
+    denominators reach 5625; k 2-4, horizon 2-4, support up to 2, level caps
+    1-10."""
+    cfg = micro_config(
+        k=draw(st.integers(min_value=2, max_value=4)),
+        horizon=draw(st.integers(min_value=2, max_value=4)),
+        m_seq=(5, 25, 125, 625),
+        n_seq=(16, 18, 20, 22),
+        max_support=draw(st.integers(min_value=1, max_value=2)),
+        denominator_bound=3,
+        level_cap=draw(st.integers(min_value=1, max_value=10)),
+    )
+    return build_universe(cfg)

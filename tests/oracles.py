@@ -29,7 +29,7 @@ from bdlab.algebra import (
     to_d_basis,
 )
 from bdlab.config import STRICT
-from bdlab.elements import BASE
+from bdlab.elements import BASE, TYPE1, TYPE2
 from bdlab.sequences import INFO, INFO_KIND, ClauseResult
 from bdlab.serialize import format_rational
 from bdlab.universe import Universe
@@ -151,6 +151,80 @@ def sweep_d_coords_of(universe: Universe, x: Vector) -> Coords:
         if value != 0:
             out[gid] = value
     return out
+
+
+def sweep_to_d(
+    universe: Universe, coords: Coords, rows: Optional[Sequence[Coords]] = None
+) -> Coords:
+    """d*-coordinates of an e*-functional by back-substitution in Fractions
+    over every element, from the top rank down (ids ascending within a
+    rank).  ``rows`` are the coding rows to use, the stored ones by default."""
+    if rows is None:
+        rows = [c_star(universe, g).coords for g in universe.ids()]
+    work = dict(coords)
+    out: Coords = {}
+    for gid in sorted(range(len(rows)), key=lambda g: (-universe.element(g).rank, g)):
+        a = work.get(gid, Fraction(0))
+        if a != 0:
+            out[gid] = a
+            for h, c in rows[gid].items():
+                work[h] = work.get(h, Fraction(0)) + a * c
+    return out
+
+
+def sweep_to_e(
+    universe: Universe, coords: Coords, rows: Optional[Sequence[Coords]] = None
+) -> Coords:
+    """e*-coordinates of a d*-functional: each d*_g is e*_g minus row g."""
+    if rows is None:
+        rows = [c_star(universe, g).coords for g in universe.ids()]
+    out: Coords = {}
+    for gid, a in coords.items():
+        out[gid] = out.get(gid, Fraction(0)) + a
+        for h, c in rows[gid].items():
+            out[h] = out.get(h, Fraction(0)) - a * c
+    return {g: c for g, c in out.items() if c != 0}
+
+
+def definition_rows(universe: Universe) -> list[Coords]:
+    """Every coding row from its definition, in Fractions and in id order:
+    beta times the e*-form of the combination's d*-coordinates on ranks above
+    the window start, plus e*_xi for a type-2 element, each computed over
+    the rows before it."""
+    rows: list[Coords] = []
+    for el in universe.elements:
+        if el.kind == BASE:
+            rows.append({})
+            continue
+        beta = universe.config.weight(el.weight_idx)
+        lo = el.p if el.kind == TYPE1 else universe.element(el.xi).rank
+        d = sweep_to_d(universe, dict(el.b.items()), rows)
+        kept = {g: c for g, c in d.items() if universe.element(g).rank > lo}
+        row: Coords = {el.xi: Fraction(1)} if el.kind == TYPE2 else {}
+        for g, c in sweep_to_e(universe, kept, rows).items():
+            row[g] = row.get(g, Fraction(0)) + beta * c
+        rows.append({g: c for g, c in row.items() if c != 0})
+    return rows
+
+
+def sweep_unit_rows(universe: Universe) -> tuple[bool, str]:
+    """The pairing-matrix check in Fractions: every basis vector synthesized
+    and read off by the sweeps; the first row that is not a unit row."""
+    for gid in universe.ids():
+        one = {gid: Fraction(1)}
+        if sweep_d_coords_of(universe, sweep_synthesize(universe, one)) != one:
+            return False, f"row {gid} is not a unit row"
+    return True, f"{len(universe)} x {len(universe)} exact rows"
+
+
+def sweep_round_trips(universe: Universe) -> tuple[bool, str]:
+    """The round trips of every e*- and d*-unit functional in Fractions."""
+    ok = True
+    for gid in universe.ids():
+        one = {gid: Fraction(1)}
+        there = sweep_to_e(universe, sweep_to_d(universe, one))
+        ok = ok and there == one and sweep_to_d(universe, sweep_to_e(universe, one)) == one
+    return ok, ""
 
 
 def project_vector(universe: Universe, lo: int, hi: int, x: Vector) -> Vector:

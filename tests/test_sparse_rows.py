@@ -114,8 +114,11 @@ def test_lazy_sync_extends_old_rows_after_interns_below_the_top(name):
 
 
 def test_stored_rows_are_read_only(micro_universe):
+    # c_star serves a read-only Fraction view of the one stored integer row
     row = c_star(micro_universe, 4)
-    assert c_star(micro_universe, 4) is row
+    store = row_store(micro_universe)
+    assert row.coords == {h: Fraction(v, store.den[4]) for h, v in store.num[4].items()}
+    assert row == c_star(micro_universe, 4) and row.coords
     with pytest.raises(TypeError):
         row.coords[0] = Fraction(1)  # type: ignore[index]
 

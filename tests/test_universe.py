@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -22,6 +23,7 @@ from bdlab.universe import (
     UniverseError,
     _LevelPools,
     build_universe,
+    iter_net,
 )
 from conftest import micro_config
 from oracles import scan_extension_roots, scan_ids_by_weight, scan_odd_support_pool
@@ -208,6 +210,25 @@ def test_interior_intern_is_counted(micro_universe):
 
 
 # -- enumeration discipline ---------------------------------------------------
+
+
+def test_net_is_every_combination_within_budget_in_key_order():
+    # coefficients z / bound with total |z| at most the bound, over supports
+    # of up to max_support ascending ids, listed whole and sorted by key
+    pool = [2, 5, 7, 9]
+    for bound in range(1, 5):
+        zs = [z for z in range(-bound, bound + 1) if z]
+        for max_support in range(1, 4):
+            expected = [
+                BFunctional(tuple(zip(support, (Fraction(z, bound) for z in coeffs))))
+                for size in range(1, max_support + 1)
+                for support in combinations(pool, size)
+                for coeffs in product(zs, repeat=size)
+                if sum(map(abs, coeffs)) <= bound
+            ]
+            got = list(iter_net(pool, max_support, bound))
+            assert got == sorted(expected, key=BFunctional.key), (bound, max_support)
+    assert list(iter_net([], 2, 2)) == list(iter_net(pool, 0, 2)) == []
 
 
 def test_levels_enumerate_consecutively(micro_universe):

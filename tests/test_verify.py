@@ -8,7 +8,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from bdlab import verify
-from bdlab.algebra import E_BASIS, Functional, Vector, c_star, evaluation_analysis, row_store
+from bdlab.algebra import (
+    Functional,
+    Vector,
+    c_star,
+    coding_rows,
+    evaluation_analysis,
+    row_store,
+)
 from bdlab.config import desk_relaxed, desk_strict
 from bdlab.elements import BASE, TYPE1, TYPE2, BFunctional, describe, t1_candidate
 from bdlab.universe import UniverseError, build_universe
@@ -169,16 +176,16 @@ def test_window_tie_goes_to_the_first_window_then_the_smallest_gid():
     # (0, top], which comes first, so the witness is the smaller of them,
     # not the first column that reached the maximum.  On the initial
     # windows column 0 tops out at 2, and column 2 reaches 3 on (0, 2],
-    # before column 1 does on (0, 3].
-    one = Fraction(1)
+    # before column 1 does on (0, 3].  Each column has its own denominator,
+    # so equal masses have different numerators.
     columns = [
-        (0, {1: [(10, -one)], 2: [(10, one), (11, 2 * one)]}),
-        (1, {3: [(20, 3 * one)]}),
-        (2, {2: [(30, -3 * one)]}),
+        (0, (5, {1: [(10, -5)], 2: [(10, 5), (11, 10)]})),
+        (1, (2, {3: [(20, 6)]})),
+        (2, (3, {2: [(30, -9)]})),
     ]
     assert _heaviest_windows(columns) == (
-        (3 * one, "window (0, 2] at element 2"),
-        (3 * one, "window (0, top] at element 1"),
+        (Fraction(3), "window (0, 2] at element 2"),
+        (Fraction(3), "window (0, top] at element 1"),
     )
     assert _heaviest_windows([]) == ((0, ""), (0, ""))
 
@@ -212,11 +219,12 @@ def interior_used(u):
 
 
 def corrupt_row(u, gid, h):
-    """Add 1 at h to the stored coding row of gid."""
-    store = row_store(u)
-    coords = dict(c_star(u, gid).coords)
-    coords[h] = coords.get(h, Fraction(0)) + 1
-    store.rows[gid] = Functional(E_BASIS, coords)
+    """Add 1 at h to the stored coding row of gid: the row's numerator at h
+    grows by the row's denominator."""
+    store = coding_rows(u)
+    row = dict(store.num[gid])
+    row[h] = row.get(h, 0) + store.den[gid]
+    store.num[gid] = row
 
 
 @pytest.mark.parametrize("where", ["top", "interior"])
