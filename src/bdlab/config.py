@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Any, Optional
 
-from .serialize import format_rational, parse_rational
+from .serialize import format_rational, parse_integer, parse_rational
 
 HORIZON_ENV_VAR = "BDLAB_HORIZON"
 
@@ -242,7 +242,7 @@ def load_config_file(path: str) -> ConstructionConfig:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             raw = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"invalid config JSON in {path}: {exc}") from exc
     return config_from_dict(raw)
 
@@ -261,32 +261,29 @@ def env_horizon(horizon: int) -> int:
 def config_from_dict(raw: dict[str, Any]) -> ConstructionConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config document must be a JSON object")
+    net = raw.get("net", {})
+    if not isinstance(net, dict):
+        raise ConfigError("config key 'net' must be an object")
     try:
-        k = int(raw["k"])
-        m_seq = tuple(parse_rational(m) for m in raw["m"])
-        n_raw = raw["n"]
-        n_seq = tuple(int(parse_rational(n)) for n in n_raw)
-        horizon = int(raw["horizon"])
+        k, m_raw, n_raw = raw["k"], raw["m"], raw["n"]
+        if not (isinstance(m_raw, list) and isinstance(n_raw, list)):
+            raise TypeError("m and n must be lists")
+        config = ConstructionConfig(
+            k=parse_integer(k),
+            m_seq=tuple(parse_rational(m) for m in m_raw),
+            n_seq=tuple(parse_integer(n) for n in n_raw),
+            horizon=parse_integer(raw["horizon"]),
+            max_support=parse_integer(net.get("max_support", 1)),
+            denominator_bound=parse_integer(net.get("denominator_bound", 1)),
+            level_cap=parse_integer(net.get("level_cap", 0)),
+            regime=str(raw.get("regime", STRICT)),
+            max_elements=parse_integer(raw.get("max_elements", 50_000)),
+        )
     except KeyError as exc:
         raise ConfigError(f"config missing required key {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config value: {exc}") from exc
-    net = raw.get("net", {})
-    if not isinstance(net, dict):
-        raise ConfigError("config key 'net' must be an object")
-    return validate_config(
-        ConstructionConfig(
-            k=k,
-            m_seq=m_seq,
-            n_seq=n_seq,
-            horizon=env_horizon(horizon),
-            max_support=int(net.get("max_support", 1)),
-            denominator_bound=int(net.get("denominator_bound", 1)),
-            level_cap=int(net.get("level_cap", 0)),
-            regime=str(raw.get("regime", STRICT)),
-            max_elements=int(raw.get("max_elements", 50_000)),
-        )
-    )
+    return validate_config(replace(config, horizon=env_horizon(config.horizon)))
 
 
 def desk_strict() -> ConstructionConfig:

@@ -38,6 +38,15 @@ def parse_rational(text: str | int) -> Fraction:
     raise ValueError(f"not a rational: {text!r}")
 
 
+def parse_integer(text: str | int) -> int:
+    """An integer read as ``parse_rational`` reads it, so no bool and no
+    float; a non-integral value is refused, not truncated."""
+    value = parse_rational(text)
+    if value.denominator != 1:
+        raise ValueError(f"not an integer: {text!r}")
+    return value.numerator
+
+
 def stable_json(payload: Any) -> str:
     """Canonical JSON: sorted keys, no whitespace drift, trailing newline."""
     _reject_floats(payload)

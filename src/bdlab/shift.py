@@ -2,11 +2,11 @@
 
 The combinatorial step (image of a single element, computed eagerly at
 intern time so the universe is always closed under it) lives in the
-universe module.  Here we expose everything built on top of it:
+universe module, whose image and preimage maps are the only copy of the
+shift table; its laws (rank and weight preserved, age never up, preimages
+consistent) are checked by the verification suites.  There is no snapshot
+class.  Here we expose everything built on top of the maps:
 
-* a read-only snapshot of the image/preimage table with its structural
-  invariants (rank and weight preserved, age never up, preimages
-  consistent),
 * the functional-side operator: coordinate pushforward through the map,
   with the same rule in either coordinate basis,
 * the space-side operator: coordinate pullback, which on any closed
@@ -25,7 +25,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import (
-    D_BASIS,
     E_BASIS,
     AlgebraError,
     Functional,
@@ -33,52 +32,8 @@ from .algebra import (
     e_star,
     l1_norm,
 )
-from .elements import BASE, Candidate, t1_candidate
+from .elements import BFunctional, Candidate, t1_candidate
 from .universe import Universe, UniverseError
-
-
-def f_map(universe: Universe, gid: int) -> Optional[int]:
-    """Image id of one shift step, or None where the map is undefined."""
-    return universe.f_image_of(gid)
-
-
-@dataclass(frozen=True)
-class FMapTable:
-    """Immutable snapshot of the shift map restricted to a universe."""
-
-    image: tuple[Optional[int], ...]
-    preimages: tuple[tuple[int, ...], ...]
-
-    @staticmethod
-    def from_universe(universe: Universe) -> "FMapTable":
-        image = tuple(universe.f_image_of(g) for g in universe.ids())
-        pre = tuple(universe.f_preimages_of(g) for g in universe.ids())
-        return FMapTable(image=image, preimages=pre)
-
-    def check(self, universe: Universe) -> list[str]:
-        """Structural violations (empty list = all invariants hold)."""
-        bad: list[str] = []
-        for gid in universe.ids():
-            img = self.image[gid]
-            if img is None:
-                continue
-            src = universe.element(gid)
-            dst = universe.element(img)
-            if dst.rank != src.rank:
-                bad.append(f"rank changed along {gid}->{img}")
-            if dst.weight_idx != src.weight_idx:
-                bad.append(f"weight changed along {gid}->{img}")
-            if dst.age > src.age:
-                bad.append(f"age increased along {gid}->{img}")
-            if gid not in self.preimages[img]:
-                bad.append(f"preimage table misses {gid}->{img}")
-        for gid in universe.ids():
-            for pre in self.preimages[gid]:
-                if self.image[pre] != gid:
-                    bad.append(f"stale preimage {pre} recorded under {gid}")
-                if universe.element(pre).rank != universe.element(gid).rank:
-                    bad.append(f"preimage {pre} of {gid} has a different rank")
-        return bad
 
 
 # -- the operator on functionals ------------------------------------------------
@@ -167,10 +122,6 @@ def nilpotency_index(universe: Universe, gid: int) -> int:
         steps += 1
         if steps > universe.config.k:
             raise UniverseError(f"orbit of {gid} exceeds nilpotency bound k")
-
-
-def max_nilpotency(universe: Universe) -> int:
-    return max(nilpotency_index(universe, g) for g in universe.ids())
 
 
 def shift_power_family_rank(universe: Universe) -> int:
@@ -291,8 +242,6 @@ def witness_candidate(universe: Universe, rank: int, j: int) -> Candidate:
     if not 0 <= j < universe.config.k:
         raise UniverseError(f"witness family index {j} outside 0..k-1")
     base_gid = universe.level(1)[j]
-    from .elements import BFunctional  # local to avoid widening module surface
-
     return t1_candidate(rank, 0, 2, BFunctional.singleton(base_gid))
 
 

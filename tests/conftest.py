@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+
 import pytest
 from hypothesis import strategies as st
 
@@ -32,6 +34,24 @@ def micro_config(k: int = 3, horizon: int = 2, **overrides):
     )
     kwargs.update(overrides)
     return make_config(**kwargs)
+
+
+DELETE = object()
+
+
+def with_field(doc: dict, path: tuple, value: object) -> dict:
+    """A copy of a config document with the field at the key path set to
+    value, or removed when value is DELETE."""
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
 
 
 @pytest.fixture()

@@ -1,18 +1,23 @@
 from __future__ import annotations
 
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, event, given, settings
+from hypothesis import strategies as st
 
 import bdlab
 from bdlab.cli import main
+from bdlab.config import ConfigError, config_from_dict, desk_relaxed, desk_strict
 from bdlab.serialize import stable_json
-from conftest import micro_config
+from conftest import DELETE, micro_config, with_field
 
 
 @pytest.fixture()
@@ -108,6 +113,76 @@ def test_malformed_config_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify", "--config", str(path))
     assert code == 2
     assert "config error" in err
+
+
+def test_non_utf8_config_exits_2(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"regime": "stri\u00e7t"}'.encode("latin-1"))
+    code, _, err = run_cli(capsys, "enumerate", "--config", str(path))
+    assert code == 2
+    assert err.startswith("config error: invalid config JSON") and err.count("\n") == 1
+
+
+DESKS = {"desk-strict": desk_strict().to_json_dict(), "desk-relaxed": desk_relaxed().to_json_dict()}
+
+# One field of a desk document, as a key path; "m"/"n" with an index name an entry.
+FIELDS = [
+    ("k",),
+    ("m",),
+    ("m", 0),
+    ("n",),
+    ("n", 1),
+    ("horizon",),
+    ("net",),
+    ("net", "max_support"),
+    ("net", "denominator_bound"),
+    ("net", "level_cap"),
+    ("regime",),
+    ("max_elements",),
+]
+
+JSON_VALUES = st.one_of(
+    st.just(DELETE),
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-2, max_value=5),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["", "abc", "3", "33/2", "4/2", "4.5", "1/0", "-1", "relaxed"]),
+    st.lists(st.integers(min_value=-2, max_value=5), max_size=3),
+    st.dictionaries(st.sampled_from(["level_cap", "x"]), st.integers(0, 3), max_size=2),
+)
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(desk=st.sampled_from(sorted(DESKS)), field=st.sampled_from(FIELDS), value=JSON_VALUES)
+def test_single_field_mutations_keep_the_exit_contract(desk, field, value, tmp_path, monkeypatch):
+    monkeypatch.delenv("BDLAB_HORIZON", raising=False)
+    doc = with_field(DESKS[desk], field, value)
+    try:
+        cfg = config_from_dict(doc)
+    except ConfigError:
+        cfg = None
+    # An uncapped desk-relaxed universe is a valid request whose build runs
+    # for minutes; it says nothing about the exit contract.
+    assume(cfg is None or cfg.level_cap or desk == "desk-strict")
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["enumerate", "--config", str(path)])
+    event(f"exit {code}")
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        # the element budget is the one limit only a build can find
+        assert lines[0].startswith(("config error: ", "error: element budget exceeded"))
 
 
 def test_timing_is_opt_in(capsys, micro_path):

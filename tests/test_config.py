@@ -16,6 +16,7 @@ from bdlab.config import (
     make_config,
     validate_config,
 )
+from conftest import with_field
 
 # Hand-computed growth ladder for the strict fixture:
 #   m doubles its exponent each step, n[j+1] = (16 n[j]) ** log2(m[j+1]).
@@ -130,6 +131,26 @@ def test_config_file_errors_are_config_errors(tmp_path):
     missing_key.write_text('{"k": 2}', encoding="utf-8")
     with pytest.raises(ConfigError, match="missing required key"):
         load_config_file(str(missing_key))
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("net", "level_cap"), "abc"),
+        (("max_elements",), [1]),
+        (("k",), 3.9),
+        (("n", 1), "33/2"),
+        (("net", "max_support"), 1.7),
+        (("max_elements",), True),
+        (("horizon",), 1e9),
+        (("m",), "4"),
+    ],
+)
+def test_malformed_fields_are_config_errors(path, value, monkeypatch):
+    monkeypatch.delenv("BDLAB_HORIZON", raising=False)
+    doc = with_field(desk_relaxed().to_json_dict(), path, value)
+    with pytest.raises(ConfigError, match="malformed config value"):
+        config_from_dict(doc)
 
 
 def test_validate_is_idempotent_on_fixtures():

@@ -7,12 +7,9 @@ import pytest
 from bdlab.algebra import Functional, d_vector, e_star, pairing, synthesize
 from bdlab.elements import BFunctional, t1_candidate, t2_candidate
 from bdlab.shift import (
-    FMapTable,
     ToeplitzMatrix,
     compact_witness,
-    f_map,
     jordan_block,
-    max_nilpotency,
     nilpotency_index,
     s_apply,
     s_apply_power,
@@ -25,6 +22,7 @@ from bdlab.shift import (
     witness_id,
 )
 from bdlab.universe import UniverseError, build_universe
+from bdlab.verify import _first_violation, _table_law_fault
 from conftest import micro_config
 
 F = Fraction
@@ -43,16 +41,16 @@ def unit(eta: int, coeff=1) -> BFunctional:
 
 
 def test_map_walks_down_the_rank_one_chain(micro3):
-    assert f_map(micro3, 2) == 1
-    assert f_map(micro3, 1) == 0
-    assert f_map(micro3, 0) is None
+    assert micro3.f_image_of(2) == 1
+    assert micro3.f_image_of(1) == 0
+    assert micro3.f_image_of(0) is None
 
 
 def test_map_pushes_carried_combinations(micro3):
     src = micro3.lookup(t1_candidate(3, 1, 2, unit(9)))  # carries +e*_{(2, +e*_2)}
     dst = micro3.lookup(t1_candidate(3, 1, 2, unit(7)))  # image carries +e*_1
     assert src is not None and dst is not None
-    assert f_map(micro3, src) == dst
+    assert micro3.f_image_of(src) == dst
 
 
 def test_map_drops_terms_whose_support_dies():
@@ -108,7 +106,7 @@ def test_operator_power_k_annihilates_everything(micro3):
     k = micro3.config.k
     for gid in micro3.ids():
         assert s_star_power(micro3, e_star(gid), k).is_zero()
-    assert max_nilpotency(micro3) == k
+    assert max(nilpotency_index(micro3, g) for g in micro3.ids()) == k
 
 
 def test_power_k_minus_one_reaches_the_bottom(micro3):
@@ -120,7 +118,7 @@ def test_power_k_minus_one_reaches_the_bottom(micro3):
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_nilpotency_degree_tracks_k(k):
     u = build_universe(micro_config(k=k, horizon=2))
-    assert max_nilpotency(u) == k
+    assert max(nilpotency_index(u, g) for g in u.ids()) == k
     assert shift_power_family_rank(u) == k
     for gid in u.ids():
         assert s_star_power(u, e_star(gid), k).is_zero()
@@ -155,8 +153,7 @@ def test_shift_sends_basis_vectors_to_preimage_sums(micro3):
 
 
 def test_map_table_snapshot_is_clean(micro3):
-    table = FMapTable.from_universe(micro3)
-    assert table.check(micro3) == []
+    assert _first_violation(_table_law_fault)(micro3, None) == (True, "")
 
 
 # -- polynomials in the operator ----------------------------------------------------

@@ -9,12 +9,15 @@ from hypothesis import HealthCheck, given, settings
 
 from bdlab import verify
 from bdlab.algebra import (
+    D_BASIS,
     Functional,
     Vector,
     c_star,
     coding_rows,
     evaluation_analysis,
     row_store,
+    to_d_basis,
+    to_e_basis,
 )
 from bdlab.config import desk_relaxed, desk_strict
 from bdlab.elements import BASE, TYPE1, TYPE2, BFunctional, describe, t1_candidate
@@ -293,6 +296,75 @@ def test_preimage_table_out_of_step_with_the_images_fails_the_adjoint_proof():
     image = u.f_image_of(gid)
     u._f_image[gid] = None  # the preimage table still lists gid under its image
     assert proof(verify._adjoint, u) == (False, violation(u, image))
+
+
+def shift_check(u, name):
+    """The outcome of one single-outcome shift-suite check, at seed 0."""
+    check = next(e for e in verify._SHIFT if getattr(e, "name", None) == name)
+    [(_, _, ok, detail)] = check(u, random.Random(0))
+    return ok, detail
+
+
+@pytest.mark.parametrize("corruption", ["stale", "missing"])
+def test_preimage_table_out_of_step_with_the_images_fails_the_table_laws(corruption):
+    u = build_universe(desk_strict())
+    gid = next(g for g in u.ids() if u.f_image_of(g) is not None)
+    image = u.f_image_of(gid)
+    if corruption == "stale":
+        u._f_image[gid] = None  # the preimage table still lists gid under its image
+        expected = f"stale preimage {gid} recorded under {image}"
+    else:
+        u._f_preimages[image].remove(gid)
+        expected = f"preimage table misses {gid} -> {image}"
+    assert shift_check(u, "combinatorial table laws") == (False, expected)
+
+
+@pytest.mark.parametrize("fault", ["keep", "drop"])
+def test_tail_restriction_wrong_at_one_element_and_cut_fails_tail_commutation(
+    fault, strict_universe, monkeypatch
+):
+    # For each element with an image, a faulty restriction keeps its
+    # d*-coordinate at the cut equal to its rank, or drops it at the cut
+    # just below.  The first witness is the element or one of its
+    # preimages, whose pushforward lands on it.
+    u = strict_universe
+    name = "pushforward commutes with tail restriction"
+    real = verify.project_star
+    offset, sign = (0, 1) if fault == "keep" else (-1, -1)
+    assert shift_check(u, name) == (True, "")
+    for gid in u.ids():
+        if u.f_image_of(gid) is None:
+            continue
+        cut = u.element(gid).rank + offset
+
+        def project_star(universe, lo, hi, f, gid=gid, cut=cut):
+            out = real(universe, lo, hi, f)
+            kept = to_d_basis(universe, f).coords.get(gid)
+            if lo != cut or not kept:
+                return out
+            extra = Functional(D_BASIS, {gid: sign * kept})
+            return out.plus(extra if out.basis == D_BASIS else to_e_basis(universe, extra))
+
+        monkeypatch.setattr(verify, "project_star", project_star)
+        first = min((gid, *u.f_preimages_of(gid)))
+        assert shift_check(u, name) == (False, f"element {first} at cut {cut}")
+
+
+def test_convolution_wrong_on_one_unit_pair_fails_the_matrix_model(strict_universe, monkeypatch):
+    u = strict_universe
+    k = u.config.k
+    units = [tuple(Fraction(int(i == t)) for i in range(k)) for t in range(k)]
+    name = "scalar matrix model is multiplicative and nilpotent"
+    real = verify.truncated_poly_product
+    assert shift_check(u, name) == (True, "")
+    for pair in [(a, b) for a in units for b in units]:
+
+        def truncated_poly_product(a, b, k, pair=pair):
+            out = real(a, b, k)
+            return out if (tuple(a), tuple(b)) != pair else (out[0] + 1, *out[1:])
+
+        monkeypatch.setattr(verify, "truncated_poly_product", truncated_poly_product)
+        assert shift_check(u, name) == (False, "")
 
 
 def test_passing_proofs_count_the_basis(relaxed_universe):
