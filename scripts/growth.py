@@ -1,26 +1,32 @@
-"""Growth table of ``verify`` over a depth ladder and a width ladder.
+"""Growth table of ``verify`` over a depth, a width and a singleton-net ladder.
 
 Each ladder row runs the four verification suites ``REPEAT`` times, each in a
 fresh child process against one source tree, and keeps the fastest repeat:
 
 * depth: ``perfbench/configs/deep.json`` at horizon R = 10, 25, 50, 100, 200;
-* width: ``perfbench/configs/wide.json`` (R = 10) at level_cap 24, 72, 288.
+* width: ``perfbench/configs/wide.json`` (R = 10) at level_cap 24, 72, 288;
+* singleton: ``deep.json`` with a singleton net (max_support 1,
+  denominator_bound 1), where the compact-difference witnesses exist, at
+  R = 10, 25, 50, 100.
 
 A row holds n (elements built), R, the seconds of one ``build_universe``
-(fastest repeat), of each suite and of the whole in-process ``verify`` (build
-included), and the sha256 of the report exactly as ``verify --format json``
-prints it.  Runs are stored under a label, so the same table can hold the
-code before and after a change::
+and of the compact-difference check on that universe (fastest repeats), of
+each suite and of the whole in-process ``verify`` (build included), and the
+sha256 of the report exactly as ``verify --format json`` prints it.  Runs
+are stored under a label, so the same table can hold the code before and
+after a change::
 
     python scripts/growth.py --label before --src /path/to/other/checkout/src
     python scripts/growth.py --label after
 
-Rerunning a label replaces its rows and keeps the others.  Per label the table
-states three fitted exponents, least-squares slopes on log-log axes: ``n`` is
+Rerunning a label replaces its rows and keeps the others; per ladder the
+table says whether every label's reports are identical.  Per label the table
+states four fitted exponents, least-squares slopes on log-log axes: ``n`` is
 verify seconds against n on the width ladder (R fixed), ``R`` is verify
 seconds against R on the depth ladder (where n grows with R too, so a verify
-that is linear in depth has an R exponent near 1), and ``build_R`` is build
-seconds against R on the depth ladder.  Standard library only.
+that is linear in depth has an R exponent near 1), ``build_R`` is build
+seconds against R on the depth ladder, and ``compact_R`` is the compact
+check's seconds against R on the singleton ladder.  Standard library only.
 """
 from __future__ import annotations
 
@@ -35,29 +41,38 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# ladder -> (config, field, values, fixed overrides)
 LADDERS = {
-    "depth": ("perfbench/configs/deep.json", "horizon", (10, 25, 50, 100, 200)),
-    "width": ("perfbench/configs/wide.json", "level_cap", (24, 72, 288)),
+    "depth": ("perfbench/configs/deep.json", "horizon", (10, 25, 50, 100, 200), {}),
+    "width": ("perfbench/configs/wide.json", "level_cap", (24, 72, 288), {}),
+    "singleton": (
+        "perfbench/configs/deep.json", "horizon", (10, 25, 50, 100),
+        {"max_support": 1, "denominator_bound": 1},
+    ),
 }
 
 REPEAT = 2
 
 # Runs in the child with the chosen source tree first on sys.path.
 CHILD = r"""
-import hashlib, json, sys, time
+import hashlib, json, random, sys, time
 from dataclasses import replace
 from bdlab.config import load_config_file, validate_config
 from bdlab.serialize import stable_json
 from bdlab.universe import build_universe
-from bdlab.verify import run_verification
+from bdlab.verify import _compact_differences, run_verification
 
 path, field, value = sys.argv[1], sys.argv[2], int(sys.argv[3])
+changes = {**json.loads(sys.argv[4]), field: value}
 cfg = load_config_file(path)
-if getattr(cfg, field) != value:
-    cfg = validate_config(replace(cfg, notes=(), **{field: value}))
+if any(getattr(cfg, name) != v for name, v in changes.items()):
+    cfg = validate_config(replace(cfg, notes=(), **changes))
 started = time.perf_counter()
-build_universe(cfg)
+universe = build_universe(cfg)
 build = time.perf_counter() - started
+started = time.perf_counter()
+_compact_differences(universe, random.Random(0))
+compact = time.perf_counter() - started
 started = time.perf_counter()
 report = run_verification(cfg, timings=True)
 total = time.perf_counter() - started
@@ -65,6 +80,7 @@ payload = report.to_json_dict()
 seconds = {name: float(s) for name, s in payload.pop("timings").items()}
 seconds["verify"] = round(total, 3)
 seconds["build"] = round(build, 3)
+seconds["compact"] = round(compact, 3)
 print(json.dumps({
     "n": report.element_count,
     "R": max(int(r) for r in payload["level_counts"]),
@@ -74,14 +90,14 @@ print(json.dumps({
 """
 
 
-def run_row(src: Path, path: str, field: str, value: int) -> dict:
+def run_row(src: Path, path: str, field: str, value: int, fixed: dict) -> dict:
     env = {k: v for k, v in os.environ.items() if not k.startswith(("PYTHON", "BDLAB_"))}
     env["PYTHONPATH"] = str(src)
     env["PYTHONHASHSEED"] = "0"
-    best, build = None, math.inf
+    best, build, compact = None, math.inf, math.inf
     for _ in range(REPEAT):
         out = subprocess.run(
-            [sys.executable, "-c", CHILD, path, field, str(value)],
+            [sys.executable, "-c", CHILD, path, field, str(value), json.dumps(fixed)],
             cwd=ROOT, env=env, capture_output=True, text=True, check=True,
         )
         row = json.loads(out.stdout)
@@ -90,8 +106,9 @@ def run_row(src: Path, path: str, field: str, value: int) -> dict:
         if best is None or row["seconds"]["verify"] < best["seconds"]["verify"]:
             best = row
         build = min(build, row["seconds"]["build"])
-    best["seconds"]["build"] = build
-    return {"config": path, field: value, **best}
+        compact = min(compact, row["seconds"]["compact"])
+    best["seconds"].update(build=build, compact=compact)
+    return {"config": path, **fixed, field: value, **best}
 
 
 def slope(points: list[tuple[float, float]]) -> float:
@@ -108,6 +125,7 @@ def exponents(rows: dict[str, list[dict]]) -> dict[str, float]:
         "n": slope([(r["n"], r["seconds"]["verify"]) for r in rows["width"]]),
         "R": slope([(r["R"], r["seconds"]["verify"]) for r in rows["depth"]]),
         "build_R": slope([(r["R"], r["seconds"]["build"]) for r in rows["depth"]]),
+        "compact_R": slope([(r["R"], r["seconds"]["compact"]) for r in rows["singleton"]]),
     }
 
 
@@ -115,15 +133,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", default="after", help="name of this run in the table")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="source tree to time")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_10.json")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_13.json")
     args = parser.parse_args(argv)
 
     table = json.loads(args.out.read_text()) if args.out.exists() else {"runs": {}}
     rows: dict[str, list[dict]] = {}
-    for ladder, (path, field, values) in LADDERS.items():
+    for ladder, (path, field, values, fixed) in LADDERS.items():
         rows[ladder] = []
         for value in values:
-            row = run_row(args.src.resolve(), path, field, value)
+            row = run_row(args.src.resolve(), path, field, value, fixed)
             print(f"{args.label} {ladder} {field}={value}: n={row['n']} R={row['R']} "
                   f"build {row['seconds']['build']}s verify {row['seconds']['verify']}s",
                   file=sys.stderr)
@@ -135,11 +153,12 @@ def main(argv: list[str] | None = None) -> int:
         "platform": platform.platform(terse=True),
     }
     table["description"] = __doc__.split("\n\n")[0].strip()
-    shas = {
-        label: [r["sha256"] for ladder in LADDERS for r in run["rows"][ladder]]
-        for label, run in table["runs"].items()
+    table["reports_identical_across_runs"] = {
+        ladder: len({
+            tuple(r["sha256"] for r in run["rows"][ladder]) for run in table["runs"].values()
+        }) == 1
+        for ladder in LADDERS
     }
-    table["reports_identical_across_runs"] = len({tuple(s) for s in shas.values()}) == 1
     args.out.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
     return 0
 

@@ -258,12 +258,20 @@ def env_horizon(horizon: int) -> int:
         raise ConfigError(f"{HORIZON_ENV_VAR} must be an integer") from exc
 
 
+_KEYS = ("k", "m", "n", "horizon", "net", "regime", "max_elements")
+_NET_KEYS = ("max_support", "denominator_bound", "level_cap")
+
+
 def config_from_dict(raw: dict[str, Any]) -> ConstructionConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config document must be a JSON object")
     net = raw.get("net", {})
     if not isinstance(net, dict):
         raise ConfigError("config key 'net' must be an object")
+    unknown = [repr(key) for key in raw if key not in _KEYS]
+    unknown += [repr(f"net.{key}") for key in net if key not in _NET_KEYS]
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     try:
         k, m_raw, n_raw = raw["k"], raw["m"], raw["n"]
         if not (isinstance(m_raw, list) and isinstance(n_raw, list)):

@@ -13,9 +13,9 @@ Elements are value objects; identity within a universe is the interned id.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator
 
 BASE = "base"
 TYPE1 = "t1"
@@ -88,17 +88,11 @@ class Candidate:
 
 
 @dataclass(frozen=True)
-class GammaElement:
-    """An interned element: a Candidate plus id and computed age."""
+class GammaElement(Candidate):
+    """An interned element: its Candidate shape plus id and computed age."""
 
+    _: KW_ONLY
     gid: int
-    kind: str
-    rank: int
-    index: int = -1
-    p: int = -1
-    xi: int = -1
-    weight_idx: int = 0
-    b: BFunctional = BFunctional()
     age: int = 0
 
     @property
@@ -120,18 +114,6 @@ def t1_candidate(rank: int, p: int, weight_idx: int, b: BFunctional) -> Candidat
 
 def t2_candidate(rank: int, xi: int, weight_idx: int, b: BFunctional) -> Candidate:
     return Candidate(kind=TYPE2, rank=rank, xi=xi, weight_idx=weight_idx, b=b)
-
-
-def candidate_of(element: GammaElement) -> Candidate:
-    return Candidate(
-        kind=element.kind,
-        rank=element.rank,
-        index=element.index,
-        p=element.p,
-        xi=element.xi,
-        weight_idx=element.weight_idx,
-        b=element.b,
-    )
 
 
 def describe(element: GammaElement) -> str:

@@ -8,7 +8,7 @@ consistent) are checked by the verification suites.  There is no snapshot
 class.  Here we expose everything built on top of the maps:
 
 * the functional-side operator: coordinate pushforward through the map,
-  with the same rule in either coordinate basis,
+  by the universe's one push rule, in either coordinate basis,
 * the space-side operator: coordinate pullback, which on any closed
   materialized universe agrees exactly with summing basis vectors over
   preimages,
@@ -40,20 +40,10 @@ from .universe import Universe, UniverseError
 
 
 def s_star(universe: Universe, f: Functional) -> Functional:
-    """Push coordinates through the shift map (same rule in both bases).
-
-    Unit coordinates map to the unit coordinate of the image element and
-    vanish where the map is undefined; colliding images add.  The rule is
-    identical on the biorthogonal coordinates, and the two routes agree
-    exactly on a materialized universe.
-    """
-    out: dict[int, Fraction] = {}
-    for gid, coeff in f.coords.items():
-        img = universe.f_image_of(gid)
-        if img is None:
-            continue
-        out[img] = out.get(img, Fraction(0)) + coeff
-    return Functional(f.basis, out)
+    """Push coordinates through the shift map (``Universe.push``), with the
+    same rule in both bases; the two routes agree exactly on a materialized
+    universe."""
+    return Functional(f.basis, universe.push(f.coords.items()))
 
 
 def s_star_power(universe: Universe, f: Functional, power: int) -> Functional:
@@ -128,36 +118,18 @@ def shift_power_family_rank(universe: Universe) -> int:
     """Rank of {S^0, ..., S^(k-1)} as matrices over the truncation.
 
     The unit-coordinate matrix of the l-th power has a 1 in row gamma,
-    column (l-th iterate of gamma) wherever the iterate is defined.  The
-    matrices are flattened to sparse vectors and reduced by exact
-    elimination; full rank k is the finite shadow of the powers being
-    independent modulo compacts.
+    column (l-th iterate of gamma) wherever the iterate is defined.  A
+    nilpotent orbit never revisits an element, so distinct powers have
+    disjoint supports {(gamma, F^l gamma)}, and the rank is the number of
+    powers below k that are nonzero somewhere.  Full rank k is the finite
+    shadow of the powers being independent modulo compacts.  Where a table
+    breaks nilpotency, the nilpotency check fails instead.
     """
-    k = universe.config.k
-    pivots: dict[tuple[int, int], dict[tuple[int, int], Fraction]] = {}
-    rank = 0
-    for power in range(k):
-        entries: dict[tuple[int, int], Fraction] = {}
-        for gid in universe.ids():
-            img = universe.f_iterate(gid, power)
-            if img is not None:
-                entries[(gid, img)] = Fraction(1)
-        for key, row in pivots.items():
-            c = entries.get(key)
-            if c:
-                for kk, vv in row.items():
-                    nv = entries.get(kk, Fraction(0)) - c * vv
-                    if nv == 0:
-                        entries.pop(kk, None)
-                    else:
-                        entries[kk] = nv
-        if not entries:
-            continue
-        pivot_key = min(entries)
-        pivot_val = entries[pivot_key]
-        pivots[pivot_key] = {kk: vv / pivot_val for kk, vv in entries.items()}
-        rank += 1
-    return rank
+    ids = universe.ids()
+    return sum(
+        any(universe.f_iterate(g, power) is not None for g in ids)
+        for power in range(universe.config.k)
+    )
 
 
 # -- Toeplitz representation -----------------------------------------------------

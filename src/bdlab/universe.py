@@ -23,7 +23,7 @@ import heapq
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cache
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .config import ConstructionConfig, RELAXED, STRICT
 from .elements import (
@@ -127,6 +127,18 @@ class Universe:
 
     def f_preimages_of(self, gid: int) -> tuple[int, ...]:
         return tuple(self._f_preimages.get(gid, ()))
+
+    def push(self, coords: Iterable[tuple[int, Fraction]]) -> dict[int, Fraction]:
+        """Push coordinates through the shift map: each moves to its
+        element's image and vanishes where the map is undefined; colliding
+        images add.  The one rule behind the shift images of carried
+        b-functionals and the pushforward on functionals, in either basis."""
+        out: dict[int, Fraction] = {}
+        for gid, coeff in coords:
+            image = self.f_image_of(gid)
+            if image is not None:
+                out[image] = out.get(image, Fraction(0)) + coeff
+        return out
 
     def f_iterate(self, gid: int, steps: int) -> Optional[int]:
         cur: Optional[int] = gid
@@ -325,15 +337,8 @@ class Universe:
         else:
             age = self.element(cand.xi).age + 1
         element = GammaElement(
-            gid=gid,
-            kind=cand.kind,
-            rank=cand.rank,
-            index=cand.index,
-            p=cand.p,
-            xi=cand.xi,
-            weight_idx=cand.weight_idx,
-            b=cand.b,
-            age=age,
+            cand.kind, cand.rank, cand.index, cand.p, cand.xi, cand.weight_idx, cand.b,
+            gid=gid, age=age,
         )
         self.elements.append(element)
         self._key_to_id[key] = gid
@@ -375,11 +380,16 @@ class Universe:
         if self.max_rank >= rank:
             raise UniverseError(f"level {rank} already holds interned elements")
 
-        if rank == 1:
-            selected: list[Candidate] = [base_candidate(i) for i in range(self.config.k)]
-        else:
-            selected = self._select_level_candidates(rank)
-        if len(self.elements) + len(selected) > self.config.max_elements:
+        # The base level's size is known before it is listed, and a higher
+        # level stops listing one candidate past the room left, so a refused
+        # level costs no more than the budget allows.
+        room = self.config.max_elements - len(self.elements)
+        selected: Optional[list[Candidate]] = None
+        if rank > 1:
+            selected = self._select_level_candidates(rank, room + 1)
+        elif self.config.k <= room:
+            selected = [base_candidate(i) for i in range(self.config.k)]
+        if selected is None or len(selected) > room:
             raise UniverseError(
                 f"element budget exceeded ({self.config.max_elements})"
             )
@@ -395,13 +405,14 @@ class Universe:
             self.enumerate_level(self._enumerated_to + 1)
         return self
 
-    def _select_level_candidates(self, rank: int) -> list[Candidate]:
-        """Pull candidates from the four shape strata, round-robin under the cap.
+    def _select_level_candidates(self, rank: int, limit: int) -> list[Candidate]:
+        """Pull candidates from the four shape strata, round-robin under the
+        level cap and at most ``limit`` of them.
 
         Streams yield in canonical order within each stratum, so the selected
         set is a deterministic function of the config alone.
         """
-        cap = self.config.level_cap
+        cap = min(self.config.level_cap or limit, limit)
         pools = _LevelPools(self, rank)
         streams = [
             self._stream_t1_even(rank, pools),
@@ -411,7 +422,7 @@ class Universe:
         ]
         selected: list[Candidate] = []
         live = list(streams)
-        while live and (cap == 0 or len(selected) < cap):
+        while live and len(selected) < cap:
             next_round = []
             for stream in live:
                 nxt = next(stream, None)
@@ -419,7 +430,7 @@ class Universe:
                     continue
                 selected.append(nxt)
                 next_round.append(stream)
-                if cap and len(selected) >= cap:
+                if len(selected) >= cap:
                     break
             live = next_round
         return selected
@@ -598,16 +609,15 @@ def shift_image_candidate(universe: Universe, element: GammaElement) -> Optional
     """One step of the shift map on coded elements, or None when it vanishes.
 
     Base elements step down their index.  For the other shapes the carried
-    b-functional is pushed through the map coordinate-wise (coefficients of
-    colliding images add); the image element keeps the same rank and weight,
-    and its age never increases.
+    b-functional is pushed through the map (``Universe.push``); the image
+    element keeps the same rank and weight, and its age never increases.
     """
     if element.kind == BASE:
         if element.index == 0:
             return None
         return base_candidate(element.index - 1)
 
-    mapped = _push_b(universe, element.b)
+    mapped = BFunctional.from_dict(universe.push(element.b.items()))
     if element.kind == TYPE1:
         if mapped.is_zero:
             return None
@@ -623,12 +633,3 @@ def shift_image_candidate(universe: Universe, element: GammaElement) -> Optional
         )
     return t2_candidate(element.rank, xi_image, element.weight_idx, mapped)
 
-
-def _push_b(universe: Universe, b: BFunctional) -> BFunctional:
-    out: dict[int, Fraction] = {}
-    for eta, coeff in b.items():
-        image = universe.f_image_of(eta)
-        if image is None:
-            continue
-        out[image] = out.get(image, Fraction(0)) + coeff
-    return BFunctional.from_dict(out)

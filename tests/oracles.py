@@ -7,6 +7,7 @@ back-substitution.  Slow is fine; independent is the point.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 from typing import Callable, Iterable, Optional, Sequence
@@ -32,7 +33,8 @@ from bdlab.config import STRICT
 from bdlab.elements import BASE, TYPE1, TYPE2
 from bdlab.sequences import INFO, INFO_KIND, ClauseResult
 from bdlab.serialize import format_rational
-from bdlab.universe import Universe
+from bdlab.shift import compact_witness
+from bdlab.universe import Universe, UniverseError
 
 Matrix = list[list[Fraction]]
 
@@ -452,3 +454,68 @@ def per_form_analysis_check(universe: Universe) -> tuple[bool, str]:
     report, in id order."""
     found = next(filter(None, (per_form_analysis_fault(universe, g) for g in universe.ids())), "")
     return not found, found
+
+
+# -- the shift's power family and compact differences -----------------------------
+
+
+def elimination_rank(universe: Universe) -> int:
+    """Rank of {S^0, ..., S^(k-1)} by exact elimination: each power's
+    unit-coordinate matrix (a 1 at (gamma, l-th iterate of gamma)) is
+    flattened to a sparse vector and reduced against the earlier pivots."""
+    k = universe.config.k
+    pivots: dict[tuple[int, int], dict[tuple[int, int], Fraction]] = {}
+    rank = 0
+    for power in range(k):
+        entries: dict[tuple[int, int], Fraction] = {}
+        for gid in universe.ids():
+            img = universe.f_iterate(gid, power)
+            if img is not None:
+                entries[(gid, img)] = Fraction(1)
+        for key, row in pivots.items():
+            c = entries.get(key)
+            if c:
+                for kk, vv in row.items():
+                    nv = entries.get(kk, Fraction(0)) - c * vv
+                    if nv == 0:
+                        entries.pop(kk, None)
+                    else:
+                        entries[kk] = nv
+        if not entries:
+            continue
+        pivot_key = min(entries)
+        pivot_val = entries[pivot_key]
+        pivots[pivot_key] = {kk: vv / pivot_val for kk, vv in entries.items()}
+        rank += 1
+    return rank
+
+
+def sampled_compact_differences(universe: Universe, seed: int = 0) -> tuple[bool, bool, str]:
+    """The compact-difference family over every pair of witness ranks, with
+    the k unit scalars and five seeded rational ones, as
+    ``(available, ok, detail)``: an unavailable family names the first
+    missing witness; otherwise the detail is the last mismatch or the count
+    of differences."""
+    rng = random.Random(seed)
+    k, top = universe.config.k, universe.max_rank
+    lam_sets = [tuple(Fraction(int(i == t)) for i in range(k)) for t in range(k)]
+    for _ in range(5):
+        lam_sets.append(tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(k)))
+    ok, detail, pairs = True, "", 0
+    try:
+        for j in range(k):
+            for rank_n in range(2, top):
+                for rank_m in range(rank_n + 1, top + 1):
+                    for lams in lam_sets:
+                        got = compact_witness(universe, j, rank_n, rank_m, lams)
+                        want = 2 * sum((abs(lams[i]) for i in range(j + 1)), Fraction(0))
+                        if got != want:
+                            ok = False
+                            detail = (
+                                f"family {j}, ranks ({rank_n}, {rank_m}): "
+                                f"{format_rational(got)} != {format_rational(want)}"
+                            )
+                        pairs += 1
+    except UniverseError as err:
+        return False, False, f"witness family unavailable: {err}"
+    return True, ok, detail if not ok else f"{pairs} exact differences"

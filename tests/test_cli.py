@@ -168,8 +168,10 @@ def test_single_field_mutations_keep_the_exit_contract(desk, field, value, tmp_p
         cfg = config_from_dict(doc)
     except ConfigError:
         cfg = None
-    # An uncapped desk-relaxed universe is a valid request whose build runs
-    # for minutes; it says nothing about the exit contract.
+    # An uncapped desk-relaxed universe is a valid request that the element
+    # budget refuses only after a level's worth of work (about 0.3 s); the
+    # budget tests in test_universe.py cover it, and it says nothing more
+    # about the exit contract.
     assume(cfg is None or cfg.level_cap or desk == "desk-strict")
     path = tmp_path / "mutated.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -183,6 +185,68 @@ def test_single_field_mutations_keep_the_exit_contract(desk, field, value, tmp_p
         assert len(lines) == 1
         # the element budget is the one limit only a build can find
         assert lines[0].startswith(("config error: ", "error: element budget exceeded"))
+
+
+NET_KEYS = ["max_support", "denominator_bound", "level_cap"]
+
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=6),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=4),
+    st.sampled_from(["4", "16", "4/2", "33/2", "relaxed", "strict"]),
+)
+
+JSON_VALUES_ANY = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(NET_KEYS) | st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+
+# Arbitrary JSON documents, half of them objects that hold the required keys
+# (and any optional ones) with any JSON value, so that documents reach past
+# the first missing key and exercise every field's reader.
+JSON_DOCUMENTS = JSON_VALUES_ANY | st.fixed_dictionaries(
+    {key: JSON_VALUES_ANY for key in ("k", "m", "n", "horizon")},
+    optional={
+        "net": st.fixed_dictionaries({}, optional={key: JSON_VALUES_ANY for key in NET_KEYS}),
+        "regime": JSON_VALUES_ANY,
+        "max_elements": JSON_VALUES_ANY,
+    },
+)
+
+
+@settings(
+    max_examples=100,
+    derandomize=True,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(doc=JSON_DOCUMENTS)
+def test_arbitrary_json_documents_keep_the_exit_contract(doc, tmp_path, monkeypatch):
+    monkeypatch.delenv("BDLAB_HORIZON", raising=False)
+    path = tmp_path / "arbitrary.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["enumerate", "--config", str(path)])
+    event(f"exit {code}: {err.getvalue()[:40]}")
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert len(err.getvalue().splitlines()) == 1
+
+
+def test_unknown_net_key_exits_2(capsys, tmp_path):
+    doc = with_field(desk_strict().to_json_dict(), ("net", "level_cpa"), 4)
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "enumerate", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err == "config error: unknown config keys: 'net.level_cpa'\n"
 
 
 def test_timing_is_opt_in(capsys, micro_path):

@@ -153,6 +153,21 @@ def test_malformed_fields_are_config_errors(path, value, monkeypatch):
         config_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "path, value, named",
+    [
+        (("net", "level_cpa"), 4, "'net.level_cpa'"),
+        (("horizn",), 4, "'horizn'"),
+        (("notes",), [], "'notes'"),
+    ],
+)
+def test_unknown_keys_are_config_errors(path, value, named, monkeypatch):
+    monkeypatch.delenv("BDLAB_HORIZON", raising=False)
+    doc = with_field(desk_relaxed().to_json_dict(), path, value)
+    with pytest.raises(ConfigError, match=f"unknown config keys: {named}"):
+        config_from_dict(doc)
+
+
 def test_validate_is_idempotent_on_fixtures():
     for fixture in (desk_strict, desk_relaxed):
         cfg = fixture()

@@ -8,7 +8,12 @@ duality and basis-change checks became proofs over a basis; the only lines
 that moved are those two checks' details, which now read "exhaustive over N
 elements" (``test_shift_duality_details_name_the_basis_size`` pins them).
 The ``enumerate``, ``pair`` and ``depseq`` digests were recorded before that
-change and still hold.  The ``wide.json`` run reads the benchmark's committed
+change and still hold.  The three desk-strict ``verify`` and ``report``
+digests were re-recorded once more when the compact-difference family became
+a proof over consecutive witness ranks: their one changed line is that
+check's detail, "72 exact differences" before and "18 exact differences"
+after (k^2 (R - 2) differences instead of the seeded sweep over every pair
+of ranks).  The ``wide.json`` run reads the benchmark's committed
 config (n=746), where the window masses and the weighted scans have many more
 blocks and ids to get wrong than on the desk fixtures.
 """
@@ -26,7 +31,7 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = [
     (
         ["verify", "--config", "desk-strict", "--format", "json"],
-        "20e691e465c663bf58b1e1a1a0f5aad751c3a621ec63f15fb73596389c9757e9",
+        "2932ffa0d816e5992266f7fe17a50b0773c1bc73e57b3c69ccb51524a29bb9ef",
     ),
     (
         ["verify", "--config", "desk-relaxed", "--format", "json"],
@@ -38,11 +43,11 @@ GOLDEN = [
     ),
     (
         ["verify", "--config", "desk-strict"],
-        "5c54bc6dd8320effd393ec2c4b89fa333c014d9c0bd08850e08a09c58f41761c",
+        "a2c870b0c7691dea1d28dbdb5f1e4776ce269734304a22402efc299931fb4e5f",
     ),
     (
         ["report", "--config", "desk-strict", "--format", "json"],
-        "76fb0866291b09d635cffc13357de530b1b34c4322c4dcaafe1b2b55fceba29f",
+        "8ae6890b0f4507351b2647c46e74e7867600e2103b184c18bfac3a1f8f81765b",
     ),
     (
         ["report", "--config", "desk-relaxed", "--format", "json"],

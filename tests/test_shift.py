@@ -3,6 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from bdlab.algebra import Functional, d_vector, e_star, pairing, synthesize
 from bdlab.elements import BFunctional, t1_candidate, t2_candidate
@@ -23,7 +24,8 @@ from bdlab.shift import (
 )
 from bdlab.universe import UniverseError, build_universe
 from bdlab.verify import _first_violation, _table_law_fault
-from conftest import micro_config
+from conftest import micro_config, small_universes
+from oracles import elimination_rank
 
 F = Fraction
 
@@ -123,6 +125,23 @@ def test_nilpotency_degree_tracks_k(k):
     for gid in u.ids():
         assert s_star_power(u, e_star(gid), k).is_zero()
     assert s_star_power(u, e_star(k - 1), k - 1) == e_star(0)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_power_family_rank_matches_elimination(k):
+    u = build_universe(micro_config(k=k, horizon=2))
+    assert shift_power_family_rank(u) == elimination_rank(u) == k
+
+
+@settings(
+    max_examples=25,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(small_universes())
+def test_power_family_rank_matches_elimination_on_small_configs(u):
+    assert shift_power_family_rank(u) == elimination_rank(u)
 
 
 # -- duality ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
@@ -245,6 +246,41 @@ def test_element_budget_is_enforced():
     cfg = micro_config(max_elements=5)
     with pytest.raises(UniverseError, match="budget"):
         build_universe(cfg)
+
+
+def test_a_base_level_past_the_budget_is_refused_before_it_is_listed():
+    cfg = replace(desk_strict(), k=300_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(UniverseError, match=r"element budget exceeded \(50000\)"):
+            build_universe(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+def test_a_level_past_the_budget_stops_listing_one_candidate_past_it(monkeypatch):
+    budget = 5000
+    cfg = validate_config(
+        replace(desk_relaxed(), notes=(), level_cap=0, horizon=4, max_elements=budget)
+    )
+    pulled = [0]
+
+    def counted(stream):
+        def wrapped(self, rank, pools):
+            for cand in stream(self, rank, pools):
+                pulled[0] += 1
+                assert pulled[0] <= budget + 1, "listed candidates past the budget"
+                yield cand
+
+        return wrapped
+
+    for name in ("_stream_t1_even", "_stream_t1_odd", "_stream_t2_even", "_stream_t2_odd"):
+        monkeypatch.setattr(Universe, name, counted(getattr(Universe, name)))
+    with pytest.raises(UniverseError, match=r"element budget exceeded \(5000\)"):
+        build_universe(cfg)
+    assert pulled[0] > 0
 
 
 def test_each_new_element_is_validated_once(monkeypatch):

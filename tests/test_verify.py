@@ -5,7 +5,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from bdlab import verify
 from bdlab.algebra import (
@@ -21,6 +22,8 @@ from bdlab.algebra import (
 )
 from bdlab.config import desk_relaxed, desk_strict
 from bdlab.elements import BASE, TYPE1, TYPE2, BFunctional, describe, t1_candidate
+from bdlab.sequences import IDENTITY
+from bdlab.shift import witness_id
 from bdlab.universe import UniverseError, build_universe
 from bdlab.verify import (
     SUITE_ORDER,
@@ -31,7 +34,7 @@ from bdlab.verify import (
     run_verification,
 )
 from conftest import micro_config, small_universes
-from oracles import per_form_analysis_check, sweep_heaviest_windows
+from oracles import per_form_analysis_check, sampled_compact_differences, sweep_heaviest_windows
 
 
 @pytest.fixture(scope="module")
@@ -365,6 +368,100 @@ def test_convolution_wrong_on_one_unit_pair_fails_the_matrix_model(strict_univer
 
         monkeypatch.setattr(verify, "truncated_poly_product", truncated_poly_product)
         assert shift_check(u, name) == (False, "")
+
+
+def compact_check(u):
+    [(_, kind, ok, detail)] = verify._compact_differences(u, random.Random(0))
+    return kind, ok, detail
+
+
+@st.composite
+def singleton_universes(draw):
+    """Small singleton-net universes under level caps that may lose
+    witnesses, or uncapped up to horizon 3: k 2-4, horizon 2-5."""
+    horizon = draw(st.integers(min_value=2, max_value=5))
+    cfg = micro_config(
+        k=draw(st.integers(min_value=2, max_value=4)),
+        horizon=horizon,
+        m_seq=(4, 16, 64, 256),
+        n_seq=(16, 18, 20, 22),
+        level_cap=draw(st.sampled_from([4, 12, 24] + [0] * (horizon <= 3))),
+    )
+    return build_universe(cfg)
+
+
+@settings(
+    max_examples=20,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(singleton_universes())
+def test_compact_proof_agrees_with_the_sampled_sweep(u):
+    kind, ok, detail = compact_check(u)
+    available, sampled_ok, sampled_detail = sampled_compact_differences(u)
+    event(f"available {available}, ok {ok}")
+    assert (kind == verify.NET) == (not available)
+    assert ok == sampled_ok
+    if not available:
+        assert detail == sampled_detail  # the same first missing witness
+    else:
+        k, pairs = u.config.k, max(u.max_rank - 2, 0)
+        assert detail == f"{k * k * pairs} exact differences"
+
+
+def test_compact_proof_calls_the_witness_once_per_unit_and_consecutive_pair(
+    strict_universe, monkeypatch
+):
+    calls = []
+    real = verify.compact_witness
+
+    def counted(universe, j, rank_n, rank_m, lambdas):
+        calls.append((j, rank_n, rank_m))
+        return real(universe, j, rank_n, rank_m, lambdas)
+
+    monkeypatch.setattr(verify, "compact_witness", counted)
+    assert compact_check(strict_universe) == (IDENTITY, True, "18 exact differences")
+    assert len(calls) == 18 and all(m == n + 1 for _, n, m in calls)
+
+
+def test_compact_witness_wrong_at_one_consecutive_pair_fails_the_proof(
+    strict_universe, monkeypatch
+):
+    u = strict_universe
+    real = verify.compact_witness
+    for j in range(u.config.k):
+        for rank in range(2, u.max_rank):
+
+            def compact_witness(universe, jj, rank_n, rank_m, lambdas, target=(j, rank)):
+                out = real(universe, jj, rank_n, rank_m, lambdas)
+                return out + 1 if (jj, rank_n) == target else out
+
+            monkeypatch.setattr(verify, "compact_witness", compact_witness)
+            detail = f"family {j}, ranks ({rank}, {rank + 1}), unit scalar 0: 3 != 2"
+            assert compact_check(u) == (IDENTITY, False, detail)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_witness_orbit_cut_one_step_short_fails_the_proof(rank):
+    # The family-j witnesses at one rank form one orbit, w_(k-1) -> ... ->
+    # w_0 -> nothing, so cutting w_1's image shortens every family j >= 1
+    # there; family 1 is the first to fail, at the first pair that holds
+    # the rank.
+    u = build_universe(desk_strict())
+    assert compact_check(u) == (IDENTITY, True, "18 exact differences")
+    u._f_image[witness_id(u, rank, 1)] = None
+    pair = (rank, rank + 1) if rank == 2 else (rank - 1, rank)
+    detail = f"family 1, ranks {pair}, unit scalar 1: 1 != 2"
+    assert compact_check(u) == (IDENTITY, False, detail)
+
+
+@pytest.mark.parametrize("factory", [desk_strict, desk_relaxed])
+def test_shift_suite_draws_nothing_from_the_seeded_generator(factory):
+    rng = random.Random(7)
+    state = rng.getstate()
+    verify.run_shift_suite(build_universe(factory()), rng)
+    assert rng.getstate() == state
 
 
 def test_passing_proofs_count_the_basis(relaxed_universe):
