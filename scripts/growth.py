@@ -133,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", default="after", help="name of this run in the table")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="source tree to time")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_13.json")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_14.json")
     args = parser.parse_args(argv)
 
     table = json.loads(args.out.read_text()) if args.out.exists() else {"runs": {}}

@@ -61,7 +61,8 @@ class AlgebraError(ValueError):
 
 
 def _clean(coords: Coords) -> Coords:
-    return {gid: c for gid, c in coords.items() if c}
+    """A fresh copy of the coordinates without zeros."""
+    return dict(coords) if all(coords.values()) else {g: c for g, c in coords.items() if c}
 
 
 @dataclass
@@ -503,7 +504,7 @@ def l1_norm(universe: Universe, f: Functional) -> Fraction:
 
 
 def sup_norm(x: Vector) -> Fraction:
-    return max((abs(c) for c in x.coords.values()), default=Fraction(0))
+    return max(max(x.coords.values()), -min(x.coords.values())) if x.coords else Fraction(0)
 
 
 def op_norm_l1(

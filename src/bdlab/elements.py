@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import KW_ONLY, dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterator
 
 BASE = "base"
@@ -45,10 +46,8 @@ class BFunctional:
 
     @staticmethod
     def from_dict(coords: dict[int, Fraction]) -> "BFunctional":
-        terms = tuple(
-            (eta, Fraction(c)) for eta, c in sorted(coords.items()) if c != 0
-        )
-        return BFunctional(terms)
+        """The nonzero coefficients, sorted by id, kept as they are given."""
+        return BFunctional(tuple((eta, c) for eta, c in sorted(coords.items()) if c))
 
     @property
     def is_zero(self) -> bool:
@@ -58,7 +57,9 @@ class BFunctional:
         return tuple(eta for eta, _ in self.terms)
 
     def l1(self) -> Fraction:
-        return sum((abs(c) for _, c in self.terms), Fraction(0))
+        """The l1 mass, summed as numerators over the least common denominator."""
+        q = lcm(*(c.denominator for _, c in self.terms))
+        return Fraction(sum(abs(c.numerator) * (q // c.denominator) for _, c in self.terms), q)
 
     def items(self) -> Iterator[tuple[int, Fraction]]:
         return iter(self.terms)

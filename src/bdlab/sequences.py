@@ -27,19 +27,23 @@ import heapq
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
+from math import lcm
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .algebra import (
     AlgebraError,
+    IntCoords,
     Vector,
     b_as_functional,
+    coding_rows,
     d_coords_of,
     d_vector,
     evaluation_analysis,
     extend_vector,
     pairing,
     sup_norm,
-    synthesize,
+    to_integers,
     vector_range,
 )
 from .config import STRICT
@@ -214,8 +218,8 @@ def _argmax_weighted(
     universe: Universe,
     xs: Sequence[Vector],
     weight_ok: Callable[[int], bool],
-    score: Callable[[int, int], Fraction],
-) -> tuple[Fraction, Optional[int]]:
+    score: Callable[[int, int], Any],
+) -> tuple[Any, Optional[int]]:
     """Largest ``score(weight index, id)`` over the weighted elements whose
     weight index passes ``weight_ok`` and whose rank is within every vector's
     horizon, with the first id, in id order, that attains it; (0, None) when
@@ -225,7 +229,9 @@ def _argmax_weighted(
     id, so every element outside their supports scores like the first such
     element of its weight index.  Only the supports, plus that first
     off-support id per weight index within the horizon, are scored, in id
-    order.
+    order.  Scores are compared as they are: the laboratory's scorers return
+    integer numerators over one positive denominator per scan, which the
+    caller divides out once.
     """
     horizon = min((x.horizon for x in xs), default=universe.max_rank)
     elements = universe.elements
@@ -237,7 +243,7 @@ def _argmax_weighted(
             first = next(off, None)
             if first is not None:
                 candidates.add(first)
-    best: tuple[Fraction, Optional[int]] = (Fraction(0), None)
+    best: tuple[Any, Optional[int]] = (0, None)
     for gid in sorted(candidates):
         el = elements[gid]
         if el.weight_idx > 0 and weight_ok(el.weight_idx) and el.rank <= horizon:
@@ -245,6 +251,32 @@ def _argmax_weighted(
             if best[1] is None or value > best[0]:
                 best = (value, gid)
     return best
+
+
+def _numerators(xs: Sequence[Vector]) -> tuple[list[IntCoords], int]:
+    """The vectors' coordinates, read once, as integer numerators over one
+    common denominator."""
+    parts = [to_integers(x.coords) for x in xs]
+    q = lcm(*(d for _, d in parts))
+    return [{g: v * (q // d) for g, v in c.items()} for c, d in parts], q
+
+
+def _weighted_sup(
+    universe: Universe,
+    x: Vector,
+    weight_ok: Callable[[int], bool],
+    factor: Callable[[int], Fraction],
+) -> tuple[Fraction, Optional[int]]:
+    """The largest |x_g| * factor(weight index of g) over the weighted scan
+    of ``_argmax_weighted``, with its first witness.  Scores are integers
+    over one denominator; a ``Fraction`` is built only for the result."""
+    values, vq = to_integers(x.coords)
+    weights = range(1, universe.config.num_weights + 1)
+    f, fq = to_integers({w: factor(w) for w in weights if weight_ok(w)})
+    best, gid = _argmax_weighted(
+        universe, [x], weight_ok, lambda w, g: abs(values.get(g, 0)) * f[w]
+    )
+    return Fraction(best, vq * fq), gid
 
 
 def _vector_sum(xs: Iterable[Vector]) -> Vector:
@@ -273,26 +305,21 @@ def validate_ris(
     for k, (x, rng) in enumerate(zip(seq.vectors, seq.ranges)):
         norm = sup_norm(x)
         if norm > constant:
-            bad.append(
-                f"(1) uniform bound: vector {k + 1} has norm {format_rational(norm)}"
-            )
+            bad.append(f"(1) uniform bound: vector {k + 1} has norm {format_rational(norm)}")
         if k + 1 < len(js) and rng is not None and js[k + 1] <= rng[1]:
-            bad.append(
-                f"(2) cut growth: index {js[k + 1]} not beyond range top {rng[1]}"
-            )
-    elements = universe.elements
+            bad.append(f"(2) cut growth: index {js[k + 1]} not beyond range top {rng[1]}")
+    elements, top = universe.elements, max(js, default=0)
+    bounds = {w: constant * universe.config.weight(w) for w in universe._by_weight if 0 < w < top}
     for k, x in enumerate(seq.vectors):
-        jk = js[k]
-        classes = [ids for widx, ids in universe._by_weight.items() if 0 < widx < jk]
-        for gid in heapq.merge(*classes):
+        values, q = to_integers(x.coords)
+        for gid in heapq.merge(*(universe._by_weight[w] for w in bounds if w < js[k])):
             widx = elements[gid].weight_idx
-            bound = constant * universe.config.weight(widx)
-            value = abs(x.at(gid))
-            if value > bound:
+            bound, value = bounds[widx], abs(values.get(gid, 0))
+            if value * bound.denominator > bound.numerator * q:
                 bad.append(
                     f"(3) weight decay: vector {k + 1} at element {gid} "
-                    f"(weight index {widx}) has |coordinate| {format_rational(value)} "
-                    f"> {format_rational(bound)}"
+                    f"(weight index {widx}) has |coordinate| "
+                    f"{format_rational(Fraction(value, q))} > {format_rational(bounds[widx])}"
                 )
     return RISCertificate(constant, js, tuple(bad))
 
@@ -304,18 +331,10 @@ def minimal_ris_constant(
 ) -> Fraction:
     """Smallest constant under which the sequence certifies (structure permitting)."""
     js = tuple(j_seq) if j_seq is not None else greedy_j_seq(universe, seq)
-    best = Fraction(0)
-    for x in seq.vectors:
-        best = max(best, sup_norm(x))
+    best = max((sup_norm(x) for x in seq.vectors), default=Fraction(0))
     for k, x in enumerate(seq.vectors):
         jk = js[k] if k < len(js) else 1
-        worst, _ = _argmax_weighted(
-            universe,
-            [x],
-            lambda w: w < jk,
-            lambda w, g: abs(x.at(g)) / universe.config.weight(w),
-        )
-        best = max(best, worst)
+        best = max(best, _weighted_sup(universe, x, lambda w: w < jk, universe.config.m)[0])
     return best
 
 
@@ -448,15 +467,11 @@ def check_exact_pair(
             )
 
     # lower indices compare against C * m_widx^{-1}: scan the normalized value
-    lo_worst, lo_id = _argmax_weighted(
-        universe, [x], lambda w: w < j, lambda w, g: abs(x.at(g)) / cfg.weight(w)
-    )
+    lo_worst, lo_id = _weighted_sup(universe, x, lambda w: w < j, cfg.m)
     clauses.append(
         _bound_clause("(5) off-weight coordinates, lower indices", lo_worst, C, lo_id)
     )
-    hi_worst, hi_id = _argmax_weighted(
-        universe, [x], lambda w: w > j, lambda w, g: abs(x.at(g))
-    )
+    hi_worst, hi_id = _weighted_sup(universe, x, lambda w: w > j, lambda w: 1)
     clauses.append(
         _bound_clause(
             "(5) off-weight coordinates, higher indices", hi_worst, C * cfg.weight(j), hi_id
@@ -473,22 +488,23 @@ def _tail_estimate_clause(universe: Universe, x: Vector, j: int, C: Fraction) ->
     bound = {w: 6 * C * cfg.weight(min(w, j)) for w in range(1, cfg.num_weights + 1)}
     worst_ratio = Fraction(0)
     worst_note = ""
-    d = d_coords_of(universe, x)
-    rank = {g: universe.element(g).rank for g in d}
+    rows, top = coding_rows(universe), x.horizon
+    d, q = rows.read_off(*to_integers(x.coords), top)
     # The tail past s only changes where s passes a rank of x's d-support, so
     # the first cut of each stretch stands for the stretch.  A zero constant
     # leaves every ratio undefined and the estimate without instances.
-    cuts = sorted({0, *(r for r in rank.values() if r <= x.horizon)}) if C else []
+    cuts = sorted({0, *(rows.rank[g] for g in d)}) if C else []
     for s in cuts:
-        kept = {g: c for g, c in d.items() if s < rank[g] <= x.horizon}
-        tail = synthesize(universe, kept, x.horizon)
-        ratio, gid = _argmax_weighted(
-            universe, [tail], lambda w: w != j, lambda w, g: abs(tail.at(g)) / bound[w]
+        tail, tq = rows.synthesize(rows.restrict(d, s, top), q, top)
+        # the tail's numerators are the tail times tq
+        ratio, gid = _weighted_sup(
+            universe, Vector(tail, top), lambda w: w != j, lambda w: 1 / (tq * bound[w])
         )
         if ratio > worst_ratio:
             worst_ratio = ratio
+            value = Fraction(abs(tail.get(gid, 0)), tq)
             worst_note = (
-                f"|tail past {s} at element {gid}| = {format_rational(abs(tail.at(gid)))} "
+                f"|tail past {s} at element {gid}| = {format_rational(value)} "
                 f"vs {format_rational(bound[universe.element(gid).weight_idx])}"
             )
     held = worst_ratio <= 1
@@ -516,16 +532,12 @@ def minimal_pair_constant(
     can repair them.
     """
     cfg = universe.config
-    need = sup_norm(x)
-    for coeff in d_coords_of(universe, x).values():
-        need = max(need, abs(coeff) / cfg.weight(j))
+    need = max(sup_norm(x), sup_norm(Vector(d_coords_of(universe, x), x.horizon)) * cfg.m(j))
     if epsilon is not None and Fraction(epsilon) > 0:
         eps = Fraction(epsilon)
         for power in range(0 if delta == 0 else 1, cfg.k):
             need = max(need, abs(_orbit_value(universe, x, eta, power)) / eps)
-    worst, _ = _argmax_weighted(
-        universe, [x], lambda w: w != j, lambda w, g: abs(x.at(g)) / cfg.weight(min(w, j))
-    )
+    worst, _ = _weighted_sup(universe, x, lambda w: w != j, lambda w: cfg.m(min(w, j)))
     return max(need, worst)
 
 
@@ -1019,10 +1031,11 @@ def lower_bound_search(
     cfg = universe.config
     widx = 2 * j
     rhs = cfg.weight(widx) / 2 * sum((sup_norm(x) for x in xs), Fraction(0))
+    values, q = _numerators(xs)
     lhs, witness = _argmax_weighted(
-        universe, xs, lambda w: w == widx, lambda w, g: sum((x.at(g) for x in xs), Fraction(0))
+        universe, xs, lambda w: w == widx, lambda w, g: sum(v.get(g, 0) for v in values)
     )
-    return SearchResult(witness=witness, lhs=lhs, rhs=rhs)
+    return SearchResult(witness=witness, lhs=Fraction(lhs, q), rhs=rhs)
 
 
 # -- shifted pairs ------------------------------------------------------------------
@@ -1193,10 +1206,11 @@ def estimate_ris_averages(
     C = Fraction(constant)
     cfg = universe.config
     a = len(xs)
-    avg_coeff = Fraction(1, a)
+    values, q = _numerators(xs)
 
-    def average(gid: int) -> Fraction:
-        return abs(sum((x.at(gid) for x in xs), Fraction(0))) * avg_coeff
+    def total(gid: int) -> int:
+        """a * q times the average coordinate's absolute value at gid."""
+        return abs(sum(v.get(gid, 0) for v in values))
 
     cases: list[tuple[str, Callable[[int], bool], Callable[[int], Fraction]]] = [
         (
@@ -1215,21 +1229,23 @@ def estimate_ris_averages(
             lambda w: 10 * C * cfg.weight(j0) ** 2,
         ),
     ]
-    clauses = []
+    clauses, weights = [], range(1, cfg.num_weights + 1)
     for name, weight_ok, bound in cases:
-        # the worst element is the one with the least margin
+        # the worst element is the one with the least margin average - bound,
+        # scored as its numerator over a * q * bq
+        b, bq = to_integers({w: a * q * bound(w) for w in weights if weight_ok(w)})
         _, gid = _argmax_weighted(
-            universe, xs, weight_ok, lambda w, g: average(g) - bound(w)
+            universe, xs, weight_ok, lambda w, g: total(g) * bq - b.get(w, 0)
         )
         if gid is None:
             lhs = rhs = Fraction(0)
         else:
-            lhs, rhs = average(gid), bound(universe.element(gid).weight_idx)
+            lhs, rhs = Fraction(total(gid), a * q), bound(universe.element(gid).weight_idx)
         clauses.append(_bound_clause(name, lhs, rhs, gid))
     clauses.append(
         _bound_clause(
             "average norm",
-            sup_norm(_vector_sum(xs).scaled(avg_coeff)),
+            Fraction(max(map(total, set().union(*values)), default=0), a * q),
             10 * C * cfg.weight(j0),
         )
     )
@@ -1254,27 +1270,27 @@ def estimate_ris_weighted_averages(
     lams = [Fraction(c) for c in lambdas]
     if len(lams) != a:
         raise ConstructionFailure("scalars", "one scalar per vector required")
+    values, q = _numerators([x.scaled(lam) for lam, x in zip(lams, xs)])
+    spans = [(lo, hi) for lo in range(a) for hi in range(lo + 1, a + 1)]
+    # C times each interval's largest |scalar|, as numerators over cq
+    caps, cq = to_integers({i: C * max(map(abs, lams[lo:hi])) for i, (lo, hi) in enumerate(spans)})
 
-    def intervals(gid: int) -> list[tuple[Fraction, Fraction, int, int]]:
-        """(|interval sum|, C times the interval's largest |scalar|, lo, hi) at gid."""
-        prefix = [Fraction(0)]
-        for lam, x in zip(lams, xs):
-            prefix.append(prefix[-1] + lam * x.at(gid))
-        return [
-            (abs(prefix[hi] - prefix[lo]), C * max(abs(l) for l in lams[lo:hi]), lo, hi)
-            for lo in range(a)
-            for hi in range(lo + 1, a + 1)
-        ]
-
-    def margin(interval: tuple[Fraction, Fraction, int, int]) -> Fraction:
-        return interval[0] - interval[1]
+    def intervals(gid: int) -> list[tuple[int, int]]:
+        """Per interval at gid: q times |interval sum|, and the margin
+        |interval sum| - cap as a numerator over q * cq."""
+        prefix = list(accumulate((v.get(gid, 0) for v in values), initial=0))
+        sums = [abs(prefix[hi] - prefix[lo]) for lo, hi in spans]
+        return [(t, t * cq - q * caps.get(i, 0)) for i, t in enumerate(sums)]
 
     _, gid = _argmax_weighted(
-        universe, xs, lambda w: w == j0, lambda w, g: max(map(margin, intervals(g)))
+        universe, xs, lambda w: w == j0, lambda w, g: max(m for _, m in intervals(g))
     )
     hyp_lhs, hyp_rhs, witness = Fraction(0), Fraction(1), "no instances"
     if gid is not None:
-        hyp_lhs, hyp_rhs, lo, hi = max(intervals(gid), key=margin)
+        found = intervals(gid)
+        at = max(range(len(spans)), key=lambda i: found[i][1])
+        (lo, hi), hyp_lhs = spans[at], Fraction(found[at][0], q)
+        hyp_rhs = C * max(abs(lam) for lam in lams[lo:hi])
         witness = f"element {gid}, interval [{lo + 1}, {hi}]"
     hyp = ClauseResult(
         name="interval hypothesis (evaluated)",
@@ -1297,10 +1313,9 @@ def estimate_ris_weighted_averages(
     )
 
 
-def _interval_extremes(values: list[Fraction], signs: bool = False) -> Fraction:
+def _interval_extremes(values: list[int], signs: bool = False) -> int:
     """Max over subintervals of |sum|, via prefix extremes (exact)."""
-    prefix = Fraction(0)
-    lo = hi = Fraction(0)
+    prefix = lo = hi = 0
     sign = 1
     for v in values:
         prefix += (sign * v) if signs else v
@@ -1317,14 +1332,15 @@ def _interval_sums_clause(
     """The largest interval sum, alternating when ``signs``, of a linked
     chain's vectors at the chain weight, against 7C."""
     widx = 2 * j0 - 1
+    values, q = _numerators(xs)
     worst, gid = _argmax_weighted(
         universe,
         xs,
         lambda w: w == widx,
-        lambda w, g: _interval_extremes([x.at(g) for x in xs], signs),
+        lambda w, g: _interval_extremes([v.get(g, 0) for v in values], signs),
     )
     name = "interval sums at the chain weight"
-    return _bound_clause(f"alternating {name}" if signs else name, worst, 7 * C, gid)
+    return _bound_clause(f"alternating {name}" if signs else name, Fraction(worst, q), 7 * C, gid)
 
 
 def estimate_interval_sums(

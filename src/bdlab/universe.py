@@ -23,6 +23,7 @@ import heapq
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cache
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .config import ConstructionConfig, RELAXED, STRICT
@@ -129,15 +130,15 @@ class Universe:
         return tuple(self._f_preimages.get(gid, ()))
 
     def push(self, coords: Iterable[tuple[int, Fraction]]) -> dict[int, Fraction]:
-        """Push coordinates through the shift map: each moves to its
-        element's image and vanishes where the map is undefined; colliding
-        images add.  The one rule behind the shift images of carried
+        """Push coordinates, in their own type, through the shift map: each
+        moves to its element's image and vanishes where the map is undefined;
+        colliding images add.  The one rule behind the shift images of carried
         b-functionals and the pushforward on functionals, in either basis."""
         out: dict[int, Fraction] = {}
         for gid, coeff in coords:
             image = self.f_image_of(gid)
             if image is not None:
-                out[image] = out.get(image, Fraction(0)) + coeff
+                out[image] = out[image] + coeff if image in out else coeff
         return out
 
     def f_iterate(self, gid: int, steps: int) -> Optional[int]:
@@ -306,8 +307,9 @@ class Universe:
 
     # -- interning -------------------------------------------------------------
 
-    def intern(self, cand: Candidate) -> int:
-        """Add an element (idempotent); returns its id.
+    def intern(self, cand: Candidate, key: Optional[tuple] = None) -> int:
+        """Add an element (idempotent); returns its id.  ``key`` is the
+        candidate's key, when the caller already has it.
 
         New ranks at or above the current maximum extend the universe and
         keep the sigma counter rank-monotone.  Interning strictly below the
@@ -315,7 +317,8 @@ class Universe:
         the cross-rank sigma ordering; such interns are counted so reports
         can disclose them.
         """
-        key = cand.key()
+        if key is None:
+            key = cand.key()
         found = self._key_to_id.get(key)
         if found is not None:
             return found
@@ -394,8 +397,8 @@ class Universe:
                 f"element budget exceeded ({self.config.max_elements})"
             )
         before = len(self.elements)
-        for cand in sorted(selected, key=lambda c: c.key()):
-            self.intern(cand)
+        for key, cand in sorted(((c.key(), c) for c in selected), key=itemgetter(0)):
+            self.intern(cand, key)
         self._enumerated_to = rank
         return list(range(before, len(self.elements)))
 

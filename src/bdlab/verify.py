@@ -24,17 +24,21 @@ in table order against the suite's own seeded generator.
 A linear identity that holds on a basis holds everywhere, so the basis round
 trips, the duality of pushforward and pullback, its agreement with the basis
 change, the pullback of basis vectors, tail commutation and the scalar
-matrix model are checked on every basis element, which proves them.  The
-shift suite's duality, basis-change and preimage-sum checks count the
-elements they covered, or the violations with the first of them.  The shift
-table has one owner, the universe's image and preimage maps, with one push
-rule (``Universe.push``); the table laws are read off the maps.  The power
+matrix model are checked on every basis element, which proves them; the
+duality, basis-change and preimage-sum checks count the elements they
+covered, or the violations with the first of them.  The shift table has one
+owner, the universe's image and preimage maps, with one push rule
+(``Universe.push``); the table laws are read off the maps, and the power
 rank and the compact-difference family are proved from the map's orbits.
-Only the extensions stay a seeded sample, so ``--seed`` drives nothing
-else.  The functional suite's proofs (unit rows, round trips, window
-columns, analysis forms) run on the coding-row store's integer kernels and
-compare integer numerators over a common denominator; a ``Fraction`` is
-built only for a reported mass.
+Only the extensions stay a seeded sample, so ``--seed`` drives nothing else.
+
+Every per-element identity runs on integers.  The shift proofs feed integer
+units to the real pushforward, pullback and tail restriction; the functional
+proofs and the extensions run on the coding-row store's integer kernels.
+Both compare integer numerators over a common denominator by
+cross-multiplication and build a ``Fraction`` only for a value they report.
+The preimage sums follow from the duality, basis-change and unit-row proofs,
+but stay a check of their own, so that they hold whichever suites run.
 
 One rule grades every outcome (``_grade``): an info-kind check is INFO, a
 check that holds is PASS, and a check that fails is FAIL unless its kind has
@@ -52,7 +56,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import product
 from math import lcm
 from typing import Any, Callable, Iterable, Optional, Sequence
@@ -60,20 +63,13 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 from .algebra import (
     D_BASIS,
     E_BASIS,
-    AnalysisStep,
-    CodingRows,
     Functional,
     IntCoords,
     Vector,
     coding_rows,
-    d_coords_of,
     d_vector,
-    e_star,
     evaluation_analysis,
-    extend,
     project_star,
-    synthesize,
-    to_e_basis,
     to_integers,
 )
 from .config import RELAXED, ConstructionConfig
@@ -320,37 +316,43 @@ def _ranks_climb(members: Callable[[Universe, int], Iterable[int]], offence: str
     return run
 
 
-def _membership_sets(universe: Universe, rng: random.Random) -> tuple[bool, str]:
-    recomputed: dict[int, set[int]] = {g: set() for g in universe.ids()}
-    for gid in universe.ids():
+def _membership(universe: Universe, rng: random.Random) -> list[Outcome]:
+    """The four membership-set checks, on each element's sigma-set read once."""
+    sets = {g: universe.sigma_set(g) for g in universe.ids()}
+    recomputed: dict[int, set[int]] = {g: set() for g in sets}
+    for gid in sets:
         cur: Optional[int] = gid
         for _ in range(universe.config.k):
             if cur is None:
                 break
             recomputed[cur].add(universe.sigma(gid))
             cur = universe.f_image_of(cur)
-    return all(frozenset(recomputed[g]) == universe.sigma_set(g) for g in universe.ids()), ""
+    orbits = all(frozenset(recomputed[g]) == members for g, members in sets.items())
 
-
-def _membership_monotone(universe: Universe, rng: random.Random) -> tuple[bool, str]:
-    def holds(gid: int) -> bool:
+    def monotone(gid: int) -> bool:
         image = universe.f_image_of(gid)
-        return image is None or universe.sigma_set(gid) <= universe.sigma_set(image)
+        return image is None or sets[gid] <= sets[image]
 
-    return all(map(holds, universe.ids())), ""
+    by_sigma = {universe.sigma(g): g for g in sets}
 
+    def identifies(delta: int) -> bool:
+        """Each member names an element whose orbit reaches delta."""
+        for value in sets[delta]:
+            gamma = by_sigma.get(value)
+            if gamma is None or delta not in (
+                universe.f_iterate(gamma, j) for j in range(universe.config.k)
+            ):
+                return False
+        return True
 
-def _chain_positions(universe: Universe, rng: random.Random) -> tuple[bool, str]:
-    by_sigma = {universe.sigma(g): g for g in universe.ids()}
-
-    def identifies(delta: int, value: int) -> bool:
-        gamma = by_sigma.get(value)
-        return gamma is not None and (
-            gamma == delta
-            or any(universe.f_iterate(gamma, j) == delta for j in range(1, universe.config.k))
-        )
-
-    return all(identifies(d, v) for d in universe.ids() for v in universe.sigma_set(d)), ""
+    overlap = "membership overlap between ranks at {rank}"
+    separated = _ranks_climb(lambda u, g: sets[g], overlap)(universe, rng)
+    return [
+        ("membership sets match the orbit definition", IDENTITY, orbits, ""),
+        ("membership monotone under the shift", IDENTITY, all(map(monotone, sets)), ""),
+        ("membership separated by rank", GROWN, *separated),
+        ("membership identifies chain position", IDENTITY, all(map(identifies, sets)), ""),
+    ]
 
 
 def _carried_weights_fault(universe: Universe, gid: int) -> str:
@@ -381,9 +383,10 @@ def _rebuild_determinism(universe: Universe, rng: random.Random) -> list[Outcome
     name = "rebuild determinism"
     if universe.interior_interns:
         return [(name, INFO_KIND, True, "skipped: universe contains post-enumeration elements")]
+    fingerprint = universe.fingerprint()
     twin = build_universe(universe.config)
-    same = twin.fingerprint() == universe.fingerprint() and len(twin) == len(universe)
-    return [(name, IDENTITY, same, f"fingerprint {universe.fingerprint()[:16]}...")]
+    same = twin.fingerprint() == fingerprint and len(twin) == len(universe)
+    return [(name, IDENTITY, same, f"fingerprint {fingerprint[:16]}...")]
 
 
 _GAMMA: tuple[Entry, ...] = (
@@ -406,14 +409,7 @@ _GAMMA: tuple[Entry, ...] = (
             lambda u, g: {u.sigma(g)}, "rank {rank} numbering does not clear rank {below}"
         ),
     ),
-    Check("membership sets match the orbit definition", IDENTITY, _membership_sets),
-    Check("membership monotone under the shift", IDENTITY, _membership_monotone),
-    Check(
-        "membership separated by rank",
-        GROWN,
-        _ranks_climb(lambda u, g: u.sigma_set(g), "membership overlap between ranks at {rank}"),
-    ),
-    Check("membership identifies chain position", IDENTITY, _chain_positions),
+    _membership,
     Check(
         "odd-weight carried weights decrease", IDENTITY, _first_violation(_carried_weights_fault)
     ),
@@ -502,6 +498,10 @@ def _heaviest_windows(
     )
 
 
+def _scaled(coords: IntCoords, t: int) -> IntCoords:
+    return {g: v * t for g, v in coords.items()}
+
+
 def _unit_row_fault(universe: Universe, gid: int) -> str:
     rows, top = coding_rows(universe), universe.max_rank
     coords, q = rows.read_off(*rows.synthesize({gid: 1}, 1, top), top)
@@ -555,40 +555,7 @@ def _round_trips(universe: Universe, rng: random.Random) -> tuple[bool, str]:
     return ok, ""
 
 
-# An integer functional: e*-numerators over one denominator.
-IntFunctional = tuple[IntCoords, int]
-
-# The windowed and unwindowed analysis pieces of a chain element xi: d*_xi
-# plus beta times its combination projected on (lo, p] and on (lo, infinity).
-# beta is the analysed element's weight, so the weight index is in the key.
-Pieces = dict[tuple[int, int], tuple[IntFunctional, IntFunctional]]
-
-
-def _sum(*terms: tuple[IntCoords, int, int]) -> IntFunctional:
-    """The sum of factor * coords / den over the terms (coords, den, factor),
-    as numerators over the least common denominator of the terms."""
-    common = lcm(*(den for _, den, _ in terms))
-    out: IntCoords = {}
-    for coords, den, factor in terms:
-        factor *= common // den
-        for g, v in coords.items():
-            out[g] = out.get(g, 0) + factor * v
-    return {g: v for g, v in out.items() if v}, common
-
-
-def _analysis_pieces(
-    rows: CodingRows, step: AnalysisStep, lo: int, beta: Fraction
-) -> tuple[IntFunctional, IntFunctional]:
-    head = (({step.xi: 1}, 1, 1), (rows.num[step.xi], rows.den[step.xi], -1))
-    b, q = rows.to_d(*to_integers(dict(step.b.items())))
-    windowed, unwindowed = (
-        _sum(*head, (tail, tq * beta.denominator, beta.numerator))
-        for tail, tq in (rows.to_e(rows.restrict(b, lo, hi), q) for hi in (step.p, None))
-    )
-    return windowed, unwindowed
-
-
-def _analysis_fault(universe: Universe, gid: int, memo: Pieces) -> str:
+def _analysis_fault(universe: Universe, gid: int) -> str:
     """The last form of the element's analysis that differs from e*_gid.
 
     Along the chain xi_0, ..., xi_(a-1) = gid with cuts p_(-1) < p_0 < ...,
@@ -596,55 +563,62 @@ def _analysis_fault(universe: Universe, gid: int, memo: Pieces) -> str:
     projected on (p_(r-1), p_r] (windowed) or on (p_(r-1), infinity).  The
     full forms sum every step's piece; partial form t (1 <= t < a) puts
     e*_(xi_(t-1)) in place of the first t steps and sums the windowed
-    pieces of the rest.  Each form should be e*_gid; the windowed and
-    unwindowed ones agree because each combination lies below its own cut.
-    In report order the forms are the unwindowed and windowed full forms,
-    then partial forms 1..a-1.  A piece depends only on its chain element,
-    so pieces are shared by every element whose chain passes through it,
-    and the partial forms are suffix sums: the forms are tried from the
-    last one back, and the first that differs is named.  Forms are compared
-    as numerators over their own denominator.
+    pieces of the rest.  Each form should be e*_gid.
+
+    The forms telescope, so all of them hold exactly when each chain
+    element's own piece, windowed and unwindowed, is e*_(xi_r) minus
+    e*_(xi_(r-1)) (minus nothing at age 1); as d*_gid = e*_gid - c*_gid,
+    that is beta times the projected combination equal to c*_gid minus
+    e*_(xi_(a-2)).  Every chain element comes before gid in id order and is
+    itself checked, so the first element whose own piece differs is the
+    first whose forms differ, and its last differing form is partial form
+    a-1 when the windowed piece differs (age a > 1), else a full form.
     """
     if universe.element(gid).kind == BASE:
         return ""
     rows = coding_rows(universe)
     analysis = evaluation_analysis(universe, gid)
     beta = universe.config.weight(analysis.weight_idx)
-    cuts = analysis.cut_points()
-    pieces = []
-    for r, step in enumerate(analysis.steps):
-        key = (step.xi, analysis.weight_idx)
-        if key not in memo:
-            memo[key] = _analysis_pieces(rows, step, cuts[r], beta)
-        pieces.append(memo[key])
-    suffix: IntFunctional = ({}, 1)
-    for start in range(analysis.age - 1, 0, -1):
-        suffix = _sum((*suffix, 1), (*pieces[start][0], 1))
-        coords, q = suffix
-        # e*_(xi_(start-1)) + suffix = e*_gid; chain elements are distinct
-        if coords != {gid: q, analysis.steps[start - 1].xi: -q}:
-            return f"partial form {start} differs at element {gid}"
-    full = _sum((*suffix, 1), (*pieces[0][0], 1))
-    unwindowed = _sum(*((*piece, 1) for _, piece in pieces))
-    if any(coords != {gid: q} for coords, q in (full, unwindowed)):
-        return f"full form differs at element {gid}"
+    step, lo = analysis.steps[-1], analysis.cut_points()[-2]
+    b, q = rows.to_d(*to_integers(dict(step.b.items())))
+    # c*_gid - e*_(xi_(a-2)) as numerators over the row's denominator
+    row, den = dict(rows.num[gid]), rows.den[gid]
+    if analysis.age > 1:
+        previous = analysis.steps[-2].xi
+        row[previous] = row.get(previous, 0) - den
+    row = {g: v for g, v in row.items() if v}
+    checked = None
+    for hi in (step.p, None):
+        kept = rows.restrict(b, lo, hi)
+        if kept == checked:
+            continue  # the unwindowed piece is the windowed one, already checked
+        checked = kept
+        tail, tq = rows.to_e(kept, q)
+        if _scaled(tail, beta.numerator * den) != _scaled(row, tq * beta.denominator):
+            if hi is not None and analysis.age > 1:
+                return f"partial form {analysis.age - 1} differs at element {gid}"
+            return f"full form differs at element {gid}"
     return ""
 
 
-def _analysis_forms(universe: Universe, rng: random.Random) -> tuple[bool, str]:
-    memo: Pieces = {}
-    return _first_violation(lambda u, g: _analysis_fault(u, g, memo))(universe, rng)
+_analysis_forms = _first_violation(_analysis_fault)
 
 
 def _extensions(universe: Universe, rng: random.Random) -> tuple[bool, str]:
+    """Seeded data up to each cut, synthesized, extended to the top and read
+    off again on the integer kernels; each cut's pool from the level index."""
+    rows, top = coding_rows(universe), universe.max_rank
     ok = True
-    for q in range(1, universe.max_rank):
-        pool = [g for g in universe.ids() if universe.element(g).rank <= q]
+    for q in range(1, top):
+        pool = universe.ids_in_window(0, q)
         for _ in range(3):
             chosen = rng.sample(pool, min(3, len(pool)))
-            data = {g: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for g in chosen}
-            x = extend(universe, dict(synthesize(universe, data, q).coords), q)
-            ok = d_coords_of(universe, x) == {g: c for g, c in data.items() if c != 0} and ok
+            drawn = [(g, rng.randint(-6, 6), rng.randint(1, 4)) for g in chosen]
+            common = lcm(*(den for _, _, den in drawn))
+            data = {g: num * (common // den) for g, num, den in drawn if num}
+            x, xq = rows.synthesize(data, common, q)
+            coords, cq = rows.read_off(*rows.extend(x, xq, q, top), top)
+            ok = _scaled(coords, common) == _scaled(data, cq) and ok
     return ok, ""
 
 
@@ -703,38 +677,43 @@ def _adjoint(universe: Universe, rng: random.Random) -> tuple[bool, str]:
 
     def violated(gid: int) -> bool:
         image = universe.f_image_of(gid)
-        pushed = Functional(E_BASIS, {} if image is None else {image: Fraction(1)})
-        pulled = {pi: Fraction(1) for pi in preimages.get(gid, ())}
+        pushed = Functional(E_BASIS, {} if image is None else {image: 1})
+        pulled = dict.fromkeys(preimages.get(gid, ()), 1)
         return (
-            s_star(universe, e_star(gid)) != pushed
-            or s_apply(universe, Vector({gid: Fraction(1)}, top)).coords != pulled
+            s_star(universe, Functional(E_BASIS, {gid: 1})) != pushed
+            or s_apply(universe, Vector({gid: 1}, top)).coords != pulled
         )
 
     return _exhaustive(universe, violated)
 
 
 def _preimage_sums(universe: Universe, rng: random.Random) -> tuple[bool, str]:
+    """The pullback of each d_delta is the sum of d_gamma over the preimages
+    gamma of delta: both sides synthesized on the integer kernel (the sum at
+    once, from the preimages' unit data) and cross-multiplied."""
+    rows, top = coding_rows(universe), universe.max_rank
+
     def violated(delta: int) -> bool:
-        lhs = s_apply(universe, d_vector(universe, delta))
-        rhs = reduce(
-            Vector.plus,
-            (d_vector(universe, gamma) for gamma in universe.f_preimages_of(delta)),
-            Vector({}, universe.max_rank),
-        )
-        return lhs.coords != rhs.coords
+        x, q = rows.synthesize({delta: 1}, 1, top)
+        lhs, lq = to_integers(s_apply(universe, Vector(x, top)).coords)
+        rhs, rq = rows.synthesize(dict.fromkeys(universe.f_preimages_of(delta), 1), 1, top)
+        return _scaled(lhs, rq) != _scaled(rhs, lq * q)
 
     return _exhaustive(universe, violated)
 
 
 def _basis_change(universe: Universe, rng: random.Random) -> tuple[bool, str]:
-    """The pushforward commutes with the change to e*-coordinates on every
-    d*-unit functional, hence on every functional."""
+    """to_e(S* d*_gid) = S* to_e(d*_gid) on every d*-unit, hence on every
+    functional: both sides on ``CodingRows.to_e``, cross-multiplied; what the
+    pushforward returns enters the kernel through ``to_integers``."""
+    rows = coding_rows(universe)
 
     def violated(gid: int) -> bool:
-        f = Functional(D_BASIS, {gid: Fraction(1)})
-        return to_e_basis(universe, s_star(universe, f)) != s_star(
-            universe, to_e_basis(universe, f)
-        )
+        pushed = s_star(universe, Functional(D_BASIS, {gid: 1}))
+        left, lq = rows.to_e(*to_integers(pushed.coords))
+        unit, uq = rows.to_e({gid: 1}, 1)
+        right, rq = to_integers(s_star(universe, Functional(E_BASIS, unit)).coords)
+        return _scaled(left, rq * uq) != _scaled(right, lq)
 
     return _exhaustive(universe, violated)
 
@@ -745,9 +724,9 @@ def _tail_fault(universe: Universe, gid: int) -> str:
     cuts below its rank.  With the basis-change proof, S* d*_gid is d*_F(gid)
     (or zero), and F keeps rank, so on d*_gid both sides are constant on the
     cuts below rank gid and on the cuts from rank gid up.  Checking one cut
-    from each range, with the real operators, proves the identity for every
-    functional and every cut."""
-    unit = Functional(D_BASIS, {gid: Fraction(1)})
+    from each range, with the real operators on the integer unit, proves the
+    identity for every functional and every cut."""
+    unit = Functional(D_BASIS, {gid: 1})
     pushed = s_star(universe, unit)
     rank = universe.element(gid).rank
     for p in (rank - 1, rank):

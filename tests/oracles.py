@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-
+from functools import reduce
 from typing import Callable, Iterable, Optional, Sequence
+from weakref import WeakKeyDictionary
 
 from bdlab.algebra import (
     D_BASIS,
@@ -22,21 +23,52 @@ from bdlab.algebra import (
     Vector,
     b_as_functional,
     c_star,
+    coding_rows,
+    d_coords_of,
     d_star,
+    d_vector,
     e_star,
     evaluation_analysis,
+    extend,
     l1_norm,
     project_star,
+    sup_norm,
+    synthesize,
     to_d_basis,
+    to_e_basis,
 )
 from bdlab.config import STRICT
-from bdlab.elements import BASE, TYPE1, TYPE2
-from bdlab.sequences import INFO, INFO_KIND, ClauseResult
+from bdlab.elements import BASE, TYPE1, TYPE2, describe
+from bdlab.sequences import (
+    INFO,
+    INFO_KIND,
+    ClauseResult,
+    EstimateReport,
+    SearchResult,
+    _bound_clause,
+    _capping_notes,
+    block_sequence,
+    greedy_j_seq,
+)
 from bdlab.serialize import format_rational
-from bdlab.shift import compact_witness
+from bdlab.shift import compact_witness, s_apply, s_star
 from bdlab.universe import Universe, UniverseError
 
 Matrix = list[list[Fraction]]
+
+# Coding rows as Fractions, one c_star read per stored row: a stored row
+# never changes, and a row replaced in the store is read again.
+_ROW_READS: "WeakKeyDictionary[Universe, dict[int, tuple[object, Coords]]]" = WeakKeyDictionary()
+
+
+def stored_row(universe: Universe, gid: int) -> Coords:
+    """The coding row of gid as ``c_star`` reads it, memoized per stored row."""
+    num = coding_rows(universe).num[gid]
+    reads = _ROW_READS.setdefault(universe, {})
+    read = reads.get(gid)
+    if read is None or read[0] is not num:
+        read = reads[gid] = (num, c_star(universe, gid).coords)
+    return read[1]
 
 
 def dstar_matrix(universe: Universe) -> Matrix:
@@ -50,7 +82,7 @@ def dstar_matrix(universe: Universe) -> Matrix:
     for gid in range(n):
         row = [Fraction(0)] * n
         row[gid] = Fraction(1)
-        for h, c in c_star(universe, gid).coords.items():
+        for h, c in stored_row(universe, gid).items():
             row[h] -= c
         rows.append(row)
     return rows
@@ -112,7 +144,7 @@ def sweep_synthesize(
     coords: Coords = {}
     for gid in _ids_by_rank(universe, 1, top):
         value = d_coords.get(gid, Fraction(0))
-        for h, c in c_star(universe, gid).coords.items():
+        for h, c in stored_row(universe, gid).items():
             if c != 0:
                 hv = coords.get(h)
                 if hv is not None:
@@ -133,7 +165,7 @@ def sweep_extend(
             coords[gid] = v
     for gid in _ids_by_rank(universe, q + 1, top):
         value = Fraction(0)
-        for h, c in c_star(universe, gid).coords.items():
+        for h, c in stored_row(universe, gid).items():
             hv = coords.get(h)
             if hv is not None:
                 value += c * hv
@@ -146,7 +178,7 @@ def sweep_d_coords_of(universe: Universe, x: Vector) -> Coords:
     out: Coords = {}
     for gid in _ids_by_rank(universe, 1, x.horizon):
         value = x.at(gid)
-        for h, c in c_star(universe, gid).coords.items():
+        for h, c in stored_row(universe, gid).items():
             hv = x.coords.get(h)
             if hv is not None:
                 value -= c * hv
@@ -162,7 +194,7 @@ def sweep_to_d(
     over every element, from the top rank down (ids ascending within a
     rank).  ``rows`` are the coding rows to use, the stored ones by default."""
     if rows is None:
-        rows = [c_star(universe, g).coords for g in universe.ids()]
+        rows = [stored_row(universe, g) for g in universe.ids()]
     work = dict(coords)
     out: Coords = {}
     for gid in sorted(range(len(rows)), key=lambda g: (-universe.element(g).rank, g)):
@@ -179,7 +211,7 @@ def sweep_to_e(
 ) -> Coords:
     """e*-coordinates of a d*-functional: each d*_g is e*_g minus row g."""
     if rows is None:
-        rows = [c_star(universe, g).coords for g in universe.ids()]
+        rows = [stored_row(universe, g) for g in universe.ids()]
     out: Coords = {}
     for gid, a in coords.items():
         out[gid] = out.get(gid, Fraction(0)) + a
@@ -519,3 +551,232 @@ def sampled_compact_differences(universe: Universe, seed: int = 0) -> tuple[bool
     except UniverseError as err:
         return False, False, f"witness family unavailable: {err}"
     return True, ok, detail if not ok else f"{pairs} exact differences"
+
+
+# -- Fraction references for the integer shift proofs and extensions ----------------
+#
+# The checks as they read before they moved onto integer numerators: every
+# unit, image and basis vector is built as Fractions through the package's
+# Fraction API.  Each returns ``(ok, detail)`` as the suite's check does.
+
+
+def _exhaustive_reference(universe: Universe, violated: Callable[[int], bool]) -> tuple[bool, str]:
+    bad = [g for g in universe.ids() if violated(g)]
+    if not bad:
+        return True, f"exhaustive over {len(universe)} elements"
+    first = describe(universe.element(bad[0]))
+    return False, f"{len(bad)} of {len(universe)} elements violate it; first {first}"
+
+
+def fraction_adjoint(universe: Universe) -> tuple[bool, str]:
+    top = universe.max_rank
+    preimages: dict[int, list[int]] = {}
+    for g in universe.ids():
+        image = universe.f_image_of(g)
+        if image is not None:
+            preimages.setdefault(image, []).append(g)
+
+    def violated(gid: int) -> bool:
+        image = universe.f_image_of(gid)
+        pushed = Functional(E_BASIS, {} if image is None else {image: Fraction(1)})
+        pulled = {pi: Fraction(1) for pi in preimages.get(gid, ())}
+        return (
+            s_star(universe, e_star(gid)) != pushed
+            or s_apply(universe, Vector({gid: Fraction(1)}, top)).coords != pulled
+        )
+
+    return _exhaustive_reference(universe, violated)
+
+
+def fraction_preimage_sums(universe: Universe) -> tuple[bool, str]:
+    def violated(delta: int) -> bool:
+        lhs = s_apply(universe, d_vector(universe, delta))
+        rhs = reduce(
+            Vector.plus,
+            (d_vector(universe, gamma) for gamma in universe.f_preimages_of(delta)),
+            Vector({}, universe.max_rank),
+        )
+        return lhs.coords != rhs.coords
+
+    return _exhaustive_reference(universe, violated)
+
+
+def fraction_basis_change(universe: Universe) -> tuple[bool, str]:
+    def violated(gid: int) -> bool:
+        f = Functional(D_BASIS, {gid: Fraction(1)})
+        return to_e_basis(universe, s_star(universe, f)) != s_star(
+            universe, to_e_basis(universe, f)
+        )
+
+    return _exhaustive_reference(universe, violated)
+
+
+def fraction_tail_commutation(universe: Universe) -> tuple[bool, str]:
+    for gid in universe.ids():
+        unit = Functional(D_BASIS, {gid: Fraction(1)})
+        pushed = s_star(universe, unit)
+        rank = universe.element(gid).rank
+        for p in (rank - 1, rank):
+            left = s_star(universe, project_star(universe, p, None, unit))
+            if left != project_star(universe, p, None, pushed):
+                return False, f"element {gid} at cut {p}"
+    return True, ""
+
+
+def fraction_extensions(universe: Universe, rng: random.Random) -> tuple[bool, str]:
+    ok = True
+    for q in range(1, universe.max_rank):
+        pool = [g for g in universe.ids() if universe.element(g).rank <= q]
+        for _ in range(3):
+            chosen = rng.sample(pool, min(3, len(pool)))
+            data = {g: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for g in chosen}
+            x = extend(universe, dict(synthesize(universe, data, q).coords), q)
+            ok = d_coords_of(universe, x) == {g: c for g, c in data.items() if c != 0} and ok
+    return ok, ""
+
+
+# -- Fraction references for the weighted scans ---------------------------------------
+#
+# The sequence laboratory's scans as they read before they compared integer
+# numerators: Fraction scores read through ``Vector.at`` at every weighted
+# element (``scan_argmax_weighted``).
+
+
+def _total(xs: Sequence[Vector], gid: int) -> Fraction:
+    return sum((x.at(gid) for x in xs), Fraction(0))
+
+
+def fraction_minimal_ris_constant(
+    universe: Universe, xs: Sequence[Vector], j_seq: Optional[Sequence[int]] = None
+) -> Fraction:
+    seq = block_sequence(universe, xs)
+    js = tuple(j_seq) if j_seq is not None else greedy_j_seq(universe, seq)
+    best = max((sup_norm(x) for x in xs), default=Fraction(0))
+    for k, x in enumerate(xs):
+        jk = js[k] if k < len(js) else 1
+        worst, _ = scan_argmax_weighted(
+            universe, [x], lambda w: w < jk, lambda w, g: abs(x.at(g)) / universe.config.weight(w)
+        )
+        best = max(best, worst)
+    return best
+
+
+def fraction_off_weight_clauses(
+    universe: Universe, x: Vector, C: Fraction, j: int
+) -> tuple[ClauseResult, ClauseResult]:
+    """The two off-weight clauses (5) of ``check_exact_pair``."""
+    cfg = universe.config
+    lo_worst, lo_id = scan_argmax_weighted(
+        universe, [x], lambda w: w < j, lambda w, g: abs(x.at(g)) / cfg.weight(w)
+    )
+    hi_worst, hi_id = scan_argmax_weighted(
+        universe, [x], lambda w: w > j, lambda w, g: abs(x.at(g))
+    )
+    return (
+        _bound_clause("(5) off-weight coordinates, lower indices", lo_worst, C, lo_id),
+        _bound_clause(
+            "(5) off-weight coordinates, higher indices", hi_worst, C * cfg.weight(j), hi_id
+        ),
+    )
+
+
+def fraction_minimal_pair_constant(universe: Universe, x: Vector, j: int) -> Fraction:
+    """``minimal_pair_constant`` for the exact form (no epsilon)."""
+    cfg = universe.config
+    need = sup_norm(x)
+    for coeff in d_coords_of(universe, x).values():
+        need = max(need, abs(coeff) / cfg.weight(j))
+    worst, _ = scan_argmax_weighted(
+        universe, [x], lambda w: w != j, lambda w, g: abs(x.at(g)) / cfg.weight(min(w, j))
+    )
+    return max(need, worst)
+
+
+def fraction_lower_bound_search(universe: Universe, xs: Sequence[Vector], j: int) -> SearchResult:
+    cfg = universe.config
+    widx = 2 * j
+    rhs = cfg.weight(widx) / 2 * sum((sup_norm(x) for x in xs), Fraction(0))
+    lhs, witness = scan_argmax_weighted(
+        universe, xs, lambda w: w == widx, lambda w, g: _total(xs, g)
+    )
+    return SearchResult(witness=witness, lhs=lhs, rhs=rhs)
+
+
+def fraction_ris_averages(
+    universe: Universe, xs: Sequence[Vector], C: Fraction, j0: int
+) -> EstimateReport:
+    cfg = universe.config
+    a = len(xs)
+
+    def average(gid: int) -> Fraction:
+        return abs(_total(xs, gid)) / a
+
+    cases = [
+        ("weights below the sequence index", lambda w: w < j0,
+         lambda w: 16 * C * cfg.weight(j0) * cfg.weight(w)),
+        ("weights at or above the sequence index", lambda w: w >= j0,
+         lambda w: 4 * C / cfg.n(j0) + 6 * C * cfg.weight(w)),
+        ("weights strictly above the sequence index", lambda w: w > j0,
+         lambda w: 10 * C * cfg.weight(j0) ** 2),
+    ]
+    clauses = []
+    for name, weight_ok, bound in cases:
+        _, gid = scan_argmax_weighted(universe, xs, weight_ok, lambda w, g: average(g) - bound(w))
+        if gid is None:
+            lhs = rhs = Fraction(0)
+        else:
+            lhs, rhs = average(gid), bound(universe.element(gid).weight_idx)
+        clauses.append(_bound_clause(name, lhs, rhs, gid))
+    total = reduce(Vector.plus, xs, Vector({}, min(x.horizon for x in xs)))
+    clauses.append(_bound_clause("average norm", sup_norm(total.scaled(Fraction(1, a))),
+                                 10 * C * cfg.weight(j0)))
+    return EstimateReport("ris-averages", tuple(clauses), _capping_notes(universe, a, j0))
+
+
+def fraction_interval_sums(
+    universe: Universe, xs: Sequence[Vector], C: Fraction, j0: int, signs: bool
+) -> ClauseResult:
+    """The clause on the largest interval sum (alternating when ``signs``)
+    at the chain weight."""
+
+    def extremes(gid: int) -> Fraction:
+        prefix = lo = hi = Fraction(0)
+        for i, x in enumerate(xs):
+            prefix += -x.at(gid) if signs and i % 2 else x.at(gid)
+            lo, hi = min(lo, prefix), max(hi, prefix)
+        return hi - lo
+
+    worst, gid = scan_argmax_weighted(
+        universe, xs, lambda w: w == 2 * j0 - 1, lambda w, g: extremes(g)
+    )
+    name = "interval sums at the chain weight"
+    return _bound_clause(f"alternating {name}" if signs else name, worst, 7 * C, gid)
+
+
+def fraction_interval_hypothesis(
+    universe: Universe, xs: Sequence[Vector], lambdas: Sequence[Fraction], C: Fraction, j0: int
+) -> tuple[Fraction, Fraction, str]:
+    """The evaluated interval hypothesis of the weighted averages: lhs, rhs
+    and witness."""
+    a = len(xs)
+
+    def intervals(gid: int) -> list[tuple[Fraction, Fraction, int, int]]:
+        prefix = [Fraction(0)]
+        for lam, x in zip(lambdas, xs):
+            prefix.append(prefix[-1] + lam * x.at(gid))
+        return [
+            (abs(prefix[hi] - prefix[lo]), C * max(abs(v) for v in lambdas[lo:hi]), lo, hi)
+            for lo in range(a)
+            for hi in range(lo + 1, a + 1)
+        ]
+
+    def margin(interval: tuple[Fraction, Fraction, int, int]) -> Fraction:
+        return interval[0] - interval[1]
+
+    _, gid = scan_argmax_weighted(
+        universe, xs, lambda w: w == j0, lambda w, g: max(map(margin, intervals(g)))
+    )
+    if gid is None:
+        return Fraction(0), Fraction(1), "no instances"
+    lhs, rhs, lo, hi = max(intervals(gid), key=margin)
+    return lhs, rhs, f"element {gid}, interval [{lo + 1}, {hi}]"
