@@ -12,9 +12,13 @@ fresh child process against one source tree, and keeps the fastest repeat:
 A row holds n (elements built), R, the seconds of one ``build_universe``
 and of the compact-difference check on that universe (fastest repeats), of
 each suite and of the whole in-process ``verify`` (build included), and the
-sha256 of the report exactly as ``verify --format json`` prints it.  Runs
-are stored under a label, so the same table can hold the code before and
-after a change::
+sha256 of the report exactly as ``verify --format json`` prints it.  Each
+label also records the package import time: the median, over
+``--import-runs`` fresh interpreters with warm bytecode, of the
+``-X importtime`` cumulative microseconds of the top-level ``bdlab`` modules
+that ``import bdlab.cli`` loads (``bdlab`` and ``bdlab.cli``).  Runs are
+stored under a label, so the same table can hold the code before and after
+a change::
 
     python scripts/growth.py --label before --src /path/to/other/checkout/src
     python scripts/growth.py --label after
@@ -35,6 +39,7 @@ import json
 import math
 import os
 import platform
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -56,17 +61,18 @@ REPEAT = 2
 # Runs in the child with the chosen source tree first on sys.path.
 CHILD = r"""
 import hashlib, json, random, sys, time
-from dataclasses import replace
-from bdlab.config import load_config_file, validate_config
+from bdlab.config import config_from_dict
 from bdlab.serialize import stable_json
 from bdlab.universe import build_universe
 from bdlab.verify import _compact_differences, run_verification
 
 path, field, value = sys.argv[1], sys.argv[2], int(sys.argv[3])
 changes = {**json.loads(sys.argv[4]), field: value}
-cfg = load_config_file(path)
-if any(getattr(cfg, name) != v for name, v in changes.items()):
-    cfg = validate_config(replace(cfg, notes=(), **changes))
+with open(path, encoding="utf-8") as handle:
+    raw = json.load(handle)
+for name, v in changes.items():
+    (raw if name == "horizon" else raw.setdefault("net", {}))[name] = v
+cfg = config_from_dict(raw)
 started = time.perf_counter()
 universe = build_universe(cfg)
 build = time.perf_counter() - started
@@ -90,10 +96,36 @@ print(json.dumps({
 """
 
 
-def run_row(src: Path, path: str, field: str, value: int, fixed: dict) -> dict:
+def child_env(src: Path) -> dict[str, str]:
     env = {k: v for k, v in os.environ.items() if not k.startswith(("PYTHON", "BDLAB_"))}
     env["PYTHONPATH"] = str(src)
     env["PYTHONHASHSEED"] = "0"
+    return env
+
+
+def import_ms(src: Path, runs: int) -> dict:
+    """Median import time of ``bdlab.cli`` in milliseconds over fresh
+    interpreters, after one import that writes the bytecode."""
+    env = child_env(src)
+    command = [sys.executable, "-X", "importtime", "-c", "import bdlab.cli"]
+    subprocess.run(command, cwd=ROOT, env=env, capture_output=True, check=True)
+    samples = []
+    for _ in range(runs):
+        err = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True, check=True).stderr
+        total = 0
+        for line in err.splitlines():
+            # "import time: <self> | <cumulative> | <two spaces per level><name>"
+            if not line.startswith("import time:"):
+                continue
+            _, cumulative, name = line.split("|")
+            if name[1:] == name.strip() and name.strip().split(".")[0] == "bdlab":
+                total += int(cumulative)
+        samples.append(round(total / 1000, 2))
+    return {"median": round(statistics.median(samples), 2), "samples": samples}
+
+
+def run_row(src: Path, path: str, field: str, value: int, fixed: dict) -> dict:
+    env = child_env(src)
     best, build, compact = None, math.inf, math.inf
     for _ in range(REPEAT):
         out = subprocess.run(
@@ -133,10 +165,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", default="after", help="name of this run in the table")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="source tree to time")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_14.json")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_15.json")
+    parser.add_argument("--import-runs", type=int, default=21, help="interpreters timing the import")
     args = parser.parse_args(argv)
 
     table = json.loads(args.out.read_text()) if args.out.exists() else {"runs": {}}
+    imports = import_ms(args.src.resolve(), args.import_runs)
+    print(f"{args.label} import bdlab.cli: median {imports['median']} ms", file=sys.stderr)
     rows: dict[str, list[dict]] = {}
     for ladder, (path, field, values, fixed) in LADDERS.items():
         rows[ladder] = []
@@ -146,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
                   f"build {row['seconds']['build']}s verify {row['seconds']['verify']}s",
                   file=sys.stderr)
             rows[ladder].append(row)
-    table["runs"][args.label] = {"rows": rows, "exponents": exponents(rows)}
+    table["runs"][args.label] = {"rows": rows, "exponents": exponents(rows), "import_ms": imports}
     table["machine"] = {
         "python": platform.python_version(),
         "cpus": os.cpu_count(),

@@ -9,9 +9,10 @@ general solves.  Rank-window projections act as coordinate restrictions in
 the ``d*`` basis; a window ``(p, q)`` always means ranks r with p < r <= q.
 
 The coding rows ``c*`` of a universe live in one append-only store,
-``CodingRows``, which this module owns and keys by universe.  It holds per
-element the rank, the row, and the reverse "users" index (the elements whose
-rows mention it).  The store is synced on read: every entry point first
+``CodingRows``, which this module owns and keeps on its universe
+(``Universe.rows``), so the store lives as long as the universe.  It holds
+per element the rank, the row, and the reverse "users" index (the elements
+whose rows mention it).  The store is synced on read: every entry point first
 appends rows for ids it has not seen yet, which is sound because a row only
 mentions ids of lower rank interned earlier.  Building or growing a universe
 therefore computes no rows.  Rows are immutable once stored; ``c_star``
@@ -38,12 +39,10 @@ leaves this module.  There is no tolerance anywhere in this module.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional
-from weakref import WeakKeyDictionary
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from .elements import BASE, TYPE1, TYPE2, BFunctional, GammaElement
 from .universe import Universe
@@ -65,17 +64,16 @@ def _clean(coords: Coords) -> Coords:
     return dict(coords) if all(coords.values()) else {g: c for g, c in coords.items() if c}
 
 
-@dataclass
 class Functional:
     """A finitely supported functional tagged with its coordinate basis."""
 
-    basis: str
-    coords: Coords = field(default_factory=dict)
+    __slots__ = ("basis", "coords")
 
-    def __post_init__(self) -> None:
-        if self.basis not in (E_BASIS, D_BASIS):
-            raise AlgebraError(f"unknown basis {self.basis!r}")
-        self.coords = _clean(self.coords)
+    def __init__(self, basis: str, coords: Optional[Coords] = None) -> None:
+        if basis not in (E_BASIS, D_BASIS):
+            raise AlgebraError(f"unknown basis {basis!r}")
+        self.basis = basis
+        self.coords = {} if coords is None else _clean(coords)
 
     def support(self) -> list[int]:
         return sorted(self.coords)
@@ -102,16 +100,28 @@ class Functional:
             and self.coords == other.coords
         )
 
+    def __repr__(self) -> str:
+        return f"Functional(basis={self.basis!r}, coords={self.coords!r})"
 
-@dataclass
+
 class Vector:
     """Coordinates over the materialized elements of rank <= horizon."""
 
-    coords: Coords
-    horizon: int
+    __slots__ = ("coords", "horizon")
 
-    def __post_init__(self) -> None:
-        self.coords = _clean(self.coords)
+    def __init__(self, coords: Coords, horizon: int) -> None:
+        self.coords = _clean(coords)
+        self.horizon = horizon
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, Vector)
+            and self.coords == other.coords
+            and self.horizon == other.horizon
+        )
+
+    def __repr__(self) -> str:
+        return f"Vector(coords={self.coords!r}, horizon={self.horizon!r})"
 
     def at(self, gid: int) -> Fraction:
         return self.coords.get(gid, Fraction(0))
@@ -170,7 +180,7 @@ class CodingRows:
     its result the same way; q grows only where a division is inexact.
     """
 
-    __slots__ = ("rank", "num", "den", "users")
+    __slots__ = ("rank", "num", "den", "users", "__weakref__")
 
     def __init__(self) -> None:
         self.rank: list[int] = []
@@ -302,20 +312,17 @@ class CodingRows:
         return out, self._substitute(data, q, _ascending(rank, visit), data, out, -1)
 
 
-_STORES: "WeakKeyDictionary[Universe, CodingRows]" = WeakKeyDictionary()
-
-
 def row_store(universe: Universe) -> CodingRows:
     """The universe's coding-row store as synced so far (empty until first read)."""
-    store = _STORES.get(universe)
+    store = universe.rows
     if store is None:
-        store = _STORES[universe] = CodingRows()
+        store = universe.rows = CodingRows()
     return store
 
 
 def coding_rows(universe: Universe) -> CodingRows:
     """The universe's store, synced up to its newest element."""
-    store = _STORES.get(universe)
+    store = universe.rows
     if store is None or len(store.rank) < len(universe.elements):
         store = row_store(universe)
         store.sync(universe)
@@ -325,7 +332,7 @@ def coding_rows(universe: Universe) -> CodingRows:
 def _checked(universe: Universe, store: CodingRows, ids: Iterable[int]) -> None:
     n = len(store.rank)
     for gid in ids:
-        if gid >= n:
+        if not 0 <= gid < n:
             universe.element(gid)  # raises DanglingReference
 
 
@@ -522,15 +529,13 @@ def op_norm_l1(
 # -- evaluation analysis ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AnalysisStep:
+class AnalysisStep(NamedTuple):
     p: int              # rank of the chain element
     b: BFunctional      # the step's carried combination
     xi: int             # id of the chain element
 
 
-@dataclass(frozen=True)
-class EvaluationAnalysis:
+class EvaluationAnalysis(NamedTuple):
     gid: int
     weight_idx: int
     p0: int

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from typing import Any, Optional
 
 from .config import (
@@ -58,7 +57,7 @@ def resolve_config(name_or_path: str) -> ConstructionConfig:
     horizon = env_horizon(cfg.horizon)
     if horizon == cfg.horizon:
         return cfg
-    return validate_config(replace(cfg, horizon=horizon, notes=()))
+    return validate_config(cfg._replace(horizon=horizon, notes=()))
 
 
 def _emit(args: argparse.Namespace, payload: dict[str, Any], lines: list[str]) -> None:

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from .serialize import format_rational, parse_integer, parse_rational
 
@@ -38,15 +37,13 @@ class ConfigError(ValueError):
     """Raised when a configuration violates its declared regime."""
 
 
-@dataclass(frozen=True)
-class ClauseReport:
+class ClauseReport(NamedTuple):
     name: str
     ok: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class ConstructionConfig:
+class _ConfigFields(NamedTuple):
     k: int
     m_seq: tuple[Fraction, ...]
     n_seq: tuple[int, ...]
@@ -56,9 +53,13 @@ class ConstructionConfig:
     level_cap: int = 0  # 0 = no per-level cap
     regime: str = STRICT
     max_elements: int = 50_000
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    notes: tuple[str, ...] = ()
 
-    # -- derived accessors -------------------------------------------------
+
+class ConstructionConfig(_ConfigFields):
+    """The config fields and their derived accessors.  Declaring no
+    ``__slots__`` gives each config a ``__dict__`` for the cached ``weights``;
+    ``_replace`` makes a new config with an empty cache."""
 
     def m(self, j: int) -> Fraction:
         """m_j, 1-indexed."""
@@ -153,7 +154,7 @@ def validate_config(config: ConstructionConfig) -> ConstructionConfig:
             notes.append(f"relaxed regime drops {c.name}: {c.detail}")
     if config.max_support == 0:
         notes.append("net is empty (max_support=0); only zero-b odd-weight elements enumerate")
-    return replace(config, notes=tuple(notes))
+    return config._replace(notes=tuple(notes))
 
 
 def make_config(**kwargs: Any) -> ConstructionConfig:
@@ -291,7 +292,7 @@ def config_from_dict(raw: dict[str, Any]) -> ConstructionConfig:
         raise ConfigError(f"config missing required key {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config value: {exc}") from exc
-    return validate_config(replace(config, horizon=env_horizon(config.horizon)))
+    return validate_config(config._replace(horizon=env_horizon(config.horizon)))
 
 
 def desk_strict() -> ConstructionConfig:

@@ -10,20 +10,21 @@ Every element of the index set is one of three shapes:
                 rank (gap at least 2), inheriting the weight of ``xi``.
 
 Elements are value objects; identity within a universe is the interned id.
+Every record here is a ``typing.NamedTuple``: immutable, changed by copying
+with ``._replace``, and compared as a tuple of its fields.  A universe's
+``GammaElement`` repeats ``Candidate``'s seven fields in order, then adds its
+id and age, and shares ``Candidate.key``.
 """
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 BASE = "base"
 TYPE1 = "t1"
 TYPE2 = "t2"
 
-@dataclass(frozen=True)
-class BFunctional:
+class BFunctional(NamedTuple):
     """A finite rational combination of unit functionals, stored sorted.
 
     ``terms`` maps interned element ids to nonzero coefficients; it is kept
@@ -56,11 +57,6 @@ class BFunctional:
     def support(self) -> tuple[int, ...]:
         return tuple(eta for eta, _ in self.terms)
 
-    def l1(self) -> Fraction:
-        """The l1 mass, summed as numerators over the least common denominator."""
-        q = lcm(*(c.denominator for _, c in self.terms))
-        return Fraction(sum(abs(c.numerator) * (q // c.denominator) for _, c in self.terms), q)
-
     def items(self) -> Iterator[tuple[int, Fraction]]:
         return iter(self.terms)
 
@@ -68,8 +64,7 @@ class BFunctional:
         return tuple((eta, c.numerator, c.denominator) for eta, c in self.terms)
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     """An element shape prior to interning (no id, no age)."""
 
     kind: str
@@ -88,13 +83,20 @@ class Candidate:
         return (self.rank, 2, self.xi, self.weight_idx, self.b.key())
 
 
-@dataclass(frozen=True)
-class GammaElement(Candidate):
+class GammaElement(NamedTuple):
     """An interned element: its Candidate shape plus id and computed age."""
 
-    _: KW_ONLY
+    kind: str
+    rank: int
+    index: int
+    p: int
+    xi: int
+    weight_idx: int
+    b: BFunctional
     gid: int
-    age: int = 0
+    age: int
+
+    key = Candidate.key
 
     @property
     def is_base(self) -> bool:

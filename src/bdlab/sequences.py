@@ -24,12 +24,11 @@ cannot satisfy; nothing is ever silently weakened.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 from math import lcm
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .algebra import (
     AlgebraError,
@@ -78,8 +77,7 @@ class SupplierExhausted(ConstructionFailure):
     """A pair supplier cannot produce the requested pair."""
 
 
-@dataclass(frozen=True)
-class ClauseResult:
+class ClauseResult(NamedTuple):
     """One evaluated condition with its exact numbers.
 
     ``kind`` separates identity-level conditions (exact equalities that
@@ -147,8 +145,7 @@ def worst_status(results: Iterable[Any]) -> str:
 # -- block sequences ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlockSequence:
+class BlockSequence(NamedTuple):
     """Vectors with their rank ranges; zero vectors are tolerated (range None)."""
 
     vectors: tuple[Vector, ...]
@@ -184,8 +181,7 @@ def shifted_sequence(universe: Universe, seq: BlockSequence) -> BlockSequence:
 # -- rapid-increase certificates -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class RISCertificate:
+class RISCertificate(NamedTuple):
     constant: Fraction
     j_seq: tuple[int, ...]
     violations: tuple[str, ...] = ()
@@ -351,8 +347,7 @@ def _orbit_value(universe: Universe, x: Vector, eta: int, power: int) -> Fractio
     return x.at(target)
 
 
-@dataclass(frozen=True)
-class ExactPairReport:
+class ExactPairReport(NamedTuple):
     constant: Fraction
     j: int
     delta: int
@@ -544,8 +539,7 @@ def minimal_pair_constant(
 # -- pair construction over prescribed cuts ---------------------------------------
 
 
-@dataclass(frozen=True)
-class PairConstruction:
+class PairConstruction(NamedTuple):
     z: Vector
     eta: int
     chain: tuple[int, ...]
@@ -743,8 +737,7 @@ def helper_pair_parts(
 # -- pair suppliers and dependent chains -------------------------------------------
 
 
-@dataclass(frozen=True)
-class SuppliedPair:
+class SuppliedPair(NamedTuple):
     x: Vector
     eta: int
 
@@ -792,8 +785,7 @@ class DefaultPairSupplier:
         return SuppliedPair(x=d_vector(universe, theta), eta=eta)
 
 
-@dataclass(frozen=True)
-class DependentSequenceCertificate:
+class DependentSequenceCertificate(NamedTuple):
     j0: int
     delta: int
     weak: bool
@@ -975,8 +967,7 @@ def build_dependent_sequence(
     worst_m = min(cfg.m(w) for w in weight_indices)
     magnitude = _bound_clause("odd-weight magnitude", n_bound, worst_m)
     if n_bound == worst_m:
-        magnitude = replace(
-            magnitude,
+        magnitude = magnitude._replace(
             status=FAIL,
             witness="bound met with equality; strict inequality required",
         )
@@ -1011,8 +1002,7 @@ def build_dependent_sequence(
 # -- lower-bound witness search ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     witness: Optional[int]
     lhs: Fraction
     rhs: Fraction
@@ -1041,8 +1031,7 @@ def lower_bound_search(
 # -- shifted pairs ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShiftedPairOutcome:
+class ShiftedPairOutcome(NamedTuple):
     found: bool
     gamma: Optional[int]
     eta: Optional[int]
@@ -1161,8 +1150,7 @@ def build_shifted_exact_pair(
 # -- inequality diagnostics ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EstimateReport:
+class EstimateReport(NamedTuple):
     name: str
     clauses: tuple[ClauseResult, ...]
     notes: tuple[str, ...] = ()
@@ -1180,8 +1168,7 @@ class EstimateReport:
         }
 
 
-@dataclass(frozen=True)
-class RISInstance:
+class RISInstance(NamedTuple):
     """A block sequence packaged with its certificate data for diagnostics."""
 
     vectors: tuple[Vector, ...]

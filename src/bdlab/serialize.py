@@ -73,4 +73,7 @@ def _reject_floats(payload: Any) -> None:
             stack.extend(item)
             stack.extend(item.values())
         elif isinstance(item, (list, tuple)):
+            if hasattr(item, "_fields"):
+                # A record would be written as a bare array of its fields.
+                raise TypeError(f"refusing to serialize a {kind.__name__} record; use its JSON form")
             stack.extend(item)

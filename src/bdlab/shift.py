@@ -20,9 +20,8 @@ All arithmetic is exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .algebra import (
     E_BASIS,
@@ -135,8 +134,7 @@ def shift_power_family_rank(universe: Universe) -> int:
 # -- Toeplitz representation -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ToeplitzMatrix:
+class ToeplitzMatrix(NamedTuple):
     """k x k upper-triangular Toeplitz matrix; lambdas[i] fills diagonal i."""
 
     lambdas: tuple[Fraction, ...]

@@ -23,6 +23,7 @@ import heapq
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cache
+from math import lcm
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -81,6 +82,8 @@ class Universe:
         self._enumerated_to = 0
         self.interior_interns = 0
         self.notes: list[str] = list(config.notes)
+        # The coding-row store (``algebra.CodingRows``), made on first read.
+        self.rows = None
 
     # -- read API ------------------------------------------------------------
 
@@ -88,10 +91,12 @@ class Universe:
         return len(self.elements)
 
     def element(self, gid: int) -> GammaElement:
-        try:
-            return self.elements[gid]
-        except IndexError:
-            raise DanglingReference(f"no element with id {gid}") from None
+        if gid >= 0:
+            try:
+                return self.elements[gid]
+            except IndexError:
+                pass
+        raise DanglingReference(f"no element with id {gid}")
 
     def ids(self) -> range:
         return range(len(self.elements))
@@ -261,7 +266,9 @@ class Universe:
                         f"net membership: denominator {coeff.denominator} does not divide {cfg.denominator_bound}"
                     )
                     break
-            if cand.b.l1() > 1:
+            # l1 mass against 1: numerators over the least common denominator q
+            q = lcm(*(c.denominator for _, c in cand.b.terms))
+            if sum(abs(c.numerator) * (q // c.denominator) for _, c in cand.b.terms) > q:
                 bad.append("net membership: l1 mass exceeds 1")
 
     def _validate_t1(self, cand: Candidate) -> list[str]:

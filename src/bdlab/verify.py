@@ -54,11 +54,10 @@ always runs last and its effect is disclosed in the report notes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .algebra import (
     D_BASIS,
@@ -121,8 +120,7 @@ SUITE_ORDER = ("gamma", "functional", "shift", "sequence")
 SCHEMA = "bdlab.verify/1"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str
     detail: str = ""
@@ -134,8 +132,7 @@ class CheckResult:
         return out
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     name: str
     checks: tuple[CheckResult, ...]
 
@@ -152,8 +149,7 @@ class SuiteReport:
         }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     config: dict[str, Any]
     element_count: int
     level_counts: dict[int, int]
@@ -208,8 +204,7 @@ Outcome = tuple[str, str, bool, str]  # check name, kind, ok, detail
 Run = Callable[[Universe, random.Random], tuple[bool, str]]
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """A table entry with a single outcome: ``run`` returns ``(ok, detail)``."""
 
     name: str

@@ -28,7 +28,7 @@ from bdlab.algebra import (
     vector_range,
 )
 from bdlab.elements import BFunctional, t1_candidate, t2_candidate
-from bdlab.universe import build_universe
+from bdlab.universe import DanglingReference, build_universe
 from conftest import micro_config
 from oracles import (
     analysis_functional,
@@ -77,6 +77,16 @@ def test_coding_functional_of_carried_singleton_by_hand(micro2):
     assert c_star(micro2, 4) == Functional("e*", {0: F(-1, 16)})
     assert d_star(micro2, 4) == Functional("e*", {4: F(1), 0: F(1, 16)})
     assert to_d_basis(micro2, e_star(4)) == Functional("d*", {4: F(1), 0: F(-1, 16)})
+
+
+@pytest.mark.parametrize("read", [
+    lambda u: c_star(u, -1),
+    lambda u: to_d_basis(u, e_star(-1)),
+    lambda u: to_e_basis(u, Functional("d*", {-1: F(1)})),
+])
+def test_negative_ids_are_dangling_references(micro2, read):
+    with pytest.raises(DanglingReference):
+        read(micro2)
 
 
 def test_age_extension_coding_functional_by_hand():

@@ -337,6 +337,22 @@ def test_report_document(capsys):
     assert payload["chain"]["xi_chain"]
 
 
+def test_importing_the_cli_loads_no_dataclasses():
+    # Records are named tuples: generating dataclasses at import time would
+    # add to the set-up of every verb.  -S keeps site start-up hooks out.
+    env = dict(os.environ)
+    source_root = str(Path(bdlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (source_root, env.get("PYTHONPATH")) if p
+    )
+    code = "import sys, bdlab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, env=env, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_console_script_is_installed(micro_path):
     if sys.version_info >= (3, 11):
         import tomllib

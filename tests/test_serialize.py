@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bdlab.sequences import PASS, ClauseResult
 from bdlab.serialize import format_rational, parse_rational, stable_hash, stable_json
 
 
@@ -64,6 +65,12 @@ def test_stable_json_rejects_floats():
     ):
         with pytest.raises(ValueError, match="float"):
             stable_json(payload)
+
+
+def test_stable_json_rejects_records():
+    # A record must go through its own JSON form, never out as a bare array.
+    with pytest.raises(TypeError):
+        stable_json({"x": ClauseResult(name="c", status=PASS)})
 
 
 def test_stable_json_accepts_bools_and_ints():

@@ -7,8 +7,10 @@ order must both agree.
 """
 from __future__ import annotations
 
+import gc
 import json
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -145,6 +147,16 @@ def test_build_and_enumerate_compute_no_coding_rows(monkeypatch, capsys):
     monkeypatch.undo()
     c_star(u, len(u) - 1)
     assert len(row_store(u)) == len(u)
+
+
+def test_a_dropped_universe_releases_its_row_store():
+    u = build_universe(desk_strict())
+    c_star(u, len(u) - 1)
+    store = weakref.ref(row_store(u))
+    assert len(store()) == len(u)
+    del u
+    gc.collect()
+    assert store() is None
 
 
 # -- property: synthesis inverts the coordinate read-off and matches the dense solve --

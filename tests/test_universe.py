@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -173,9 +172,40 @@ def test_oversized_combination_is_named(micro_universe):
     assert any("l1 mass" in v for v in bad)
 
 
+@pytest.mark.parametrize(
+    "coords, admitted",
+    [
+        ({0: Fraction(1, 2), 1: Fraction(-1, 2)}, True),  # mass exactly 1
+        ({0: Fraction(1), 1: Fraction(-1, 2)}, False),  # 1 + 1/denominator_bound
+        ({0: Fraction(3, 2)}, False),
+    ],
+)
+def test_net_mass_boundary_is_exact(coords, admitted):
+    u = build_universe(micro_config(max_support=2, denominator_bound=2))
+    bad = u.validate_candidate(t1_candidate(2, 0, 2, BFunctional.from_dict(coords)))
+    assert bad == ([] if admitted else ["net membership: l1 mass exceeds 1"])
+
+
 def test_dangling_support_raises(micro_universe):
     with pytest.raises(DanglingReference):
         micro_universe.validate_candidate(t1_candidate(2, 0, 2, unit(99)))
+
+
+@pytest.mark.parametrize(
+    "cand",
+    [
+        t1_candidate(3, 0, 2, unit(-1)),  # a negative support id
+        t2_candidate(4, -1, 1, BFunctional.zero()),  # a negative xi
+    ],
+)
+def test_negative_ids_are_dangling_and_leave_the_universe_unchanged(micro_universe, cand):
+    u = micro_universe
+    size, fingerprint = len(u), u.fingerprint()
+    with pytest.raises(DanglingReference):
+        u.intern(cand)
+    assert (len(u), u.fingerprint()) == (size, fingerprint)
+    with pytest.raises(DanglingReference):
+        u.element(-1)
 
 
 def test_intern_raises_with_violation_list(micro_universe):
@@ -249,7 +279,7 @@ def test_element_budget_is_enforced():
 
 
 def test_a_base_level_past_the_budget_is_refused_before_it_is_listed():
-    cfg = replace(desk_strict(), k=300_000)
+    cfg = desk_strict()._replace(k=300_000)
     tracemalloc.start()
     try:
         with pytest.raises(UniverseError, match=r"element budget exceeded \(50000\)"):
@@ -263,7 +293,7 @@ def test_a_base_level_past_the_budget_is_refused_before_it_is_listed():
 def test_a_level_past_the_budget_stops_listing_one_candidate_past_it(monkeypatch):
     budget = 5000
     cfg = validate_config(
-        replace(desk_relaxed(), notes=(), level_cap=0, horizon=4, max_elements=budget)
+        desk_relaxed()._replace(notes=(), level_cap=0, horizon=4, max_elements=budget)
     )
     pulled = [0]
 
@@ -410,7 +440,7 @@ def _drawn_candidate(data, u: Universe):
     if cand.weight_idx % 2:
         pool = [g for g in pool if u.element(g).weight_idx % 4 == 0 < u.element(g).weight_idx]
     if pool and not data.draw(st.booleans()):
-        cand = replace(cand, b=unit(data.draw(st.sampled_from(pool))))
+        cand = cand._replace(b=unit(data.draw(st.sampled_from(pool))))
     return None if u.validate_candidate(cand) else cand
 
 
@@ -425,7 +455,7 @@ def _drawn_candidate(data, u: Universe):
 def test_indexes_match_scans_through_interior_interns(data):
     cap = data.draw(st.integers(min_value=2, max_value=10))
     if data.draw(st.booleans()):
-        cfg = validate_config(replace(desk_strict(), horizon=6, level_cap=cap))
+        cfg = validate_config(desk_strict()._replace(horizon=6, level_cap=cap))
     else:
         cfg = micro_config(
             k=data.draw(st.integers(min_value=2, max_value=3)),

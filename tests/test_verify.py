@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -200,7 +199,7 @@ def test_window_tie_goes_to_the_first_window_then_the_smallest_gid():
 def test_initial_projection_bound_is_graded_as_a_magnitude(regime, status):
     # m_1 = 1 turns the bound 1/(1 - 2/m_1) into -1, which no column mass
     # meets; validation would refuse such a config, so it is set directly
-    cfg = replace(micro_config(horizon=3), m_seq=(Fraction(1), Fraction(16)), regime=regime)
+    cfg = micro_config(horizon=3)._replace(m_seq=(Fraction(1), Fraction(16)), regime=regime)
     suite = run_functional_suite(build_universe(cfg), random.Random(0))
     check = next(c for c in suite.checks if c.name.startswith("initial projections"))
     assert check.status == status
@@ -517,7 +516,7 @@ def test_combination_above_its_cut_breaks_only_the_unwindowed_form(kind):
     eta = next(
         g for g in u.ids() if u.element(g).rank > el.rank and not c_star(u, g).coords
     )
-    u.elements[xi] = replace(el, b=BFunctional.from_dict({**dict(el.b.items()), eta: Fraction(1)}))
+    u.elements[xi] = el._replace(b=BFunctional.from_dict({**dict(el.b.items()), eta: Fraction(1)}))
     expected = (False, f"full form differs at element {xi}")
     assert per_form_analysis_check(u) == expected
     assert proof(verify._analysis_forms, u) == expected
