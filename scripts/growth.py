@@ -14,7 +14,7 @@ and of the compact-difference check on that universe (fastest repeats), of
 each suite and of the whole in-process ``verify`` (build included), and the
 sha256 of the report exactly as ``verify --format json`` prints it.  Each
 label also records the package import time: the median, over
-``--import-runs`` fresh interpreters with warm bytecode, of the
+``IMPORT_RUNS`` fresh interpreters with warm bytecode, of the
 ``-X importtime`` cumulative microseconds of the top-level ``bdlab`` modules
 that ``import bdlab.cli`` loads (``bdlab`` and ``bdlab.cli``).  Runs are
 stored under a label, so the same table can hold the code before and after
@@ -57,6 +57,7 @@ LADDERS = {
 }
 
 REPEAT = 2
+IMPORT_RUNS = 21
 
 # Runs in the child with the chosen source tree first on sys.path.
 CHILD = r"""
@@ -166,11 +167,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--label", default="after", help="name of this run in the table")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="source tree to time")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_15.json")
-    parser.add_argument("--import-runs", type=int, default=21, help="interpreters timing the import")
     args = parser.parse_args(argv)
 
     table = json.loads(args.out.read_text()) if args.out.exists() else {"runs": {}}
-    imports = import_ms(args.src.resolve(), args.import_runs)
+    imports = import_ms(args.src.resolve(), IMPORT_RUNS)
     print(f"{args.label} import bdlab.cli: median {imports['median']} ms", file=sys.stderr)
     rows: dict[str, list[dict]] = {}
     for ladder, (path, field, values, fixed) in LADDERS.items():

@@ -180,7 +180,7 @@ class CodingRows:
     its result the same way; q grows only where a division is inexact.
     """
 
-    __slots__ = ("rank", "num", "den", "users", "__weakref__")
+    __slots__ = ("rank", "num", "den", "users")
 
     def __init__(self) -> None:
         self.rank: list[int] = []

@@ -165,9 +165,6 @@ class BlockSequence(NamedTuple):
         """Block with at least one untouched rank between consecutive ranges."""
         return self._ranges_apart(2)
 
-    def __len__(self) -> int:
-        return len(self.vectors)
-
 
 def block_sequence(universe: Universe, vectors: Sequence[Vector]) -> BlockSequence:
     vecs = tuple(vectors)
@@ -291,7 +288,7 @@ def validate_ris(
     constant = Fraction(constant)
     js = tuple(j_seq) if j_seq is not None else greedy_j_seq(universe, seq)
     bad: list[str] = []
-    if len(js) != len(seq):
+    if len(js) != len(seq.vectors):
         bad.append("index sequence length mismatch")
         return RISCertificate(constant, js, tuple(bad))
     if not seq.is_block:

@@ -112,11 +112,21 @@ def test_shifted_sequence_applies_the_operator():
     u = build_universe(micro_config(horizon=3))
     seq = block_sequence(u, [d_vector(u, 0)])
     shifted = shifted_sequence(u, seq)
-    assert len(shifted) == 1
+    assert len(shifted.vectors) == 1
     preimage_sum = synthesize(u, {})
     for g in u.f_preimages_of(0):
         preimage_sum = preimage_sum.plus(d_vector(u, g))
     assert shifted.vectors[0].coords == preimage_sum.coords
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_block_sequences_copy_and_compare_as_records(count):
+    u = build_universe(micro_config(horizon=3))
+    seq = block_sequence(u, [d_vector(u, g) for g in range(count)])
+    assert len(seq.vectors) == count and len(seq) == len(seq._fields)
+    assert seq._replace(ranges=seq.ranges) == seq
+    shifted = shifted_sequence(u, seq)
+    assert seq._replace(vectors=shifted.vectors).vectors == shifted.vectors
 
 
 # -- exact pair construction ---------------------------------------------------------

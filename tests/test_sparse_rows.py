@@ -149,14 +149,20 @@ def test_build_and_enumerate_compute_no_coding_rows(monkeypatch, capsys):
     assert len(row_store(u)) == len(u)
 
 
+def live_row_stores() -> int:
+    return sum(isinstance(obj, algebra.CodingRows) for obj in gc.get_objects())
+
+
 def test_a_dropped_universe_releases_its_row_store():
     u = build_universe(desk_strict())
     c_star(u, len(u) - 1)
-    store = weakref.ref(row_store(u))
-    assert len(store()) == len(u)
+    assert row_store(u) is u.rows and len(u.rows) == len(u)
+    dropped = weakref.ref(u)
+    gc.collect()
+    held = live_row_stores()
     del u
     gc.collect()
-    assert store() is None
+    assert dropped() is None and live_row_stores() == held - 1
 
 
 # -- property: synthesis inverts the coordinate read-off and matches the dense solve --
