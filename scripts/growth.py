@@ -3,16 +3,20 @@
 Each ladder row runs the four verification suites ``REPEAT`` times, each in a
 fresh child process against one source tree, and keeps the fastest repeat:
 
-* depth: ``perfbench/configs/deep.json`` at horizon R = 10, 25, 50, 100, 200;
+* depth: ``perfbench/configs/deep.json`` at horizon R = 10, 25, 50, 100, 200,
+  400;
 * width: ``perfbench/configs/wide.json`` (R = 10) at level_cap 24, 72, 288;
 * singleton: ``deep.json`` with a singleton net (max_support 1,
   denominator_bound 1), where the compact-difference witnesses exist, at
   R = 10, 25, 50, 100.
 
-A row holds n (elements built), R, the seconds of one ``build_universe``
-and of the compact-difference check on that universe (fastest repeats), of
-each suite and of the whole in-process ``verify`` (build included), and the
-sha256 of the report exactly as ``verify --format json`` prints it.  Each
+A row holds n (elements built), R, the seconds of one ``build_universe``,
+of the compact-difference check on that universe and of the extensions
+check once its coding rows are synced (fastest repeats), of each suite and
+of the whole in-process ``verify`` (build included), and the sha256 of the
+report exactly as ``verify --format json`` prints it.  In a tree from before
+the extensions proof every check also takes a generator; the child passes
+one only to a check that takes it, so it runs on trees from either side.  Each
 label also records the package import time: the median, over
 ``IMPORT_RUNS`` fresh interpreters with warm bytecode, of the
 ``-X importtime`` cumulative microseconds of the top-level ``bdlab`` modules
@@ -24,11 +28,15 @@ a change::
     python scripts/growth.py --label after
 
 Rerunning a label replaces its rows and keeps the others; per ladder the
-table says whether every label's reports are identical.  Per label the table
-states four fitted exponents, least-squares slopes on log-log axes: ``n`` is
-verify seconds against n on the width ladder (R fixed), ``R`` is verify
-seconds against R on the depth ladder (where n grows with R too, so a verify
-that is linear in depth has an R exponent near 1), ``build_R`` is build
+table says whether every label's reports are identical.  Labels whose trees
+print different report bytes read false there: the extensions proof, for
+one, dropped the report's ``seed`` key and added two check details.
+
+Per label the table states five fitted exponents, least-squares slopes on
+log-log axes: ``n`` is verify seconds against n on the width ladder (R
+fixed), ``R`` is verify seconds against R on the depth ladder (where n grows
+with R too, so a verify that is linear in depth has an R exponent near 1),
+``build_R`` and ``extensions_R`` are the build's and the extensions check's
 seconds against R on the depth ladder, and ``compact_R`` is the compact
 check's seconds against R on the singleton ladder.  Standard library only.
 """
@@ -48,7 +56,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # ladder -> (config, field, values, fixed overrides)
 LADDERS = {
-    "depth": ("perfbench/configs/deep.json", "horizon", (10, 25, 50, 100, 200), {}),
+    "depth": ("perfbench/configs/deep.json", "horizon", (10, 25, 50, 100, 200, 400), {}),
     "width": ("perfbench/configs/wide.json", "level_cap", (24, 72, 288), {}),
     "singleton": (
         "perfbench/configs/deep.json", "horizon", (10, 25, 50, 100),
@@ -62,10 +70,18 @@ IMPORT_RUNS = 21
 # Runs in the child with the chosen source tree first on sys.path.
 CHILD = r"""
 import hashlib, json, random, sys, time
+from bdlab.algebra import coding_rows
 from bdlab.config import config_from_dict
 from bdlab.serialize import stable_json
 from bdlab.universe import build_universe
-from bdlab.verify import _compact_differences, run_verification
+from bdlab.verify import _compact_differences, _extensions, run_verification
+
+def timed(check, universe):
+    # seconds of one run; a check of an older tree also takes a generator
+    args = (universe, random.Random(0))[:check.__code__.co_argcount]
+    started = time.perf_counter()
+    check(*args)
+    return time.perf_counter() - started
 
 path, field, value = sys.argv[1], sys.argv[2], int(sys.argv[3])
 changes = {**json.loads(sys.argv[4]), field: value}
@@ -77,9 +93,9 @@ cfg = config_from_dict(raw)
 started = time.perf_counter()
 universe = build_universe(cfg)
 build = time.perf_counter() - started
-started = time.perf_counter()
-_compact_differences(universe, random.Random(0))
-compact = time.perf_counter() - started
+compact = timed(_compact_differences, universe)
+coding_rows(universe)
+extensions = timed(_extensions, universe)
 started = time.perf_counter()
 report = run_verification(cfg, timings=True)
 total = time.perf_counter() - started
@@ -88,6 +104,7 @@ seconds = {name: float(s) for name, s in payload.pop("timings").items()}
 seconds["verify"] = round(total, 3)
 seconds["build"] = round(build, 3)
 seconds["compact"] = round(compact, 3)
+seconds["extensions"] = round(extensions, 3)
 print(json.dumps({
     "n": report.element_count,
     "R": max(int(r) for r in payload["level_counts"]),
@@ -127,7 +144,7 @@ def import_ms(src: Path, runs: int) -> dict:
 
 def run_row(src: Path, path: str, field: str, value: int, fixed: dict) -> dict:
     env = child_env(src)
-    best, build, compact = None, math.inf, math.inf
+    best, fastest = None, {"build": math.inf, "compact": math.inf, "extensions": math.inf}
     for _ in range(REPEAT):
         out = subprocess.run(
             [sys.executable, "-c", CHILD, path, field, str(value), json.dumps(fixed)],
@@ -138,9 +155,8 @@ def run_row(src: Path, path: str, field: str, value: int, fixed: dict) -> dict:
             raise SystemExit(f"{path} {field}={value}: report differs between repeats")
         if best is None or row["seconds"]["verify"] < best["seconds"]["verify"]:
             best = row
-        build = min(build, row["seconds"]["build"])
-        compact = min(compact, row["seconds"]["compact"])
-    best["seconds"].update(build=build, compact=compact)
+        fastest = {name: min(s, row["seconds"][name]) for name, s in fastest.items()}
+    best["seconds"].update(fastest)
     return {"config": path, **fixed, field: value, **best}
 
 
@@ -159,6 +175,7 @@ def exponents(rows: dict[str, list[dict]]) -> dict[str, float]:
         "R": slope([(r["R"], r["seconds"]["verify"]) for r in rows["depth"]]),
         "build_R": slope([(r["R"], r["seconds"]["build"]) for r in rows["depth"]]),
         "compact_R": slope([(r["R"], r["seconds"]["compact"]) for r in rows["singleton"]]),
+        "extensions_R": slope([(r["R"], r["seconds"]["extensions"]) for r in rows["depth"]]),
     }
 
 
@@ -166,7 +183,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", default="after", help="name of this run in the table")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="source tree to time")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_15.json")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_17.json")
     args = parser.parse_args(argv)
 
     table = json.loads(args.out.read_text()) if args.out.exists() else {"runs": {}}

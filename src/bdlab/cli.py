@@ -132,7 +132,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = resolve_config(args.config)
     suites = [s.strip() for s in args.suites.split(",")] if args.suites else None
-    report = run_verification(cfg, suites=suites, seed=args.seed, timings=args.timing)
+    report = run_verification(cfg, suites=suites, timings=args.timing)
     _emit(args, report.to_json_dict(), report.text_lines())
     return 1 if report.has_fail else 0
 
@@ -202,7 +202,7 @@ def cmd_depseq(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     cfg = resolve_config(args.config)
-    verification = run_verification(cfg, seed=args.seed, timings=args.timing)
+    verification = run_verification(cfg, timings=args.timing)
 
     pair_universe = build_universe(cfg)
     pair_json: dict[str, Any]
@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--out", default=None, help="write output to this file")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+        p.add_argument("--seed", type=int, default=0, help="ignored: no check is sampled")
         p.add_argument(
             "--timing", action="store_true", help="include wall-clock timings (breaks byte-identical reruns)"
         )

@@ -82,6 +82,10 @@ class ConstructionConfig(_ConfigFields):
     def num_weights(self) -> int:
         return len(self.m_seq)
 
+    @property
+    def singleton_net(self) -> bool:
+        return self.max_support == 1 and self.denominator_bound == 1
+
     def growth_report(self) -> list[ClauseReport]:
         return _growth_clauses(self.m_seq, self.n_seq)
 

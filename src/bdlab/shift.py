@@ -222,9 +222,10 @@ def witness_id(universe: Universe, rank: int, j: int) -> int:
     cand = witness_candidate(universe, rank, j)
     gid = universe.lookup(cand)
     if gid is None:
+        net = "" if universe.config.singleton_net else "a singleton-net config or "
         raise UniverseError(
             f"witness element (rank {rank}, family {j}) not materialized; "
-            "use a singleton-net config or a larger level cap"
+            f"use {net}a larger level cap"
         )
     return gid
 

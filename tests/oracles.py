@@ -29,11 +29,9 @@ from bdlab.algebra import (
     d_vector,
     e_star,
     evaluation_analysis,
-    extend,
     l1_norm,
     project_star,
     sup_norm,
-    synthesize,
     to_d_basis,
     to_e_basis,
 )
@@ -623,16 +621,16 @@ def fraction_tail_commutation(universe: Universe) -> tuple[bool, str]:
     return True, ""
 
 
-def fraction_extensions(universe: Universe, rng: random.Random) -> tuple[bool, str]:
-    ok = True
-    for q in range(1, universe.max_rank):
-        pool = [g for g in universe.ids() if universe.element(g).rank <= q]
-        for _ in range(3):
-            chosen = rng.sample(pool, min(3, len(pool)))
-            data = {g: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for g in chosen}
-            x = extend(universe, dict(synthesize(universe, data, q).coords), q)
-            ok = d_coords_of(universe, x) == {g: c for g, c in data.items() if c != 0} and ok
-    return ok, ""
+def fraction_extensions(universe: Universe) -> tuple[bool, str]:
+    """The extensions proof on the Fraction sweeps: extending e_g from rank g
+    to the top gives the synthesis of d_g up to the top, at every element."""
+
+    def violated(gid: int) -> bool:
+        unit = {gid: Fraction(1)}
+        extended = sweep_extend(universe, unit, universe.element(gid).rank)
+        return extended.coords != sweep_synthesize(universe, unit).coords
+
+    return _exhaustive_reference(universe, violated)
 
 
 # -- Fraction references for the weighted scans ---------------------------------------

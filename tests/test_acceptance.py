@@ -126,7 +126,7 @@ def test_criterion_03_nilpotency_across_orders():
 
 def test_criterion_04_structure_of_the_index_map(strict):
     with criterion(4, "index map preserves rank/weight, ages never grow"):
-        assert _first_violation(_table_law_fault)(strict, None) == (True, "")
+        assert _first_violation(_table_law_fault)(strict) == (True, "")
         for gid in strict.ids():
             el = strict.element(gid)
             img = strict.f_image_of(gid)

@@ -101,6 +101,28 @@ def test_verify_unknown_suite_exits_2(capsys, micro_path):
     assert "unknown suites: bogus" in err
 
 
+def test_verify_empty_suite_entry_is_named(capsys, micro_path):
+    code, _, err = run_cli(
+        capsys, "verify", "--config", micro_path, "--suites", "gamma,,shift"
+    )
+    assert code == 2
+    assert err == "error: unknown suites: ''\n"
+
+
+def test_seed_changes_no_output_byte(capsys):
+    # No check is sampled: --seed is accepted by every verb and ignored.
+    runs = [("verify", "text"), ("verify", "json"), ("report", "text"), ("report", "json"),
+            ("enumerate", "json"), ("pair", "json"), ("depseq", "json")]
+    for verb, fmt in runs:
+        outputs = {
+            run_cli(capsys, verb, "--config", "desk-strict", "--format", fmt, "--seed", seed)
+            for seed in ("0", "1", "7")
+        }
+        assert len(outputs) == 1, (verb, fmt)
+        [(code, out, err)] = outputs
+        assert code == 0 and out and not err, (verb, fmt)
+
+
 def test_missing_config_exits_2(capsys):
     code, _, err = run_cli(capsys, "verify", "--config", "/no/such/file.json")
     assert code == 2
@@ -351,6 +373,21 @@ def test_importing_the_cli_loads_no_dataclasses():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_importing_the_cli_loads_no_random():
+    # No check draws from a generator, so no verb pays for importing one.
+    # -I ignores PYTHONPATH and the user site; -S keeps site start-up hooks out.
+    source_root = str(Path(bdlab.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {source_root!r}); import bdlab.cli; "
+        "print('random' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-I", "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_script_is_installed(micro_path):

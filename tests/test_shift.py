@@ -172,7 +172,7 @@ def test_shift_sends_basis_vectors_to_preimage_sums(micro3):
 
 
 def test_map_table_snapshot_is_clean(micro3):
-    assert _first_violation(_table_law_fault)(micro3, None) == (True, "")
+    assert _first_violation(_table_law_fault)(micro3) == (True, "")
 
 
 # -- polynomials in the operator ----------------------------------------------------
