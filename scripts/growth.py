@@ -20,9 +20,19 @@ one only to a check that takes it, so it runs on trees from either side.  Each
 label also records the package import time: the median, over
 ``IMPORT_RUNS`` fresh interpreters with warm bytecode, of the
 ``-X importtime`` cumulative microseconds of the top-level ``bdlab`` modules
-that ``import bdlab.cli`` loads (``bdlab`` and ``bdlab.cli``).  Runs are
-stored under a label, so the same table can hold the code before and after
-a change::
+that ``import bdlab.cli`` loads (``bdlab`` and ``bdlab.cli``), and the
+phase split of ``enumerate --format json`` on ``deep.json``: per phase the
+median milliseconds over ``PHASE_RUNS`` fresh children that run the verb
+the way ``perfbench/shim.py`` does, then fingerprint the first universe
+once more after the verb.  The phases are ``startup`` (spawn to the first
+statement), ``import`` (``from bdlab import cli``), ``build`` (to the
+return of the first ``build_universe``), ``output`` (the rest of the verb:
+the fingerprint, the element records and the JSON text), ``fingerprint``
+(the post-verb fingerprint) and ``exit`` (to the parent's ``wait4``); with
+them the number of collections per generation that ``gc.callbacks`` saw
+before ``exit`` (the interpreter's shutdown collections call no callbacks).
+Runs are stored under a label, so the same table can hold the code before
+and after a change::
 
     python scripts/growth.py --label before --src /path/to/other/checkout/src
     python scripts/growth.py --label after
@@ -50,6 +60,8 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -66,6 +78,9 @@ LADDERS = {
 
 REPEAT = 2
 IMPORT_RUNS = 21
+PHASE_RUNS = 11
+PHASE_ARGS = ("enumerate", "--config", "perfbench/configs/deep.json", "--format", "json")
+PHASES = ("startup", "import", "build", "output", "fingerprint", "exit")
 
 # Runs in the child with the chosen source tree first on sys.path.
 CHILD = r"""
@@ -114,6 +129,38 @@ print(json.dumps({
 """
 
 
+# One verb in a fresh child, timed at its phase boundaries on the
+# system-wide monotonic clock that the parent's spawn and exit times use.
+PHASE_CHILD = r"""
+import time
+started = time.monotonic()
+import gc, json, sys
+collections = [0, 0, 0]
+gc.callbacks.append(lambda phase, info: phase == "start" and collections.__setitem__(
+    info["generation"], collections[info["generation"]] + 1))
+from bdlab import cli
+imported = time.monotonic()
+first = {}
+build = cli.build_universe
+
+def timed_build(config):
+    universe = build(config)
+    if not first:
+        first.update(universe=universe, built=time.monotonic())
+    return universe
+
+cli.build_universe = timed_build
+code = cli.main(sys.argv[2:])
+done = time.monotonic()
+fingerprint = first["universe"].fingerprint()
+fingerprinted = time.monotonic()
+sys.stdout.flush()
+with open(sys.argv[1], "w", encoding="utf-8") as handle:
+    json.dump({"code": code, "started": started, "imported": imported, "built": first["built"],
+               "done": done, "fingerprinted": fingerprinted, "collections": collections}, handle)
+"""
+
+
 def child_env(src: Path) -> dict[str, str]:
     env = {k: v for k, v in os.environ.items() if not k.startswith(("PYTHON", "BDLAB_"))}
     env["PYTHONPATH"] = str(src)
@@ -140,6 +187,39 @@ def import_ms(src: Path, runs: int) -> dict:
                 total += int(cumulative)
         samples.append(round(total / 1000, 2))
     return {"median": round(statistics.median(samples), 2), "samples": samples}
+
+
+def phase_split(src: Path, runs: int) -> dict:
+    """Median milliseconds of each phase of ``PHASE_ARGS`` over fresh
+    children, and the median collections per generation before exit."""
+    env = child_env(src)
+    samples: dict[str, list[float]] = {phase: [] for phase in (*PHASES, "total")}
+    counts: list[list[int]] = []
+    with tempfile.TemporaryDirectory() as tmp:
+        record_path, out_path = Path(tmp) / "record.json", Path(tmp) / "stdout.json"
+        for _ in range(runs):
+            with open(out_path, "wb") as out:
+                spawned = time.monotonic()
+                proc = subprocess.Popen(
+                    [sys.executable, "-c", PHASE_CHILD, str(record_path), *PHASE_ARGS],
+                    cwd=ROOT, env=env, stdout=out,
+                )
+                _, status, _ = os.wait4(proc.pid, 0)
+                ended = time.monotonic()
+            if os.waitstatus_to_exitcode(status) != 0:
+                raise SystemExit(f"phase child exited with status {status}")
+            r = json.loads(record_path.read_text(encoding="utf-8"))
+            marks = (spawned, r["started"], r["imported"], r["built"], r["done"], r["fingerprinted"], ended)
+            for phase, lo, hi in zip(PHASES, marks, marks[1:]):
+                samples[phase].append(round((hi - lo) * 1000, 1))
+            samples["total"].append(round((ended - spawned) * 1000, 1))
+            counts.append(r["collections"])
+    return {
+        "args": " ".join(PHASE_ARGS),
+        "median_ms": {phase: round(statistics.median(v), 1) for phase, v in samples.items()},
+        "samples_ms": samples,
+        "collections": [statistics.median(c[g] for c in counts) for g in range(3)],
+    }
 
 
 def run_row(src: Path, path: str, field: str, value: int, fixed: dict) -> dict:
@@ -183,12 +263,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", default="after", help="name of this run in the table")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="source tree to time")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_17.json")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_19.json")
     args = parser.parse_args(argv)
 
     table = json.loads(args.out.read_text()) if args.out.exists() else {"runs": {}}
     imports = import_ms(args.src.resolve(), IMPORT_RUNS)
     print(f"{args.label} import bdlab.cli: median {imports['median']} ms", file=sys.stderr)
+    phases = phase_split(args.src.resolve(), PHASE_RUNS)
+    print(f"{args.label} {phases['args']}: {phases['median_ms']} ms, "
+          f"collections {phases['collections']}", file=sys.stderr)
     rows: dict[str, list[dict]] = {}
     for ladder, (path, field, values, fixed) in LADDERS.items():
         rows[ladder] = []
@@ -198,7 +281,9 @@ def main(argv: list[str] | None = None) -> int:
                   f"build {row['seconds']['build']}s verify {row['seconds']['verify']}s",
                   file=sys.stderr)
             rows[ladder].append(row)
-    table["runs"][args.label] = {"rows": rows, "exponents": exponents(rows), "import_ms": imports}
+    table["runs"][args.label] = {
+        "rows": rows, "exponents": exponents(rows), "import_ms": imports, "phases": phases,
+    }
     table["machine"] = {
         "python": platform.python_version(),
         "cpus": os.cpu_count(),

@@ -19,6 +19,7 @@ text; reports are byte-identical across reruns unless ``--timing`` is given.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from typing import Any, Optional
 
@@ -31,7 +32,7 @@ from .config import (
     load_config_file,
     validate_config,
 )
-from .elements import BASE, TYPE1
+from .elements import BASE, TYPE1, GammaElement
 from .sequences import (
     ConstructionFailure,
     DefaultPairSupplier,
@@ -72,24 +73,19 @@ def _emit(args: argparse.Namespace, payload: dict[str, Any], lines: list[str]) -
         sys.stdout.write(text)
 
 
-def _element_json(universe: Universe, gid: int) -> dict[str, Any]:
-    el = universe.element(gid)
-    if el.kind == BASE:
-        anchor: dict[str, Any] = {"index": el.index}
-    elif el.kind == TYPE1:
-        anchor = {"p": el.p}
-    else:
-        anchor = {"xi": el.xi}
+def _element_json(universe: Universe, el: GammaElement) -> dict[str, Any]:
+    kind = el.kind
+    anchor, value = ("index", el.index) if kind == BASE else ("p", el.p) if kind == TYPE1 else ("xi", el.xi)
     return {
-        "id": gid,
+        "id": el.gid,
         "rank": el.rank,
-        "kind": el.kind,
-        **anchor,
+        "kind": kind,
+        anchor: value,
         "weight_index": el.weight_idx,
         "age": el.age,
-        "b": {str(g): format_rational(c) for g, c in el.b.items()},
-        "sigma": universe.sigma(gid),
-        "image": universe.f_image_of(gid),
+        "b": {str(g): format_rational(c) for g, c in el.b.terms},
+        "sigma": universe.sigma(el.gid),
+        "image": universe.f_image_of(el.gid),
     }
 
 
@@ -122,7 +118,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         "element_count": len(universe),
         "level_counts": {str(r): c for r, c in universe.level_counts().items()},
         "fingerprint": universe.fingerprint(),
-        "elements": [_element_json(universe, g) for g in universe.ids()],
+        "elements": [_element_json(universe, el) for el in universe.elements],
         "notes": list(universe.notes),
     }
     _emit(args, payload, [])
@@ -299,8 +295,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one verb with the cyclic collector paused.
+
+    A universe and its coding rows hold no reference cycles, so reference
+    counting frees all of it and the collector would only walk live data:
+    during the build, during output and again at interpreter shutdown.  On
+    every exit the objects still alive are frozen out of later collections,
+    and the caller's collector state is restored.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(args)
+    finally:
+        gc.freeze()
+        if enabled:
+            gc.enable()
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         return args.func(args)
     except ConfigError as err:

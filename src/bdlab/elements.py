@@ -24,6 +24,8 @@ BASE = "base"
 TYPE1 = "t1"
 TYPE2 = "t2"
 
+_ONE = Fraction(1)
+
 class BFunctional(NamedTuple):
     """A finite rational combination of unit functionals, stored sorted.
 
@@ -39,16 +41,17 @@ class BFunctional(NamedTuple):
         return BFunctional(())
 
     @staticmethod
-    def singleton(eta: int, coeff: Fraction | int = 1) -> "BFunctional":
-        coeff = Fraction(coeff)
-        if coeff == 0:
+    def singleton(eta: int, coeff: Fraction | int = _ONE) -> "BFunctional":
+        if type(coeff) is not Fraction:
+            coeff = Fraction(coeff)
+        if not coeff:
             return BFunctional(())
         return BFunctional(((eta, coeff),))
 
     @staticmethod
     def from_dict(coords: dict[int, Fraction]) -> "BFunctional":
         """The nonzero coefficients, sorted by id, kept as they are given."""
-        return BFunctional(tuple((eta, c) for eta, c in sorted(coords.items()) if c))
+        return BFunctional(tuple([item for item in sorted(coords.items()) if item[1]]))
 
     @property
     def is_zero(self) -> bool:
@@ -61,7 +64,7 @@ class BFunctional(NamedTuple):
         return iter(self.terms)
 
     def key(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple((eta, c.numerator, c.denominator) for eta, c in self.terms)
+        return tuple([(eta, c.numerator, c.denominator) for eta, c in self.terms])
 
 
 class Candidate(NamedTuple):
@@ -107,16 +110,20 @@ class GammaElement(NamedTuple):
         return self.weight_idx % 2 == 1
 
 
+# The factories fill every field positionally: keyword arguments cost a
+# named tuple about twice as much to build.
+
+
 def base_candidate(index: int) -> Candidate:
-    return Candidate(kind=BASE, rank=1, index=index)
+    return Candidate(BASE, 1, index)
 
 
 def t1_candidate(rank: int, p: int, weight_idx: int, b: BFunctional) -> Candidate:
-    return Candidate(kind=TYPE1, rank=rank, p=p, weight_idx=weight_idx, b=b)
+    return Candidate(TYPE1, rank, -1, p, -1, weight_idx, b)
 
 
 def t2_candidate(rank: int, xi: int, weight_idx: int, b: BFunctional) -> Candidate:
-    return Candidate(kind=TYPE2, rank=rank, xi=xi, weight_idx=weight_idx, b=b)
+    return Candidate(TYPE2, rank, -1, -1, xi, weight_idx, b)
 
 
 def describe(element: GammaElement) -> str:

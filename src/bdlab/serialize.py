@@ -14,10 +14,8 @@ from typing import Any
 
 def format_rational(value: Fraction | int) -> str:
     """Render a rational as ``num/den`` (``den`` omitted when 1)."""
-    frac = value if isinstance(value, Fraction) else Fraction(value)
-    if frac.denominator == 1:
-        return str(frac.numerator)
-    return f"{frac.numerator}/{frac.denominator}"
+    # A Fraction's str is exactly this text.
+    return str(value if isinstance(value, Fraction) else Fraction(value))
 
 
 def parse_rational(text: str | int) -> Fraction:
@@ -50,7 +48,11 @@ def parse_integer(text: str | int) -> int:
 def stable_json(payload: Any) -> str:
     """Canonical JSON: sorted keys, no whitespace drift, trailing newline."""
     _reject_floats(payload)
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True) + "\n"
+    # The walk above would never end on a cyclic payload, so the encoder's
+    # own cycle check could never fire.
+    return json.dumps(
+        payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True, check_circular=False
+    ) + "\n"
 
 
 def stable_hash(payload: Any) -> str:

@@ -81,6 +81,7 @@ class Universe:
         self._f_preimages: dict[int, list[int]] = {}
         self._enumerated_to = 0
         self.interior_interns = 0
+        self._fingerprint = (-1, "")
         self.notes: list[str] = list(config.notes)
         # The coding-row store (``algebra.CodingRows``), made on first read.
         self.rows = None
@@ -140,8 +141,9 @@ class Universe:
         colliding images add.  The one rule behind the shift images of carried
         b-functionals and the pushforward on functionals, in either basis."""
         out: dict[int, Fraction] = {}
+        f_image = self._f_image
         for gid, coeff in coords:
-            image = self.f_image_of(gid)
+            image = f_image[gid]
             if image is not None:
                 out[image] = out[image] + coeff if image in out else coeff
         return out
@@ -171,7 +173,13 @@ class Universe:
         return self.config.weight(el.weight_idx)
 
     def fingerprint(self) -> str:
-        return stable_hash(self.dump_lines())
+        """The hash of ``dump_lines()``, kept per element count: only
+        ``intern`` writes an element or its sigma, and it appends one."""
+        count, digest = self._fingerprint
+        if count != len(self.elements):
+            digest = stable_hash(self.dump_lines())
+            self._fingerprint = (len(self.elements), digest)
+        return digest
 
     # -- validation -----------------------------------------------------------
 
@@ -182,53 +190,60 @@ class Universe:
         DanglingReference instead of being reported as violations.
         """
         cfg = self.config
-        if cand.kind == BASE:
+        kind, rank = cand.kind, cand.rank
+        if kind == TYPE1:
+            if rank < 2:
+                return ["rank window: age-1 elements need rank at least 2"]
+            if not 0 <= cand.p <= rank - 2:
+                return [f"rank window: p={cand.p} outside 0..{rank - 2}"]
+            lo = cand.p
+        elif kind == TYPE2:
+            xi = self.element(cand.xi)  # raises DanglingReference
+            if rank < 3:
+                return ["rank window: age extensions need rank at least 3"]
+            if not 1 <= xi.rank <= rank - 2:
+                return [f"rank window: xi rank {xi.rank} outside 1..{rank - 2}"]
+            if xi.weight_idx == 0:
+                return ["weight mismatch: xi carries no weight"]
+            if cand.weight_idx != xi.weight_idx:
+                return [f"weight mismatch: {cand.weight_idx} != weight index {xi.weight_idx} of xi"]
+            lo = xi.rank
+        elif kind == BASE:
             bad: list[str] = []
-            if cand.rank != 1:
+            if rank != 1:
                 bad.append("rank window: base elements have rank 1")
             if not 0 <= cand.index < cfg.k:
                 bad.append(f"rank window: base index {cand.index} outside 0..{cfg.k - 1}")
             if not cand.b.is_zero:
                 bad.append("net membership: base elements carry no b-functional")
             return bad
-        if cand.kind == TYPE1:
-            return self._validate_t1(cand)
-        if cand.kind == TYPE2:
-            return self._validate_t2(cand)
-        return [f"rank window: unknown element kind {cand.kind!r}"]
-
-    def _check_weight_idx(self, cand: Candidate, bad: list[str]) -> bool:
-        cfg = self.config
-        if cand.weight_idx < 1:
-            bad.append("weight cap: missing weight index")
-            return False
-        if cand.weight_idx > cand.rank:
-            bad.append(
-                f"weight cap: weight index {cand.weight_idx} exceeds rank {cand.rank}"
-            )
-            return False
-        if cand.weight_idx > cfg.num_weights:
-            bad.append(
-                f"weight cap: weight index {cand.weight_idx} beyond configured sequence"
-            )
-            return False
-        return True
+        else:
+            return [f"rank window: unknown element kind {kind!r}"]
+        widx = cand.weight_idx
+        if widx < 1:
+            return ["weight cap: missing weight index"]
+        if widx > rank:
+            return [f"weight cap: weight index {widx} exceeds rank {rank}"]
+        if widx > cfg.num_weights:
+            return [f"weight cap: weight index {widx} beyond configured sequence"]
+        bad = []
+        if kind == TYPE2 and xi.age + 1 > cfg.n(widx):
+            bad.append(f"age cap: age {xi.age + 1} exceeds n[{widx}]")
+        if cand.b.terms:
+            self._check_b(cand, lo, bad)
+        return bad
 
     def _check_b(self, cand: Candidate, lo: int, bad: list[str]) -> None:
-        """Window, net-membership and odd-weight form checks for cand.b."""
+        """Window, net-membership and odd-weight form checks for a nonzero cand.b."""
         cfg = self.config
+        terms = cand.b.terms
         hi = cand.rank - 1
-        for eta, _ in cand.b.items():
-            el = self.element(eta)  # raises DanglingReference
-            if not lo < el.rank <= hi:
-                bad.append(
-                    f"window: support id {eta} (rank {el.rank}) outside ({lo},{hi}]"
-                )
-        if cand.b.is_zero:
-            return
+        for eta, _ in terms:
+            rank = self.element(eta).rank  # raises DanglingReference
+            if not lo < rank <= hi:
+                bad.append(f"window: support id {eta} (rank {rank}) outside ({lo},{hi}]")
         if cand.weight_idx % 2 == 1:
             # odd weight: b is 0 or a single positive unit functional
-            terms = cand.b.terms
             if len(terms) != 1 or terms[0][1] != 1:
                 bad.append("odd-weight form: b must be 0 or a unit singleton")
                 return
@@ -256,61 +271,21 @@ class Universe:
                     )
         else:
             # even weight: any net combination
-            if len(cand.b.terms) > cfg.max_support:
+            if len(terms) > cfg.max_support:
                 bad.append(
-                    f"net membership: support size {len(cand.b.terms)} exceeds cap {cfg.max_support}"
+                    f"net membership: support size {len(terms)} exceeds cap {cfg.max_support}"
                 )
-            for _, coeff in cand.b.items():
-                if cfg.denominator_bound % coeff.denominator != 0:
+            dens = [c.denominator for _, c in terms]
+            for den in dens:
+                if cfg.denominator_bound % den != 0:
                     bad.append(
-                        f"net membership: denominator {coeff.denominator} does not divide {cfg.denominator_bound}"
+                        f"net membership: denominator {den} does not divide {cfg.denominator_bound}"
                     )
                     break
             # l1 mass against 1: numerators over the least common denominator q
-            q = lcm(*(c.denominator for _, c in cand.b.terms))
-            if sum(abs(c.numerator) * (q // c.denominator) for _, c in cand.b.terms) > q:
+            q = lcm(*dens)
+            if sum([abs(c.numerator) * (q // den) for (_, c), den in zip(terms, dens)]) > q:
                 bad.append("net membership: l1 mass exceeds 1")
-
-    def _validate_t1(self, cand: Candidate) -> list[str]:
-        bad: list[str] = []
-        if cand.rank < 2:
-            bad.append("rank window: age-1 elements need rank at least 2")
-            return bad
-        if not 0 <= cand.p <= cand.rank - 2:
-            bad.append(f"rank window: p={cand.p} outside 0..{cand.rank - 2}")
-            return bad
-        if not self._check_weight_idx(cand, bad):
-            return bad
-        self._check_b(cand, cand.p, bad)
-        return bad
-
-    def _validate_t2(self, cand: Candidate) -> list[str]:
-        bad: list[str] = []
-        xi = self.element(cand.xi)  # raises DanglingReference
-        if cand.rank < 3:
-            bad.append("rank window: age extensions need rank at least 3")
-            return bad
-        if not 1 <= xi.rank <= cand.rank - 2:
-            bad.append(
-                f"rank window: xi rank {xi.rank} outside 1..{cand.rank - 2}"
-            )
-            return bad
-        if xi.weight_idx == 0:
-            bad.append("weight mismatch: xi carries no weight")
-            return bad
-        if cand.weight_idx != xi.weight_idx:
-            bad.append(
-                f"weight mismatch: {cand.weight_idx} != weight index {xi.weight_idx} of xi"
-            )
-            return bad
-        if not self._check_weight_idx(cand, bad):
-            return bad
-        if xi.age + 1 > self.config.n(cand.weight_idx):
-            bad.append(
-                f"age cap: age {xi.age + 1} exceeds n[{cand.weight_idx}]"
-            )
-        self._check_b(cand, xi.rank, bad)
-        return bad
 
     # -- interning -------------------------------------------------------------
 
@@ -332,33 +307,31 @@ class Universe:
         violations = self.validate_candidate(cand)
         if violations:
             raise InadmissibleElement(violations)
-        if len(self.elements) >= self.config.max_elements:
+        gid = len(self.elements)
+        if gid >= self.config.max_elements:
             raise UniverseError(
                 f"element budget exceeded ({self.config.max_elements})"
             )
-        if cand.rank < self._max_rank:
+        kind, rank, widx = cand.kind, cand.rank, cand.weight_idx
+        if rank < self._max_rank:
             self.interior_interns += 1
-
-        gid = len(self.elements)
-        if cand.kind == BASE:
+        else:
+            self._max_rank = rank
+        if kind == BASE:
             age = 0
-        elif cand.kind == TYPE1:
+        elif kind == TYPE1:
             age = 1
         else:
             age = self.element(cand.xi).age + 1
-        element = GammaElement(
-            cand.kind, cand.rank, cand.index, cand.p, cand.xi, cand.weight_idx, cand.b,
-            gid=gid, age=age,
-        )
+        element = GammaElement(kind, rank, cand.index, cand.p, cand.xi, widx, cand.b, gid, age)
         self.elements.append(element)
         self._key_to_id[key] = gid
-        self._levels.setdefault(cand.rank, []).append(gid)
-        self._max_rank = max(self._max_rank, cand.rank)
-        self._by_weight.setdefault(cand.weight_idx, []).append(gid)
-        if cand.weight_idx and age < self.config.n(cand.weight_idx):
-            self._roots[cand.weight_idx % 2].append(gid)
-        self._sigma[gid] = max(self._sigma_counter, cand.rank) + 1
-        self._sigma_counter = self._sigma[gid]
+        self._levels.setdefault(rank, []).append(gid)
+        self._by_weight.setdefault(widx, []).append(gid)
+        if widx and age < self.config.n(widx):
+            self._roots[widx % 2].append(gid)
+        sigma = self._sigma_counter
+        self._sigma[gid] = self._sigma_counter = (sigma if sigma > rank else rank) + 1
 
         image = shift_image_candidate(self, element)
         if image is None:
@@ -499,22 +472,11 @@ class Universe:
             "# bdlab universe dump v1",
             f"# k={self.config.k} horizon={self.config.horizon} regime={self.config.regime}",
         ]
-        for el in self.elements:
-            if el.kind == BASE:
-                anchor = el.index
-            elif el.kind == TYPE1:
-                anchor = el.p
-            else:
-                anchor = el.xi
-            if el.b.is_zero:
-                b_text = "0"
-            else:
-                b_text = ",".join(
-                    f"{format_rational(c)}@{eta}" for eta, c in el.b.items()
-                )
-            lines.append(
-                f"{el.gid} {el.rank} {el.kind} {el.weight_idx} {el.age} {anchor} {b_text} {self._sigma[el.gid]}"
-            )
+        sigma = self._sigma
+        for kind, rank, index, p, xi, widx, b, gid, age in self.elements:
+            anchor = index if kind == BASE else p if kind == TYPE1 else xi
+            b_text = ",".join([f"{format_rational(c)}@{eta}" for eta, c in b.terms]) if b.terms else "0"
+            lines.append(f"{gid} {rank} {kind} {widx} {age} {anchor} {b_text} {sigma[gid]}")
         return lines
 
 
@@ -599,17 +561,26 @@ def iter_net(pool: Sequence[int], max_support: int, denominator_bound: int) -> I
     lexicographic order of BFunctional keys, letting callers truncate lazily.
     """
     if max_support < 1 or not pool:
-        return
+        return iter(())
+    return _walk_net(pool, 0, denominator_bound, (), max_support, denominator_bound)
 
-    def walk(start: int, budget: int, terms: list[tuple[int, Fraction]]) -> Iterator[BFunctional]:
-        for pos in range(start, len(pool)):
-            for coeff, used in _coeff_choices(budget, denominator_bound):
-                head = terms + [(pool[pos], coeff)]
-                yield BFunctional(tuple(head))
-                if len(head) < max_support and budget - used >= 1:
-                    yield from walk(pos + 1, budget - used, head)
 
-    yield from walk(0, denominator_bound, [])
+def _walk_net(
+    pool: Sequence[int],
+    start: int,
+    budget: int,
+    terms: tuple[tuple[int, Fraction], ...],
+    max_support: int,
+    denominator_bound: int,
+) -> Iterator[BFunctional]:
+    # A module-level generator, not a closure that names itself: that would
+    # be a reference cycle, left for the cyclic collector at every call.
+    for pos in range(start, len(pool)):
+        for coeff, used in _coeff_choices(budget, denominator_bound):
+            head = terms + ((pool[pos], coeff),)
+            yield BFunctional(head)
+            if len(head) < max_support and budget - used >= 1:
+                yield from _walk_net(pool, pos + 1, budget - used, head, max_support, denominator_bound)
 
 
 # -- shift image (the combinatorial half of the shift operator) -------------------
@@ -622,13 +593,15 @@ def shift_image_candidate(universe: Universe, element: GammaElement) -> Optional
     b-functional is pushed through the map (``Universe.push``); the image
     element keeps the same rank and weight, and its age never increases.
     """
-    if element.kind == BASE:
+    kind = element.kind
+    if kind == BASE:
         if element.index == 0:
             return None
         return base_candidate(element.index - 1)
 
-    mapped = BFunctional.from_dict(universe.push(element.b.items()))
-    if element.kind == TYPE1:
+    b = element.b
+    mapped = BFunctional.from_dict(universe.push(b.terms)) if b.terms else b
+    if kind == TYPE1:
         if mapped.is_zero:
             return None
         return t1_candidate(element.rank, element.p, element.weight_idx, mapped)

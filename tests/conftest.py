@@ -1,12 +1,26 @@
 from __future__ import annotations
 
 import copy
+import gc
 
 import pytest
 from hypothesis import strategies as st
 
 from bdlab.config import desk_relaxed, desk_strict, make_config
 from bdlab.universe import Universe, build_universe
+
+
+@pytest.fixture(autouse=True)
+def collector_left_enabled():
+    """Fail a test that leaves the cyclic collector disabled.  Afterwards
+    unfreeze what in-process ``cli.main`` calls froze, so that objects do
+    not pile up in the permanent generation from test to test."""
+    yield
+    enabled = gc.isenabled()
+    gc.unfreeze()
+    if not enabled:
+        gc.enable()
+        pytest.fail("the test left the cyclic garbage collector disabled")
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,7 @@ from bdlab.elements import (
     t1_candidate,
     t2_candidate,
 )
+from bdlab.serialize import stable_hash
 from bdlab.universe import (
     DanglingReference,
     InadmissibleElement,
@@ -25,6 +26,7 @@ from bdlab.universe import (
     build_universe,
     iter_net,
 )
+from bdlab.verify import run_sequence_suite
 from conftest import micro_config
 from oracles import scan_extension_roots, scan_ids_by_weight, scan_odd_support_pool
 
@@ -204,6 +206,7 @@ def test_negative_ids_are_dangling_and_leave_the_universe_unchanged(micro_univer
     with pytest.raises(DanglingReference):
         u.intern(cand)
     assert (len(u), u.fingerprint()) == (size, fingerprint)
+    assert stable_hash(u.dump_lines()) == fingerprint  # not just the memo
     with pytest.raises(DanglingReference):
         u.element(-1)
 
@@ -350,6 +353,34 @@ def test_rebuild_is_byte_identical():
     assert one.dump_lines() == two.dump_lines()
     assert one.fingerprint() == two.fingerprint()
     assert one.dump_lines()[0] == "# bdlab universe dump v1"
+
+
+def fresh_fingerprint(u: Universe) -> str:
+    return stable_hash(u.dump_lines())
+
+
+def test_fingerprint_follows_interns_at_the_top_rank(micro_universe):
+    u = micro_universe
+    before = u.fingerprint()
+    gid = u.intern(t1_candidate(u.max_rank + 1, 0, 1, BFunctional.zero()))
+    assert u.element(gid).rank == u.max_rank and not u.interior_interns
+    assert u.fingerprint() == fresh_fingerprint(u) != before
+
+
+def test_fingerprint_follows_interior_interns():
+    u = build_universe(micro_config(horizon=3))
+    before = u.fingerprint()
+    u.intern(t1_candidate(2, 0, 2, BFunctional.zero()))
+    assert u.interior_interns == 1
+    assert u.fingerprint() == fresh_fingerprint(u) != before
+
+
+def test_fingerprint_follows_the_sequence_suite():
+    u = build_universe(desk_relaxed())
+    built, before = len(u), u.fingerprint()
+    run_sequence_suite(u)
+    assert len(u) > built
+    assert u.fingerprint() == fresh_fingerprint(u) != before
 
 
 def test_desk_strict_shape_is_pinned(strict_universe):
