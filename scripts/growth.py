@@ -136,8 +136,12 @@ import time
 started = time.monotonic()
 import gc, json, sys
 collections = [0, 0, 0]
-gc.callbacks.append(lambda phase, info: phase == "start" and collections.__setitem__(
-    info["generation"], collections[info["generation"]] + 1))
+
+def count(phase, info):
+    if phase == "start":
+        collections[info["generation"]] += 1
+
+gc.callbacks.append(count)
 from bdlab import cli
 imported = time.monotonic()
 first = {}

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import io
 import json
 import os
@@ -75,6 +76,33 @@ def test_verify_reports_failure_with_exit_1(capsys, failing_path):
     code, out, _ = run_cli(capsys, "verify", "--config", failing_path)
     assert code == 1
     assert out.rstrip().splitlines()[-1] == "result: FAIL"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("case", ["exit-0", "exit-1", "exit-2", "raises"])
+def test_main_restores_the_collector_state(case, enabled, micro_path, failing_path, monkeypatch):
+    # main pauses the cyclic collector for the verb; whatever the exit, the
+    # caller gets back the state it had.
+    argv = {
+        "exit-0": ["enumerate", "--config", micro_path],
+        "exit-1": ["verify", "--config", failing_path],
+        "exit-2": ["verify", "--config", micro_path + ".missing"],
+        "raises": ["enumerate", "--config", micro_path],
+    }[case]
+    if case == "raises":
+        monkeypatch.setattr(bdlab.cli, "cmd_enumerate", lambda args: 1 / 0)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            if case == "raises":
+                with pytest.raises(ZeroDivisionError):
+                    main(argv)
+            else:
+                assert main(argv) == int(case[-1])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_verify_suites_filter(capsys, micro_path):

@@ -2,14 +2,14 @@
 only while a universe and everything hung on it are freed by reference
 counting.  These tests keep the collector disabled and require a weak
 reference to each universe to die on ``del``, so a reference cycle (a store
-that holds its universe, say) fails them; and they check that ``cli.main``
-hands the collector back as it found it on every exit."""
+that holds its universe, say) fails them.  ``tests/test_cli.py`` checks that
+``cli.main`` hands the collector back as it found it on every exit."""
 from __future__ import annotations
 
 import gc
 import io
 import weakref
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -22,9 +22,7 @@ from bdlab.sequences import (
     build_exact_pair,
     helper_pair_parts,
 )
-from bdlab.serialize import stable_json
 from bdlab.universe import build_universe
-from conftest import micro_config
 
 WIDE = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "wide.json"
 CONFIGS = {"desk-relaxed": desk_relaxed, "wide": lambda: load_config_file(str(WIDE))}
@@ -42,6 +40,21 @@ def collector_paused():
             gc.enable()
 
 
+@pytest.fixture()
+def built_refs(monkeypatch):
+    """Weak references to every universe that ``verify`` or ``cli`` builds."""
+    refs = []
+
+    def tracked(config):
+        universe = build_universe(config)
+        refs.append(weakref.ref(universe))
+        return universe
+
+    monkeypatch.setattr(verify, "build_universe", tracked)
+    monkeypatch.setattr(cli, "build_universe", tracked)
+    return refs
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_built_universe_dies_on_del(name, collector_paused):
     u = build_universe(CONFIGS[name]())
@@ -54,28 +67,20 @@ def test_built_universe_dies_on_del(name, collector_paused):
 def test_verified_universe_dies_on_del(name, collector_paused):
     u = build_universe(CONFIGS[name]())
     built = len(u)
-    reports = [verify.SUITES[suite](u) for suite in verify.SUITE_ORDER]
+    for suite in verify.SUITE_ORDER:
+        verify.SUITES[suite](u)
     assert u.rows is not None and len(u.rows.rank) > built  # synced, then grown
     assert len(u) > built
     ref = weakref.ref(u)
     del u
     assert ref() is None
-    del reports
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_run_verification_frees_every_universe(name, collector_paused, monkeypatch):
-    refs = []
-
-    def tracked(config):
-        universe = build_universe(config)
-        refs.append(weakref.ref(universe))
-        return universe
-
-    monkeypatch.setattr(verify, "build_universe", tracked)
-    report = verify.run_verification(CONFIGS[name]())
-    assert len(refs) == 2  # the universe under test and its rebuild twin
-    assert report.element_count and all(ref() is None for ref in refs)
+def test_run_verification_frees_every_universe(name, collector_paused, built_refs):
+    verify.run_verification(CONFIGS[name]())
+    assert len(built_refs) == 2  # the universe under test and its rebuild twin
+    assert all(ref() is None for ref in built_refs)
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -91,62 +96,10 @@ def test_report_constructions_leave_no_cycle(name, collector_paused):
     refs = [weakref.ref(pair_universe), weakref.ref(chain_universe)]
     del pair_universe, chain_universe
     assert all(ref() is None for ref in refs)
-    del built, cert
 
 
-def test_report_verb_frees_every_universe(collector_paused, monkeypatch):
-    refs = []
-
-    def tracked(config):
-        universe = build_universe(config)
-        refs.append(weakref.ref(universe))
-        return universe
-
-    monkeypatch.setattr(verify, "build_universe", tracked)
-    monkeypatch.setattr(cli, "build_universe", tracked)
+def test_report_verb_frees_every_universe(collector_paused, built_refs):
     with redirect_stdout(io.StringIO()):
         assert cli.main(["report", "--config", "desk-relaxed"]) == 0
-    assert len(refs) == 4  # verification, its rebuild twin, pair, chain
-    assert all(ref() is None for ref in refs)
-
-
-@pytest.fixture()
-def configs(tmp_path):
-    micro = tmp_path / "micro.json"
-    micro.write_text(stable_json(micro_config(horizon=3).to_json_dict()))
-    failing = tmp_path / "tiny-cap.json"
-    failing.write_text(stable_json(micro_config(horizon=3, level_cap=1).to_json_dict()))
-    return {"micro": str(micro), "failing": str(failing), "missing": str(tmp_path / "none.json")}
-
-
-def boom(args):
-    raise RuntimeError("verb failed")
-
-
-@pytest.mark.parametrize("enabled", [True, False])
-@pytest.mark.parametrize(
-    "argv, outcome",
-    [
-        (["enumerate", "--config", "micro"], 0),
-        (["verify", "--config", "failing"], 1),
-        (["verify", "--config", "missing"], 2),
-        (["enumerate", "--config", "micro"], RuntimeError),
-    ],
-    ids=["exit-0", "exit-1", "exit-2", "raises"],
-)
-def test_main_restores_the_collector_state(argv, outcome, enabled, configs, monkeypatch):
-    argv = [configs.get(a, a) for a in argv]
-    if outcome is RuntimeError:
-        monkeypatch.setattr(cli, "cmd_enumerate", boom)
-    was = gc.isenabled()
-    (gc.enable if enabled else gc.disable)()
-    try:
-        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            if outcome is RuntimeError:
-                with pytest.raises(RuntimeError, match="verb failed"):
-                    cli.main(argv)
-            else:
-                assert cli.main(argv) == outcome
-        assert gc.isenabled() is enabled
-    finally:
-        (gc.enable if was else gc.disable)()
+    assert len(built_refs) == 4  # verification, its rebuild twin, pair, chain
+    assert all(ref() is None for ref in built_refs)
