@@ -303,11 +303,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     every exit the objects still alive are frozen out of later collections,
     and the caller's collector state is restored.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
     enabled = gc.isenabled()
     gc.disable()
     try:
+        args = build_parser().parse_args(argv)
+        # The parser is cyclic garbage now, all of it in the youngest
+        # generation; free it before the freeze below would keep it.
+        gc.collect(0)
         return _run(args)
     finally:
         gc.freeze()

@@ -78,17 +78,21 @@ def test_verify_reports_failure_with_exit_1(capsys, failing_path):
     assert out.rstrip().splitlines()[-1] == "result: FAIL"
 
 
-@pytest.mark.parametrize("enabled", [True, False])
-@pytest.mark.parametrize("case", ["exit-0", "exit-1", "exit-2", "raises"])
-def test_main_restores_the_collector_state(case, enabled, micro_path, failing_path, monkeypatch):
-    # main pauses the cyclic collector for the verb; whatever the exit, the
-    # caller gets back the state it had.
-    argv = {
+def exit_case(case: str, micro_path: str, failing_path: str) -> list[str]:
+    return {
         "exit-0": ["enumerate", "--config", micro_path],
         "exit-1": ["verify", "--config", failing_path],
         "exit-2": ["verify", "--config", micro_path + ".missing"],
         "raises": ["enumerate", "--config", micro_path],
     }[case]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("case", ["exit-0", "exit-1", "exit-2", "raises"])
+def test_main_restores_the_collector_state(case, enabled, micro_path, failing_path, monkeypatch):
+    # main pauses the cyclic collector for the verb; whatever the exit, the
+    # caller gets back the state it had.
+    argv = exit_case(case, micro_path, failing_path)
     if case == "raises":
         monkeypatch.setattr(bdlab.cli, "cmd_enumerate", lambda args: 1 / 0)
     was = gc.isenabled()
@@ -103,6 +107,18 @@ def test_main_restores_the_collector_state(case, enabled, micro_path, failing_pa
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("case", ["exit-0", "exit-1", "exit-2"])
+def test_main_leaves_no_cyclic_garbage(case, micro_path, failing_path):
+    # main freezes what is alive when it returns, so cyclic garbage it left
+    # would stay in the permanent generation until an unfreeze.
+    argv = exit_case(case, micro_path, failing_path)
+    gc.collect()
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    gc.unfreeze()
+    assert (code, gc.collect()) == (int(case[-1]), 0)
 
 
 def test_verify_suites_filter(capsys, micro_path):
