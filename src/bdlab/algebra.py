@@ -75,9 +75,6 @@ class Functional:
         self.basis = basis
         self.coords = {} if coords is None else _clean(coords)
 
-    def support(self) -> list[int]:
-        return sorted(self.coords)
-
     def scaled(self, factor: Fraction | int) -> "Functional":
         factor = Fraction(factor)
         return Functional(self.basis, {g: c * factor for g, c in self.coords.items()})

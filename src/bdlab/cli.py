@@ -7,8 +7,8 @@ Verbs:
 * ``verify``    -- run the verification suites against a fresh universe;
 * ``pair``      -- construct a calibrated pair over helper vectors and print
   its certificate;
-* ``depseq``    -- build a linked chain from the default pair supplier and
-  print its certificate;
+* ``depseq``    -- build a linked chain over fresh helper pairs and print
+  its certificate;
 * ``report``    -- everything above in one document.
 
 Exit status: 0 when nothing identity-level failed, 1 when a verification
@@ -35,7 +35,6 @@ from .config import (
 from .elements import BASE, TYPE1, GammaElement
 from .sequences import (
     ConstructionFailure,
-    DefaultPairSupplier,
     build_dependent_sequence,
     build_exact_pair,
     check_exact_pair,
@@ -167,13 +166,7 @@ def cmd_pair(args: argparse.Namespace) -> int:
 def cmd_depseq(args: argparse.Namespace) -> int:
     cfg = resolve_config(args.config)
     universe = build_universe(cfg)
-    cert = build_dependent_sequence(
-        universe,
-        DefaultPairSupplier(),
-        j0=args.j0,
-        length=args.length,
-        weak=args.weak,
-    )
+    cert = build_dependent_sequence(universe, j0=args.j0, length=args.length, weak=args.weak)
     payload = {
         "schema": "bdlab.depseq/1",
         "config": cfg.to_json_dict(),
@@ -215,7 +208,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     chain_json: dict[str, Any]
     chain_ok = True
     try:
-        cert = build_dependent_sequence(chain_universe, DefaultPairSupplier(), j0=1, length=1)
+        cert = build_dependent_sequence(chain_universe, j0=1, length=1)
         chain_ok = cert.identity_ok
         chain_json = cert.to_json_dict()
     except ConstructionFailure as err:

@@ -57,9 +57,6 @@ class BFunctional(NamedTuple):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(eta for eta, _ in self.terms)
-
     def items(self) -> Iterator[tuple[int, Fraction]]:
         return iter(self.terms)
 

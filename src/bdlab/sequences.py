@@ -10,9 +10,9 @@ Everything here is evaluated over a materialized universe, exactly:
   elements over prescribed rank cuts and returns the weighted sum with
   its element, asserting the shifted-orbit vanishing identities with no
   tolerance;
-* linked chains of odd-weight elements built from supplied pairs, where
-  each step's required weight index is dictated by the numbering of the
-  previous chain element;
+* linked chains of odd-weight elements, each step carrying a fresh helper
+  pair interned above the previous cut, where each step's required weight
+  index is dictated by the numbering of the previous chain element;
 * the inequality-type diagnostics: each left-hand side is evaluated over
   every materialized element (and every subinterval where the statement
   quantifies over intervals) and compared against the configured bound,
@@ -74,7 +74,7 @@ class ConstructionFailure(UniverseError):
 
 
 class SupplierExhausted(ConstructionFailure):
-    """A pair supplier cannot produce the requested pair."""
+    """A linked chain cannot get the pair its next step needs."""
 
 
 class ClauseResult(NamedTuple):
@@ -186,14 +186,6 @@ class RISCertificate(NamedTuple):
     @property
     def certifies(self) -> bool:
         return not self.violations
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "constant": format_rational(self.constant),
-            "j_seq": list(self.j_seq),
-            "violations": list(self.violations),
-            "certifies": self.certifies,
-        }
 
 
 def greedy_j_seq(universe: Universe, seq: BlockSequence) -> tuple[int, ...]:
@@ -317,13 +309,10 @@ def validate_ris(
     return RISCertificate(constant, js, tuple(bad))
 
 
-def minimal_ris_constant(
-    universe: Universe,
-    seq: BlockSequence,
-    j_seq: Optional[Sequence[int]] = None,
-) -> Fraction:
-    """Smallest constant under which the sequence certifies (structure permitting)."""
-    js = tuple(j_seq) if j_seq is not None else greedy_j_seq(universe, seq)
+def minimal_ris_constant(universe: Universe, seq: BlockSequence) -> Fraction:
+    """Smallest constant under which the sequence certifies at its greedy
+    index sequence (structure permitting)."""
+    js = greedy_j_seq(universe, seq)
     best = max((sup_norm(x) for x in seq.vectors), default=Fraction(0))
     for k, x in enumerate(seq.vectors):
         jk = js[k] if k < len(js) else 1
@@ -347,7 +336,6 @@ def _orbit_value(universe: Universe, x: Vector, eta: int, power: int) -> Fractio
 class ExactPairReport(NamedTuple):
     constant: Fraction
     j: int
-    delta: int
     epsilon: Optional[Fraction]
     clauses: tuple[ClauseResult, ...]
 
@@ -367,7 +355,7 @@ class ExactPairReport(NamedTuple):
         out: dict[str, Any] = {
             "constant": format_rational(self.constant),
             "j": self.j,
-            "delta": self.delta,
+            "delta": 0,
             "clauses": [c.to_json_dict() for c in self.clauses],
             "certifies": self.certifies,
         }
@@ -376,13 +364,40 @@ class ExactPairReport(NamedTuple):
         return out
 
 
+def _magnitude_terms(
+    universe: Universe, x: Vector, eta: int, j: int, epsilon: Optional[Fraction]
+) -> list[tuple[str, Fraction, Fraction, Optional[int]]]:
+    """The pair's magnitude conditions in report order, each as (name, lhs,
+    factor, witness): it holds at constant C when lhs <= C * factor, at the
+    element ``witness`` (as ``_bound_clause`` reads it).  The weak orbit
+    bounds are among them only when ``epsilon`` is given."""
+    cfg = universe.config
+    worst, worst_id = Fraction(0), -1
+    for gid, coeff in d_coords_of(universe, x).items():
+        if abs(coeff) > worst:
+            worst, worst_id = abs(coeff), gid
+    terms = [
+        ("(1) norm bound", sup_norm(x), Fraction(1), -1),
+        ("(2) biorthogonal coefficients", worst, cfg.weight(j), worst_id),
+    ]
+    if epsilon is not None:
+        for power in range(cfg.k):
+            value = abs(_orbit_value(universe, x, eta, power))
+            terms.append((f"(4') weak orbit bound [power {power}]", value, epsilon, -1))
+    # lower indices compare against C * m_widx^{-1}: scan the normalized value
+    lo_worst, lo_id = _weighted_sup(universe, x, lambda w: w < j, cfg.m)
+    terms.append(("(5) off-weight coordinates, lower indices", lo_worst, Fraction(1), lo_id))
+    hi_worst, hi_id = _weighted_sup(universe, x, lambda w: w > j, lambda w: 1)
+    terms.append(("(5) off-weight coordinates, higher indices", hi_worst, cfg.weight(j), hi_id))
+    return terms
+
+
 def check_exact_pair(
     universe: Universe,
     x: Vector,
     eta: int,
     constant: Fraction | int,
     j: int,
-    delta: int = 0,
     epsilon: Optional[Fraction] = None,
 ) -> ExactPairReport:
     """Evaluate every pair condition exactly over the materialized elements.
@@ -393,85 +408,39 @@ def check_exact_pair(
     report-only and never affect certification.
     """
     C = Fraction(constant)
-    if delta not in (0, 1):
-        raise AlgebraError("delta must be 0 or 1")
-    cfg = universe.config
-    k = cfg.k
-    clauses: list[ClauseResult] = []
-
-    clauses.append(_bound_clause("(1) norm bound", sup_norm(x), C))
-
-    worst, worst_id = Fraction(0), -1
-    for gid, coeff in d_coords_of(universe, x).items():
-        if abs(coeff) > worst:
-            worst, worst_id = abs(coeff), gid
-    clauses.append(
-        _bound_clause("(2) biorthogonal coefficients", worst, C * cfg.weight(j), worst_id)
-    )
-
-    eta_el = universe.element(eta)
-    clauses.append(
+    eps = None if epsilon is None else Fraction(epsilon)
+    graded = [
+        _bound_clause(name, lhs, C * factor, witness)
+        for name, lhs, factor, witness in _magnitude_terms(universe, x, eta, j, eps)
+    ]
+    eta_widx = universe.element(eta).weight_idx
+    identities = [
         _identity_clause(
-            "(3) weight",
-            eta_el.weight_idx == j,
-            f"element {eta} has weight index {eta_el.weight_idx}, wanted {j}",
+            "(3) weight", eta_widx == j, f"element {eta} has weight index {eta_widx}, wanted {j}"
         )
-    )
-
-    if epsilon is None:
+    ]
+    if eps is None:
         value = _orbit_value(universe, x, eta, 0)
-        clauses.append(
+        identities.append(
             _identity_clause(
                 "(4) value at the element",
-                value == delta,
-                f"coordinate is {format_rational(value)}, wanted {delta}",
+                value == 0,
+                f"coordinate is {format_rational(value)}, wanted 0",
             )
         )
-        for power in range(1, k):
+        for power in range(1, universe.config.k):
             value = _orbit_value(universe, x, eta, power)
-            clauses.append(
+            identities.append(
                 _identity_clause(
                     f"(4) shifted orbit vanishes [power {power}]",
                     value == 0,
                     f"coordinate is {format_rational(value)}",
                 )
             )
-    else:
-        eps = Fraction(epsilon)
-        start = 0
-        if delta == 1:
-            value = _orbit_value(universe, x, eta, 0)
-            clauses.append(
-                _identity_clause(
-                    "(4'') value at the element",
-                    value == 1,
-                    f"coordinate is {format_rational(value)}",
-                )
-            )
-            start = 1
-        for power in range(start, k):
-            clauses.append(
-                _bound_clause(
-                    f"(4') weak orbit bound [power {power}]",
-                    abs(_orbit_value(universe, x, eta, power)),
-                    C * eps,
-                )
-            )
-
-    # lower indices compare against C * m_widx^{-1}: scan the normalized value
-    lo_worst, lo_id = _weighted_sup(universe, x, lambda w: w < j, cfg.m)
-    clauses.append(
-        _bound_clause("(5) off-weight coordinates, lower indices", lo_worst, C, lo_id)
-    )
-    hi_worst, hi_id = _weighted_sup(universe, x, lambda w: w > j, lambda w: 1)
-    clauses.append(
-        _bound_clause(
-            "(5) off-weight coordinates, higher indices", hi_worst, C * cfg.weight(j), hi_id
-        )
-    )
-
+    # (3) and (4) come after the norm and biorthogonal bounds, as numbered
+    clauses = graded[:2] + identities + graded[2:]
     clauses.append(_tail_estimate_clause(universe, x, j, C))
-    return ExactPairReport(C, j, delta, Fraction(epsilon) if epsilon is not None else None, tuple(clauses))
+    return ExactPairReport(C, j, eps, tuple(clauses))
 
 
 def _tail_estimate_clause(universe: Universe, x: Vector, j: int, C: Fraction) -> ClauseResult:
@@ -515,22 +484,16 @@ def minimal_pair_constant(
     x: Vector,
     eta: int,
     j: int,
-    delta: int = 0,
     epsilon: Optional[Fraction] = None,
 ) -> Fraction:
-    """Smallest constant at which every magnitude condition of the pair holds.
+    """Smallest constant at which every magnitude condition of the pair holds:
+    the largest lhs / factor over the conditions ``check_exact_pair`` grades.
 
     Identity conditions are ignored here; they either hold or no constant
-    can repair them.
+    can repair them.  A condition with no positive factor bounds no constant.
     """
-    cfg = universe.config
-    need = max(sup_norm(x), sup_norm(Vector(d_coords_of(universe, x), x.horizon)) * cfg.m(j))
-    if epsilon is not None and Fraction(epsilon) > 0:
-        eps = Fraction(epsilon)
-        for power in range(0 if delta == 0 else 1, cfg.k):
-            need = max(need, abs(_orbit_value(universe, x, eta, power)) / eps)
-    worst, _ = _weighted_sup(universe, x, lambda w: w != j, lambda w: cfg.m(min(w, j)))
-    return max(need, worst)
+    terms = _magnitude_terms(universe, x, eta, j, epsilon)
+    return max(lhs / factor for _, lhs, factor, _ in terms if factor > 0)
 
 
 # -- pair construction over prescribed cuts ---------------------------------------
@@ -606,7 +569,6 @@ def build_exact_pair(
     cuts: Sequence[int],
     bs: Sequence[BFunctional],
     j: int,
-    constant: Optional[Fraction | int] = None,
 ) -> PairConstruction:
     """Intern the chain over the given rank cuts and return the weighted pair.
 
@@ -693,9 +655,8 @@ def build_exact_pair(
         )
     )
 
-    if constant is None:
-        constant = 16 * minimal_ris_constant(universe, block_sequence(universe, list(xs)))
-    report = check_exact_pair(universe, z, eta, Fraction(constant), widx, delta=0)
+    constant = 16 * minimal_ris_constant(universe, block_sequence(universe, list(xs)))
+    report = check_exact_pair(universe, z, eta, constant, widx)
     return PairConstruction(
         z=z,
         eta=eta,
@@ -731,62 +692,39 @@ def helper_pair_parts(
     return xs, tuple(cuts), bs
 
 
-# -- pair suppliers and dependent chains -------------------------------------------
+# -- dependent chains -----------------------------------------------------------------
 
 
-class SuppliedPair(NamedTuple):
-    x: Vector
-    eta: int
-
-
-class DefaultPairSupplier:
-    """Interns fresh helper elements above the current top rank.
+def _step_pair(universe: Universe, step: int, weight_index: int) -> tuple[Vector, int]:
+    """The vector and element of a fresh exact pair for a chain step,
+    interned above the current top rank.
 
     The element is an age-1 carrier of the requested weight with an empty
     combination (so its whole shift orbit is undefined), and the vector is
     the biorthogonal vector of a one-rank-higher helper; the pair
-    conditions then hold with the orbit values identically zero.  Only
-    delta = 0 pairs are supplied.
+    conditions then hold with the orbit values identically zero.
     """
-
-    def supply(
-        self,
-        universe: Universe,
-        min_p: int,
-        weight_index: int,
-        delta: int = 0,
-    ) -> SuppliedPair:
-        cfg = universe.config
-        if delta != 0:
-            raise SupplierExhausted(
-                "delta", "the default supplier only produces delta = 0 pairs"
-            )
-        if weight_index > cfg.num_weights:
-            raise SupplierExhausted(
-                "weight cap",
-                f"chain step needs weight index {weight_index} but the config "
-                f"has only {cfg.num_weights} weights",
-            )
-        rank_eta = max(universe.max_rank, min_p, weight_index, 1) + 1
-        try:
-            eta = universe.intern(
-                t1_candidate(rank_eta, 0, weight_index, BFunctional.zero())
-            )
-            theta = universe.intern(
-                t1_candidate(rank_eta + 1, 0, 2, BFunctional.zero())
-            )
-        except InadmissibleElement as err:
-            raise SupplierExhausted(
-                "helper admissibility", "; ".join(err.violations)
-            ) from err
-        return SuppliedPair(x=d_vector(universe, theta), eta=eta)
+    cfg = universe.config
+    if weight_index > cfg.num_weights:
+        raise SupplierExhausted(
+            "weight cap",
+            f"step {step} needs weight index {weight_index} but the config has only "
+            f"{cfg.num_weights} weights",
+        )
+    rank_eta = max(universe.max_rank, weight_index, 1) + 1
+    try:
+        eta = universe.intern(t1_candidate(rank_eta, 0, weight_index, BFunctional.zero()))
+        theta = universe.intern(t1_candidate(rank_eta + 1, 0, 2, BFunctional.zero()))
+    except InadmissibleElement as err:
+        raise SupplierExhausted(
+            "helper admissibility", "; ".join(err.violations)
+        ) from err
+    return d_vector(universe, theta), eta
 
 
 class DependentSequenceCertificate(NamedTuple):
     j0: int
-    delta: int
-    weak: bool
-    epsilon: Optional[Fraction]
+    epsilon: Optional[Fraction]  # the weak form's epsilon; None for the exact form
     constant: Fraction
     p_seq: tuple[int, ...]          # p_0 .. p_L
     xi_chain: tuple[int, ...]
@@ -799,13 +737,17 @@ class DependentSequenceCertificate(NamedTuple):
     raw_d_coords: tuple[tuple[tuple[int, Fraction], ...], ...] = ()
 
     @property
+    def weak(self) -> bool:
+        return self.epsilon is not None
+
+    @property
     def identity_ok(self) -> bool:
         return _identities_hold(self.clauses) and all(r.identity_ok for r in self.pair_reports)
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
             "j0": self.j0,
-            "delta": self.delta,
+            "delta": 0,
             "weak": self.weak,
             "epsilon": None if self.epsilon is None else format_rational(self.epsilon),
             "constant": format_rational(self.constant),
@@ -820,24 +762,20 @@ class DependentSequenceCertificate(NamedTuple):
 
 
 def build_dependent_sequence(
-    universe: Universe,
-    supplier: Any = None,
-    j0: int = 1,
-    length: int = 1,
-    delta: int = 0,
-    weak: bool = False,
-    epsilon: Optional[Fraction] = None,
-    constant: Optional[Fraction | int] = None,
+    universe: Universe, j0: int = 1, length: int = 1, weak: bool = False
 ) -> DependentSequenceCertificate:
-    """Build a linked chain of odd-weight elements from supplied pairs.
+    """Build a linked chain of odd-weight elements over fresh helper pairs.
 
     The first step picks the smallest admissible weight index of the form
     4*j; every later step is forced: its weight index is four times the
-    numbering of the previous chain element.  Chain elements are interned
-    and must be admissible; every clause of the chain definition is
-    recorded in the certificate with exact values.
+    numbering of the previous chain element.  Each step interns its pair
+    above the previous cut and its chain element one rank above the pair.
+    Chain elements must be admissible; every clause of the chain definition
+    is recorded in the certificate with exact values.  The weak form bounds
+    the orbit values by C/n instead of requiring them to vanish, n the age
+    cap of the chain weight; the constant C is the least at which every
+    pair's magnitude conditions hold.
     """
-    supplier = supplier or DefaultPairSupplier()
     cfg = universe.config
     odd_widx = 2 * j0 - 1
     if j0 < 1 or odd_widx > cfg.num_weights:
@@ -851,8 +789,7 @@ def build_dependent_sequence(
         raise ConstructionFailure(
             "age cap", f"length {length} exceeds the cap {cfg.n(odd_widx)}"
         )
-    if weak and epsilon is None:
-        epsilon = Fraction(1, cfg.n(odd_widx))
+    epsilon = Fraction(1, cfg.n(odd_widx)) if weak else None
 
     n_bound = Fraction(cfg.n(odd_widx)) ** 2
     j1 = None
@@ -874,47 +811,21 @@ def build_dependent_sequence(
     vectors: list[Vector] = []
     for i in range(1, length + 1):
         w = 4 * j1 if i == 1 else 4 * universe.sigma(xi_chain[-1])
-        if w > cfg.num_weights:
-            raise SupplierExhausted(
-                "weight cap",
-                f"step {i} needs weight index {w} but the config has only "
-                f"{cfg.num_weights} weights",
-            )
-        supplied = supplier.supply(universe, min_p=p_seq[-1], weight_index=w, delta=delta)
-        eta_el = universe.element(supplied.eta)
-        if eta_el.weight_idx != w:
-            raise ConstructionFailure(
-                "supplied weight",
-                f"supplier produced weight index {eta_el.weight_idx}, wanted {w}",
-            )
-        rng = vector_range(universe, supplied.x)
-        if rng is not None and rng[0] <= p_seq[-1]:
-            raise ConstructionFailure(
-                "vector ranges", f"supplied vector reaches down to rank {rng[0]}"
-            )
-        top = max(eta_el.rank, rng[1] if rng else 0, p_seq[-1] + 1)
-        p_i = top + 1
-        _extend_chain(
-            universe, xi_chain, p_i, 0, odd_widx, BFunctional.singleton(supplied.eta)
-        )
+        x, eta = _step_pair(universe, i, w)
+        # x is the d-vector of the new top element and eta lies below it
+        p_i = universe.max_rank + 1
+        _extend_chain(universe, xi_chain, p_i, 0, odd_widx, BFunctional.singleton(eta))
         p_seq.append(p_i)
-        eta_seq.append(supplied.eta)
+        eta_seq.append(eta)
         weight_indices.append(w)
-        vectors.append(supplied.x)
+        vectors.append(x)
 
     top = universe.max_rank
     vectors = [extend_vector(universe, x, top) for x in vectors]
-    if constant is None:
-        constant = max(
-            (
-                minimal_pair_constant(
-                    universe, x, eta, w, delta, epsilon if weak else None
-                )
-                for x, eta, w in zip(vectors, eta_seq, weight_indices)
-            ),
-            default=Fraction(1),
-        )
-    C = Fraction(constant)
+    C = max(
+        minimal_pair_constant(universe, x, eta, w, epsilon)
+        for x, eta, w in zip(vectors, eta_seq, weight_indices)
+    )
 
     clauses: list[ClauseResult] = []
     clauses.append(
@@ -971,16 +882,12 @@ def build_dependent_sequence(
     clauses.append(magnitude)
 
     reports = tuple(
-        check_exact_pair(
-            universe, x, eta, C, w, delta=delta, epsilon=epsilon if weak else None
-        )
+        check_exact_pair(universe, x, eta, C, w, epsilon)
         for x, eta, w in zip(vectors, eta_seq, weight_indices)
     )
     cert = DependentSequenceCertificate(
         j0=j0,
-        delta=delta,
-        weak=weak,
-        epsilon=Fraction(epsilon) if epsilon is not None else None,
+        epsilon=epsilon,
         constant=C,
         p_seq=tuple(p_seq),
         xi_chain=tuple(xi_chain),
@@ -1037,23 +944,12 @@ class ShiftedPairOutcome(NamedTuple):
     clauses: tuple[ClauseResult, ...]
     report: Optional[ExactPairReport]
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "found": self.found,
-            "gamma": self.gamma,
-            "eta": self.eta,
-            "delta_bound": format_rational(self.delta_bound),
-            "clauses": [c.to_json_dict() for c in self.clauses],
-            "pair_report": None if self.report is None else self.report.to_json_dict(),
-        }
-
 
 def build_shifted_exact_pair(
     universe: Universe,
     xs: Sequence[Vector],
     j: int,
     hypothesis_power: int,
-    constant: Optional[Fraction | int] = None,
     epsilon: Optional[Fraction] = None,
 ) -> ShiftedPairOutcome:
     """Locate a witness for the shifted-pair construction and evaluate it.
@@ -1073,7 +969,7 @@ def build_shifted_exact_pair(
     if a == 0:
         raise ConstructionFailure("length", "no vectors supplied")
     seq = block_sequence(universe, xs)
-    C = Fraction(constant) if constant is not None else minimal_ris_constant(universe, seq)
+    C = minimal_ris_constant(universe, seq)
 
     clauses: list[ClauseResult] = []
     clauses.append(_identity_clause("skipped-block structure", seq.is_skipped))
@@ -1141,7 +1037,7 @@ def build_shifted_exact_pair(
     if eta is None:
         return outcome(gamma, None, None, None)
     sx = s_apply(universe, _vector_sum(xs).scaled(scale))
-    return outcome(gamma, eta, sx, check_exact_pair(universe, sx, eta, 16 * C, 2 * j, 0, eps))
+    return outcome(gamma, eta, sx, check_exact_pair(universe, sx, eta, 16 * C, 2 * j, eps))
 
 
 # -- inequality diagnostics ----------------------------------------------------------
@@ -1155,14 +1051,6 @@ class EstimateReport(NamedTuple):
     @property
     def status(self) -> str:
         return worst_status(self.clauses)
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "clauses": [c.to_json_dict() for c in self.clauses],
-            "notes": list(self.notes),
-        }
 
 
 class RISInstance(NamedTuple):
@@ -1439,13 +1327,10 @@ def evaluate_estimates(universe: Universe, subject: Any) -> tuple[EstimateReport
     if isinstance(subject, DependentSequenceCertificate):
         xs = subject.vectors
         C = subject.constant
-        reports = [
+        return (
             estimate_interval_sums(universe, xs, C, subject.j0),
             estimate_dependent_average(universe, xs, C, subject.j0),
-        ]
-        if subject.delta == 1:
-            reports.append(estimate_alternating_sums(universe, xs, C, subject.j0))
-        return tuple(reports)
+        )
     if isinstance(subject, RISInstance):
         return (
             estimate_ris_averages(universe, subject.vectors, subject.constant, subject.j0),

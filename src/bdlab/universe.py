@@ -27,7 +27,7 @@ from math import lcm
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .config import ConstructionConfig, RELAXED, STRICT
+from .config import ConstructionConfig, STRICT
 from .elements import (
     BASE,
     BFunctional,
@@ -382,9 +382,8 @@ class Universe:
         self._enumerated_to = rank
         return list(range(before, len(self.elements)))
 
-    def build(self, horizon: Optional[int] = None) -> "Universe":
-        target = self.config.horizon if horizon is None else horizon
-        while self._enumerated_to < target:
+    def build(self) -> "Universe":
+        while self._enumerated_to < self.config.horizon:
             self.enumerate_level(self._enumerated_to + 1)
         return self
 

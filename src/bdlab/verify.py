@@ -80,7 +80,6 @@ from .sequences import (
     PASS,
     STATUS_ORDER,
     WARN,
-    DefaultPairSupplier,
     RISInstance,
     SupplierExhausted,
     build_dependent_sequence,
@@ -857,7 +856,7 @@ def _constructed_pair(universe: Universe) -> tuple[bool, str]:
 def _linked_chains(universe: Universe) -> list[Outcome]:
     name = "linked chain of length one"
     try:
-        cert = build_dependent_sequence(universe, DefaultPairSupplier(), j0=1, length=1)
+        cert = build_dependent_sequence(universe, j0=1, length=1)
     except UniverseError as err:
         return [(name, IDENTITY, False, str(err))]
     magnitude_bad = [
@@ -876,7 +875,7 @@ def _linked_chains(universe: Universe) -> list[Outcome]:
 
     name = "chain extension stops honestly"
     try:
-        longer = build_dependent_sequence(universe, DefaultPairSupplier(), j0=1, length=2)
+        longer = build_dependent_sequence(universe, j0=1, length=2)
     except SupplierExhausted as err:
         ok, detail = True, f"stopped at clause '{err.clause}': {err.detail}"
     except UniverseError as err:

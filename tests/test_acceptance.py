@@ -31,7 +31,6 @@ from bdlab.cli import main
 from bdlab.config import desk_relaxed, desk_strict
 from bdlab.elements import BFunctional, t1_candidate
 from bdlab.sequences import (
-    DefaultPairSupplier,
     build_dependent_sequence,
     build_exact_pair,
 )
@@ -262,7 +261,7 @@ def test_criterion_10_linked_chain_structure():
 def test_criterion_11_estimates_are_honest():
     with criterion(11, "magnitude bounds: exact margins when met, WARN when not"):
         strict_u = build_universe(desk_strict())
-        cert = build_dependent_sequence(strict_u, DefaultPairSupplier(), j0=1, length=1)
+        cert = build_dependent_sequence(strict_u, j0=1, length=1)
         assert cert.identity_ok
         for clause in cert.clauses:
             assert clause.status == "PASS"

@@ -17,7 +17,6 @@ import pytest
 from bdlab import cli, verify
 from bdlab.config import desk_relaxed, load_config_file
 from bdlab.sequences import (
-    DefaultPairSupplier,
     build_dependent_sequence,
     build_exact_pair,
     helper_pair_parts,
@@ -90,7 +89,7 @@ def test_report_constructions_leave_no_cycle(name, collector_paused):
     xs, cuts, bs = helper_pair_parts(pair_universe, 2)
     built = build_exact_pair(pair_universe, xs, cuts, bs, 1)
     chain_universe = build_universe(cfg)
-    cert = build_dependent_sequence(chain_universe, DefaultPairSupplier(), j0=1, length=1)
+    cert = build_dependent_sequence(chain_universe, j0=1, length=1)
     assert built.identity_ok and cert.identity_ok
     assert pair_universe.interior_interns and len(chain_universe) > len(build_universe(cfg))
     refs = [weakref.ref(pair_universe), weakref.ref(chain_universe)]

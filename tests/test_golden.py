@@ -23,7 +23,9 @@ and 200 on desk-strict, desk-relaxed and wide.json).  With no seed key,
 ``--seed 7`` prints the same bytes as the default run.  The ``wide.json``
 run reads the benchmark's committed config (n=746), where the window masses
 and the weighted scans have many more blocks and ids to get wrong than on
-the desk fixtures.
+the desk fixtures.  The weak ``depseq`` run (the only path through the
+chain's epsilon, 1/n) and the four-vector ``pair`` at j = 2 were added later,
+recorded on the code before the construction API lost its unused parameters.
 """
 from __future__ import annotations
 
@@ -84,6 +86,14 @@ GOLDEN = [
     (
         ["depseq", "--config", "desk-relaxed", "--format", "json"],
         "15ce05c8372b36dfa568d516cafd968e49c2b5ab4fab511343ca2426351da99c",
+    ),
+    (
+        ["depseq", "--config", "desk-relaxed", "--weak", "--format", "json"],
+        "c17ae4bfe7c45f8a964edbf0e591e70682ddbc91738ee90ddb2d56c6b708a65e",
+    ),
+    (
+        ["pair", "--config", "desk-relaxed", "--count", "4", "--j", "2", "--format", "json"],
+        "a44e1a8e522594efcfa55eaded1584ac653b72273304c28da18344b07fe16934",
     ),
 ]
 

@@ -8,9 +8,9 @@ from bdlab.algebra import Vector, d_coords_of, d_vector, evaluation_analysis, sy
 from bdlab.elements import BFunctional
 from bdlab.sequences import (
     ConstructionFailure,
-    DefaultPairSupplier,
     RISInstance,
     SupplierExhausted,
+    _step_pair,
     block_sequence,
     build_dependent_sequence,
     build_exact_pair,
@@ -176,6 +176,38 @@ def test_pair_chain_of_length_two():
     assert analysis.cut_points() == list(cuts)
 
 
+def test_pair_orbit_clauses_name_the_failing_value():
+    u = build_universe(micro_config(horizon=3))
+    eta = 4  # an age-1 element of weight index 2 at rank 2
+    x = d_vector(u, eta).scaled(F(-3, 2))  # -3/2 at eta, nothing down its orbit
+    exact = check_exact_pair(u, x, eta, F(1), 2).clauses
+    assert [(c.name, c.status) for c in exact] == [
+        ("(1) norm bound", "FAIL"),
+        ("(2) biorthogonal coefficients", "FAIL"),
+        ("(3) weight", "PASS"),
+        ("(4) value at the element", "FAIL"),
+        ("(4) shifted orbit vanishes [power 1]", "PASS"),
+        ("(4) shifted orbit vanishes [power 2]", "PASS"),
+        ("(5) off-weight coordinates, lower indices", "PASS"),
+        ("(5) off-weight coordinates, higher indices", "PASS"),
+        ("windowed tail estimate (reported)", "INFO"),
+    ]
+    assert exact[3].witness == "coordinate is -3/2, wanted 0"
+    assert exact[3].kind == "identity"
+
+    weak = check_exact_pair(u, x, eta, F(1), 2, epsilon=F(1, 2)).clauses
+    names = [c.name for c in weak]
+    assert names[3:6] == [f"(4') weak orbit bound [power {p}]" for p in range(3)]
+    assert names[:3] + names[6:] == [c.name for c in exact if not c.name.startswith("(4)")]
+    orbit = weak[3]
+    assert (orbit.status, orbit.kind) == ("FAIL", "magnitude")
+    assert (orbit.lhs, orbit.rhs, orbit.margin) == ("3/2", "1/2", "-1")
+    # the weak orbit term binds once epsilon is small: |-3/2| / (1/32) = 48
+    # against 24 from the biorthogonal coefficient
+    assert minimal_pair_constant(u, x, eta, 2, epsilon=F(1, 2)) == 24
+    assert minimal_pair_constant(u, x, eta, 2, epsilon=F(1, 32)) == 48
+
+
 @pytest.mark.parametrize(
     "mutate, clause",
     [
@@ -226,25 +258,23 @@ def test_pair_vector_range_window_and_orthogonality_gates():
     assert exc.value.clause == "orthogonality"
 
 
-# -- supplied pairs and linked chains --------------------------------------------------
+# -- step pairs and linked chains ------------------------------------------------------
 
 
 def test_default_supplier_produces_a_certified_pair():
     u = build_universe(micro_config(horizon=2))
-    supplied = DefaultPairSupplier().supply(u, min_p=0, weight_index=2)
-    constant = minimal_pair_constant(u, supplied.x, supplied.eta, 2)
-    report = check_exact_pair(u, supplied.x, supplied.eta, constant, 2)
+    x, eta = _step_pair(u, 1, 2)
+    constant = minimal_pair_constant(u, x, eta, 2)
+    report = check_exact_pair(u, x, eta, constant, 2)
     assert report.identity_ok and report.certifies
 
 
 def test_default_supplier_refusals_are_named():
     u = build_universe(micro_config(horizon=2))
     with pytest.raises(SupplierExhausted) as exc:
-        DefaultPairSupplier().supply(u, 0, 2, delta=1)
-    assert exc.value.clause == "delta"
-    with pytest.raises(SupplierExhausted) as exc:
-        DefaultPairSupplier().supply(u, 0, 99)
+        _step_pair(u, 3, 99)
     assert exc.value.clause == "weight cap"
+    assert exc.value.detail == "step 3 needs weight index 99 but the config has only 2 weights"
 
 
 def test_linked_chain_stops_honestly_on_short_weight_ladder():
