@@ -26,6 +26,10 @@ and the weighted scans have many more blocks and ids to get wrong than on
 the desk fixtures.  The weak ``depseq`` run (the only path through the
 chain's epsilon, 1/n) and the four-vector ``pair`` at j = 2 were added later,
 recorded on the code before the construction API lost its unused parameters.
+The text ``depseq`` and ``report`` runs, the desk-strict ``pair`` JSON (which
+carries ``certifies_at_minimal``) and the three-weight ``report`` were
+recorded before each certificate rule was left with one owner, which touched
+every one of them.
 """
 from __future__ import annotations
 
@@ -35,6 +39,8 @@ from pathlib import Path
 import pytest
 
 from bdlab.cli import main
+from bdlab.serialize import stable_json
+from conftest import micro_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -95,6 +101,18 @@ GOLDEN = [
         ["pair", "--config", "desk-relaxed", "--count", "4", "--j", "2", "--format", "json"],
         "a44e1a8e522594efcfa55eaded1584ac653b72273304c28da18344b07fe16934",
     ),
+    (
+        ["depseq", "--config", "desk-relaxed"],
+        "2afa73a8a78c875d9da9678caeb0ddbd602cb75dc1544d0ea660012e1709c4ba",
+    ),
+    (
+        ["report", "--config", "desk-strict"],
+        "c788c6275c6b35e068f7e94ef850676b82c14a81cf71147a2b20b4d17ae557a5",
+    ),
+    (
+        ["pair", "--config", "desk-strict", "--format", "json"],
+        "3a2eef265aa8269b4e2a8a15cd02df1fd26aa7127d8d57555882eab04723459c",
+    ),
 ]
 
 
@@ -117,3 +135,17 @@ def test_shift_duality_details_name_the_basis_size(config, n, capsys, monkeypatc
     exhaustive = f"exhaustive over {n} elements"
     assert f"  [PASS] pushforward and pullback are adjoint -- {exhaustive}" in lines
     assert f"  [PASS] pushforward respects the basis change -- {exhaustive}" in lines
+
+
+def test_three_weight_report_is_byte_identical(tmp_path, capsys, monkeypatch):
+    """Three weights leave no index of the form 4j, so the chain is refused
+    with "weight cap" and the sequence suite fails: exit status 1."""
+    monkeypatch.delenv("BDLAB_HORIZON", raising=False)
+    cfg = micro_config(horizon=4, m_seq=(4, 16, 64), n_seq=(16, 18, 20), level_cap=6)
+    path = tmp_path / "three-weights.json"
+    path.write_text(stable_json(cfg.to_json_dict()))
+    assert main(["report", "--config", str(path), "--format", "json"]) == 1
+    out = capsys.readouterr().out
+    assert '"unsatisfiable":"weight cap"' in out
+    digest = "f05ff801362ff6a257bc8ec57df9e8ae6ad382ed3d43a475bb34b39e7dcb6e89"
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
