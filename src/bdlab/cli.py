@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .config import (
     ConfigError,
@@ -37,7 +37,6 @@ from .sequences import (
     ConstructionFailure,
     build_dependent_sequence,
     build_exact_pair,
-    check_exact_pair,
     helper_pair_parts,
     minimal_pair_constant,
 )
@@ -118,7 +117,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         "level_counts": {str(r): c for r, c in universe.level_counts().items()},
         "fingerprint": universe.fingerprint(),
         "elements": [_element_json(universe, el) for el in universe.elements],
-        "notes": list(universe.notes),
+        "notes": list(cfg.notes),
     }
     _emit(args, payload, [])
     return 0
@@ -138,13 +137,12 @@ def cmd_pair(args: argparse.Namespace) -> int:
     xs, cuts, bs = helper_pair_parts(universe, args.count)
     built = build_exact_pair(universe, xs, cuts, bs, args.j)
     minimal = minimal_pair_constant(universe, built.z, built.eta, built.j)
-    at_minimal = check_exact_pair(universe, built.z, built.eta, minimal, built.j)
     payload = {
         "schema": "bdlab.pair/1",
         "config": cfg.to_json_dict(),
         "construction": built.to_json_dict(),
         "minimal_constant": format_rational(minimal),
-        "certifies_at_minimal": at_minimal.certifies,
+        "certifies_at_minimal": built.report.identity_ok,
         "interned_below_top": universe.interior_interns,
     }
     lines = [
@@ -193,26 +191,16 @@ def cmd_report(args: argparse.Namespace) -> int:
     cfg = resolve_config(args.config)
     verification = run_verification(cfg, timings=args.timing)
 
-    pair_universe = build_universe(cfg)
-    pair_json: dict[str, Any]
-    pair_ok = True
-    try:
-        xs, cuts, bs = helper_pair_parts(pair_universe, 2)
-        built = build_exact_pair(pair_universe, xs, cuts, bs, 1)
-        pair_ok = built.identity_ok
-        pair_json = built.to_json_dict()
-    except ConstructionFailure as err:
-        pair_json = {"unsatisfiable": err.clause, "detail": err.detail}
+    def attempt(construct: Callable[[Universe], Any]) -> tuple[bool, dict[str, Any]]:
+        """Run a construction on a fresh universe; a refusal is recorded."""
+        try:
+            built = construct(build_universe(cfg))
+        except ConstructionFailure as err:
+            return True, {"unsatisfiable": err.clause, "detail": err.detail}
+        return built.identity_ok, built.to_json_dict()
 
-    chain_universe = build_universe(cfg)
-    chain_json: dict[str, Any]
-    chain_ok = True
-    try:
-        cert = build_dependent_sequence(chain_universe, j0=1, length=1)
-        chain_ok = cert.identity_ok
-        chain_json = cert.to_json_dict()
-    except ConstructionFailure as err:
-        chain_json = {"unsatisfiable": err.clause, "detail": err.detail}
+    pair_ok, pair_json = attempt(lambda u: build_exact_pair(u, *helper_pair_parts(u, 2), 1))
+    chain_ok, chain_json = attempt(lambda u: build_dependent_sequence(u, j0=1, length=1))
 
     failed = verification.has_fail or not pair_ok or not chain_ok
     payload = {

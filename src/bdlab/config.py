@@ -69,6 +69,12 @@ class ConstructionConfig(_ConfigFields):
         """n_j, 1-indexed."""
         return self.n_seq[j - 1]
 
+    def odd_weight_magnitude(self, odd_widx: int, widx: int) -> bool:
+        """The strict regime's rule for an element of odd weight index
+        ``odd_widx`` that carries one of weight index ``widx`` = 4i:
+        m[4i] > n[odd_widx]^2."""
+        return self.m(widx) > self.n(odd_widx) ** 2
+
     @cached_property
     def weights(self) -> tuple[Fraction, ...]:
         """The weights 1/m_j in order, built once per config."""

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 from math import lcm
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .algebra import (
     AlgebraError,
@@ -45,7 +45,7 @@ from .algebra import (
     to_integers,
     vector_range,
 )
-from .config import STRICT
+from .config import STRICT, ConstructionConfig
 from .elements import BFunctional, t1_candidate, t2_candidate
 from .serialize import format_rational
 from .shift import s_apply, s_apply_power
@@ -489,11 +489,14 @@ def minimal_pair_constant(
     """Smallest constant at which every magnitude condition of the pair holds:
     the largest lhs / factor over the conditions ``check_exact_pair`` grades.
 
-    Identity conditions are ignored here; they either hold or no constant
-    can repair them.  A condition with no positive factor bounds no constant.
+    So the pair certifies at this constant exactly when its identity
+    conditions hold (``ExactPairReport.identity_ok`` at any constant):
+    every magnitude term has a positive factor (1, a weight, or a positive
+    epsilon), so each holds at the largest of the ratios; the tail estimate
+    is INFO; and no identity condition reads the constant.
     """
     terms = _magnitude_terms(universe, x, eta, j, epsilon)
-    return max(lhs / factor for _, lhs, factor, _ in terms if factor > 0)
+    return max(lhs / factor for _, lhs, factor, _ in terms)
 
 
 # -- pair construction over prescribed cuts ---------------------------------------
@@ -530,6 +533,31 @@ class PairConstruction(NamedTuple):
 
 def _coords_json(coords: dict[int, Fraction]) -> dict[str, str]:
     return {str(gid): format_rational(c) for gid, c in sorted(coords.items())}
+
+
+def _window_offences(
+    universe: Universe, cuts: Sequence[int], xs: Sequence[Vector], bs: Sequence[BFunctional]
+) -> Iterator[tuple[str, str]]:
+    """(clause, detail) for each way a step leaves its window (cuts[i-1],
+    cuts[i]), open at both ends, in step order: the step's vector range
+    ("vector ranges"), then each rank its carried combination touches
+    ("window")."""
+    for idx, (x, b) in enumerate(zip(xs, bs), start=1):
+        lo, hi = cuts[idx - 1], cuts[idx]
+        rng = vector_range(universe, x)
+        if rng is not None and not (lo < rng[0] and rng[1] < hi):
+            yield "vector ranges", f"vector {idx} has range {rng}, not inside ({lo}, {hi})"
+        for rank in (universe.element(gid).rank for gid, _ in b.items()):
+            if not lo < rank < hi:
+                yield "window", f"combination {idx} touches rank {rank} outside ({lo}, {hi - 1}]"
+
+
+def _require_weight(cfg: ConstructionConfig, widx: int, label: str) -> None:
+    """Refuse a weight index outside the configured sequence, as "weight cap"."""
+    if not 1 <= widx <= cfg.num_weights:
+        raise ConstructionFailure(
+            "weight cap", f"{label} {widx} outside configured 1..{cfg.num_weights}"
+        )
 
 
 def _extend_chain(
@@ -588,10 +616,7 @@ def build_exact_pair(
         raise ConstructionFailure("combinations", f"need {a} carried combinations")
     cfg = universe.config
     widx = 2 * j
-    if j < 1 or widx > cfg.num_weights:
-        raise ConstructionFailure(
-            "weight cap", f"weight index {widx} outside configured 1..{cfg.num_weights}"
-        )
+    _require_weight(cfg, widx, "weight index")
     if a > cfg.n(widx):
         raise ConstructionFailure(
             "age cap", f"chain length {a} exceeds the cap {cfg.n(widx)}"
@@ -601,21 +626,9 @@ def build_exact_pair(
         raise ConstructionFailure(
             "cuts", "cuts must increase with room for a rank strictly between"
         )
-    for idx, (x, b) in enumerate(zip(xs, bs), start=1):
-        rng = vector_range(universe, x)
-        if rng is not None and not (cuts[idx - 1] < rng[0] and rng[1] < cuts[idx]):
-            raise ConstructionFailure(
-                "vector ranges",
-                f"vector {idx} has range {rng}, not inside ({cuts[idx - 1]}, {cuts[idx]})",
-            )
-        for gid, _ in b.items():
-            rank = universe.element(gid).rank
-            if not cuts[idx - 1] < rank <= cuts[idx] - 1:
-                raise ConstructionFailure(
-                    "window",
-                    f"combination {idx} touches rank {rank} outside "
-                    f"({cuts[idx - 1]}, {cuts[idx] - 1}]",
-                )
+    offence = next(_window_offences(universe, cuts, xs, bs), None)
+    if offence is not None:
+        raise ConstructionFailure(*offence)
     for idx, (x, b) in enumerate(zip(xs, bs), start=1):
         f = b_as_functional(b)
         for power in range(cfg.k):
@@ -722,6 +735,13 @@ def _step_pair(universe: Universe, step: int, weight_index: int) -> tuple[Vector
     return d_vector(universe, theta), eta
 
 
+def carried_weights_decrease(weight_indices: Sequence[int]) -> bool:
+    """The weights 1/m carried along a chain strictly decrease: their indices
+    strictly increase.  Each next index is 4 sigma(xi) with sigma(xi) above
+    the rank of xi, so admissibility forces them up."""
+    return all(a < b for a, b in zip(weight_indices, weight_indices[1:]))
+
+
 class DependentSequenceCertificate(NamedTuple):
     j0: int
     epsilon: Optional[Fraction]  # the weak form's epsilon; None for the exact form
@@ -778,11 +798,7 @@ def build_dependent_sequence(
     """
     cfg = universe.config
     odd_widx = 2 * j0 - 1
-    if j0 < 1 or odd_widx > cfg.num_weights:
-        raise ConstructionFailure(
-            "weight cap",
-            f"chain weight index {odd_widx} outside configured 1..{cfg.num_weights}",
-        )
+    _require_weight(cfg, odd_widx, "chain weight index")
     if length < 1:
         raise ConstructionFailure("length", "chain length must be positive")
     if length > cfg.n(odd_widx):
@@ -791,14 +807,10 @@ def build_dependent_sequence(
         )
     epsilon = Fraction(1, cfg.n(odd_widx)) if weak else None
 
-    n_bound = Fraction(cfg.n(odd_widx)) ** 2
-    j1 = None
-    for j in range(1, cfg.num_weights // 4 + 1):
-        if cfg.regime == STRICT and not cfg.m(4 * j) > n_bound:
-            continue
-        j1 = j
-        break
-    if j1 is None:
+    for j1 in range(1, cfg.num_weights // 4 + 1):
+        if cfg.regime != STRICT or cfg.odd_weight_magnitude(odd_widx, 4 * j1):
+            break
+    else:
         raise SupplierExhausted(
             "odd-weight magnitude" if cfg.num_weights >= 4 else "weight cap",
             "no weight index of the form 4j is admissible for the first step",
@@ -834,17 +846,10 @@ def build_dependent_sequence(
             all(p_seq[i] < p_seq[i + 1] for i in range(length)) and p_seq[0] == 0,
         )
     )
-    ranges_ok = True
-    for i, x in enumerate(vectors, start=1):
-        rng = vector_range(universe, x)
-        if rng is not None and not (p_seq[i - 1] < rng[0] and rng[1] < p_seq[i]):
-            ranges_ok = False
-    clauses.append(_identity_clause("(1) vector ranges", ranges_ok))
-    windows_ok = all(
-        p_seq[i - 1] < universe.element(eta).rank <= p_seq[i] - 1
-        for i, eta in enumerate(eta_seq, start=1)
-    )
-    clauses.append(_identity_clause("element windows", windows_ok))
+    carried = [BFunctional.singleton(eta) for eta in eta_seq]
+    offences = {clause for clause, _ in _window_offences(universe, p_seq, vectors, carried)}
+    clauses.append(_identity_clause("(1) vector ranges", "vector ranges" not in offences))
+    clauses.append(_identity_clause("element windows", "window" not in offences))
     tail = universe.element(xi_chain[-1])
     clauses.append(
         _identity_clause(
@@ -852,7 +857,6 @@ def build_dependent_sequence(
             tail.weight_idx == odd_widx and tail.rank == p_seq[-1],
         )
     )
-    carried = [BFunctional.singleton(eta) for eta in eta_seq]
     clauses.append(
         _identity_clause("analysis echo", _echoes_chain(universe, xi_chain, p_seq, carried))
     )
@@ -861,17 +865,15 @@ def build_dependent_sequence(
         for i in range(1, length)
     )
     clauses.append(_identity_clause("(4) numbering linkage", linkage_ok))
-    decreasing = all(
-        weight_indices[i] < weight_indices[i + 1] for i in range(length - 1)
-    )
     clauses.append(
         _identity_clause(
             "decreasing element weights",
-            decreasing,
+            carried_weights_decrease(weight_indices),
             "carried element weights do not strictly decrease",
         )
     )
     # require n^2 < m(4j) over the chain's weights: lhs strictly below rhs
+    n_bound = Fraction(cfg.n(odd_widx)) ** 2
     worst_m = min(cfg.m(w) for w in weight_indices)
     magnitude = _bound_clause("odd-weight magnitude", n_bound, worst_m)
     if n_bound == worst_m:
@@ -924,6 +926,7 @@ def lower_bound_search(
     (half the weight times the summed norms)."""
     cfg = universe.config
     widx = 2 * j
+    _require_weight(cfg, widx, "weight index")
     rhs = cfg.weight(widx) / 2 * sum((sup_norm(x) for x in xs), Fraction(0))
     values, q = _numerators(xs)
     lhs, witness = _argmax_weighted(
@@ -1051,14 +1054,6 @@ class EstimateReport(NamedTuple):
     @property
     def status(self) -> str:
         return worst_status(self.clauses)
-
-
-class RISInstance(NamedTuple):
-    """A block sequence packaged with its certificate data for diagnostics."""
-
-    vectors: tuple[Vector, ...]
-    constant: Fraction
-    j0: int
 
 
 def _capping_notes(universe: Universe, a: int, idx: int) -> tuple[str, ...]:
@@ -1277,6 +1272,7 @@ def estimate_lower_bound(
     universe: Universe, xs: Sequence[Vector], j: int
 ) -> EstimateReport:
     """Witness search for the skipped-block lower norm estimate."""
+    search = lower_bound_search(universe, xs, j)
     seq = block_sequence(universe, xs)
     cfg = universe.config
     clauses: list[ClauseResult] = [
@@ -1295,7 +1291,6 @@ def estimate_lower_bound(
                 f"2j = {2 * j} not below {seq.ranges[1][0]}",
             )
         )
-    search = lower_bound_search(universe, xs, j)
     if search.witness is None:
         clauses.append(
             ClauseResult(
@@ -1321,21 +1316,3 @@ def estimate_lower_bound(
     clauses.append(_bound_clause("norm lower display", search.rhs, sup_norm(_vector_sum(xs))))
     return EstimateReport(name="lower-bound-search", clauses=tuple(clauses))
 
-
-def evaluate_estimates(universe: Universe, subject: Any) -> tuple[EstimateReport, ...]:
-    """Dispatch the inequality diagnostics appropriate to the subject."""
-    if isinstance(subject, DependentSequenceCertificate):
-        xs = subject.vectors
-        C = subject.constant
-        return (
-            estimate_interval_sums(universe, xs, C, subject.j0),
-            estimate_dependent_average(universe, xs, C, subject.j0),
-        )
-    if isinstance(subject, RISInstance):
-        return (
-            estimate_ris_averages(universe, subject.vectors, subject.constant, subject.j0),
-            estimate_lower_bound(universe, subject.vectors, subject.j0),
-        )
-    raise ConstructionFailure(
-        "subject", f"no diagnostics defined for {type(subject).__name__}"
-    )

@@ -82,7 +82,6 @@ class Universe:
         self._enumerated_to = 0
         self.interior_interns = 0
         self._fingerprint = (-1, "")
-        self.notes: list[str] = list(config.notes)
         # The coding-row store (``algebra.CodingRows``), made on first read.
         self.rows = None
 
@@ -249,26 +248,21 @@ class Universe:
                 return
             if cfg.max_support < 1:
                 bad.append("net membership: net is empty, singleton unavailable")
-            eta = terms[0][0]
-            eta_el = self.element(eta)
-            if eta_el.weight_idx == 0 or eta_el.weight_idx % 4 != 0:
+            eta_w = self.element(terms[0][0]).weight_idx
+            if eta_w == 0 or eta_w % 4 != 0:
                 bad.append(
                     "odd-weight form: support weight index must be divisible by 4"
                 )
                 return
-            if cfg.regime == STRICT:
-                quarter = eta_el.weight_idx // 4
-                if not cfg.m(4 * quarter) > cfg.n(cand.weight_idx) ** 2:
-                    bad.append(
-                        "odd-weight magnitude: m[4i] <= n[weight]^2 "
-                        f"(m[{4 * quarter}]={format_rational(cfg.m(4 * quarter))})"
-                    )
-            if cand.kind == TYPE2:
-                quarter = eta_el.weight_idx // 4
-                if quarter not in self.sigma_set(cand.xi):
-                    bad.append(
-                        f"sigma membership: {quarter} not in sigma-set of xi #{cand.xi}"
-                    )
+            if cfg.regime == STRICT and not cfg.odd_weight_magnitude(cand.weight_idx, eta_w):
+                bad.append(
+                    "odd-weight magnitude: m[4i] <= n[weight]^2 "
+                    f"(m[{eta_w}]={format_rational(cfg.m(eta_w))})"
+                )
+            if cand.kind == TYPE2 and eta_w // 4 not in self.sigma_set(cand.xi):
+                bad.append(
+                    f"sigma membership: {eta_w // 4} not in sigma-set of xi #{cand.xi}"
+                )
         else:
             # even weight: any net combination
             if len(terms) > cfg.max_support:
@@ -521,7 +515,7 @@ class _LevelPools:
             self._span(ids, lo, self._rank - 1)
             for w, ids in self._universe._by_weight.items()
             if w and w % 4 == 0
-            and (cfg.regime != STRICT or cfg.m(w) > cfg.n(widx) ** 2)
+            and (cfg.regime != STRICT or cfg.odd_weight_magnitude(widx, w))
         ))
 
     def _rank_of(self, gid: int) -> int:

@@ -80,12 +80,13 @@ from .sequences import (
     PASS,
     STATUS_ORDER,
     WARN,
-    RISInstance,
+    ConstructionFailure,
     SupplierExhausted,
     build_dependent_sequence,
     build_exact_pair,
-    check_exact_pair,
-    evaluate_estimates,
+    carried_weights_decrease,
+    estimate_lower_bound,
+    estimate_ris_averages,
     lower_bound_search,
     minimal_pair_constant,
     minimal_ris_constant,
@@ -351,7 +352,7 @@ def _carried_weights(universe: Universe) -> tuple[bool, str]:
     for gid in odd:
         steps = evaluation_analysis(universe, gid).steps
         carried = [universe.element(s.b.terms[0][0]).weight_idx for s in steps if s.b.terms]
-        if any(a <= b for a, b in zip(carried, carried[1:])):
+        if not carried_weights_decrease(carried):
             return False, f"element {gid} carries non-decreasing weights"
         carrying += bool(carried)
     return True, f"{carrying} of {len(odd)} odd-weight elements carry a weight"
@@ -844,10 +845,9 @@ def _constructed_pair(universe: Universe) -> tuple[bool, str]:
         )
     except UniverseError as err:
         return False, str(err)
+    # the pair certifies at its minimal constant exactly when its identities hold
     best = minimal_pair_constant(universe, built.z, built.eta, built.j)
-    report = check_exact_pair(universe, built.z, built.eta, best, built.j)
-    ok = built.identity_ok and report.identity_ok and report.certifies
-    return ok, (
+    return built.identity_ok and built.report.identity_ok, (
         f"element {built.eta}, orbit exactly zero, certifies at constant "
         f"{format_rational(best)}"
     )
@@ -887,21 +887,18 @@ def _linked_chains(universe: Universe) -> list[Outcome]:
 
 
 def _estimates(universe: Universe) -> list[Outcome]:
+    base = (d_vector(universe, universe.level(1)[0]),)
+    try:
+        # every lower-bound estimate here reads weight index 2
+        search = lower_bound_search(universe, base, 1)
+    except ConstructionFailure as err:
+        return [("inequality diagnostics", IDENTITY, False, str(err))]
     outcomes: list[Outcome] = []
-    zero = Vector({}, universe.max_rank)
-    base0 = universe.level(1)[0]
-    instances = [
-        ("zero sequence", RISInstance((zero,), Fraction(1), 1)),
-        ("base basis vector", RISInstance((d_vector(universe, base0),), Fraction(1), 1)),
-    ]
-    for label, instance in instances:
+    zero = (Vector({}, universe.max_rank),)
+    for label, xs in (("zero sequence", zero), ("base basis vector", base)):
         name = f"inequality diagnostics ({label})"
-        cert = validate_ris(
-            universe,
-            block_sequence(universe, list(instance.vectors)),
-            instance.constant,
-        )
-        reports = evaluate_estimates(universe, instance)
+        cert = validate_ris(universe, block_sequence(universe, xs), 1)
+        reports = (estimate_ris_averages(universe, xs, 1, 1), estimate_lower_bound(universe, xs, 1))
         bad = [f"{r.name}/{c.name}" for r in reports for c in r.clauses if c.status == FAIL]
         if not cert.certifies:
             outcomes.append((name, IDENTITY, False, "instance fails its certificate"))
@@ -916,7 +913,6 @@ def _estimates(universe: Universe) -> list[Outcome]:
             ]
             outcomes.append((name, IDENTITY, True, "; ".join(margins[:3])))
 
-    search = lower_bound_search(universe, [d_vector(universe, base0)], 1)
     outcomes.append(
         (
             "lower-bound witness search",
@@ -985,7 +981,7 @@ def run_verification(
         started = time.perf_counter()
         reports.append(SUITES[name](universe))
         clock[name] = f"{time.perf_counter() - started:.3f}"
-    notes = list(universe.notes)
+    notes = list(config.notes)
     if universe.interior_interns:
         notes.append(
             f"constructions interned {universe.interior_interns} elements below the top rank"

@@ -403,6 +403,21 @@ def test_report_document(capsys):
     assert payload["chain"]["xi_chain"]
 
 
+def test_one_weight_config_keeps_the_exit_contract(capsys, tmp_path, monkeypatch):
+    # With one weight there is no weight index 2 for the lower-bound
+    # diagnostics: the sequence suite grades the refusal instead of raising.
+    monkeypatch.delenv("BDLAB_HORIZON", raising=False)
+    cfg = micro_config(horizon=4, m_seq=(4,), n_seq=(16,), level_cap=6)
+    path = tmp_path / "one-weight.json"
+    path.write_text(stable_json(cfg.to_json_dict()))
+    code, out, _ = run_cli(capsys, "verify", "--config", str(path))
+    assert code == 1
+    refusal = "weight cap: weight index 2 outside configured 1..1"
+    assert f"  [FAIL] inequality diagnostics -- {refusal}" in out.splitlines()
+    code, _, _ = run_cli(capsys, "report", "--config", str(path))
+    assert code in (0, 1, 2)
+
+
 def test_importing_the_cli_loads_no_dataclasses():
     # Records are named tuples: generating dataclasses at import time would
     # add to the set-up of every verb.  -S keeps site start-up hooks out.

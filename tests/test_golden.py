@@ -38,8 +38,16 @@ from pathlib import Path
 
 import pytest
 
-from bdlab.cli import main
+from bdlab.cli import build_parser, main, resolve_config
+from bdlab.sequences import (
+    FAIL,
+    build_exact_pair,
+    check_exact_pair,
+    helper_pair_parts,
+    minimal_pair_constant,
+)
 from bdlab.serialize import stable_json
+from bdlab.universe import build_universe
 from conftest import micro_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -149,3 +157,22 @@ def test_three_weight_report_is_byte_identical(tmp_path, capsys, monkeypatch):
     assert '"unsatisfiable":"weight cap"' in out
     digest = "f05ff801362ff6a257bc8ec57df9e8ae6ad382ed3d43a475bb34b39e7dcb6e89"
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+PAIRS = [args for args, _ in GOLDEN if args[0] == "pair"]
+
+
+@pytest.mark.parametrize("argv", PAIRS, ids=[" ".join(args) for args in PAIRS])
+def test_pair_certifies_at_minimal_exactly_when_its_identities_hold(argv, monkeypatch):
+    """``certifies_at_minimal`` is read off the built report's identities;
+    a full check at the minimal constant agrees, whatever the magnitude
+    clauses read at the nominal constant."""
+    monkeypatch.delenv("BDLAB_HORIZON", raising=False)
+    args = build_parser().parse_args(argv)
+    universe = build_universe(resolve_config(args.config))
+    built = build_exact_pair(universe, *helper_pair_parts(universe, args.count), args.j)
+    minimal = minimal_pair_constant(universe, built.z, built.eta, built.j)
+    at_minimal = check_exact_pair(universe, built.z, built.eta, minimal, built.j)
+    assert at_minimal.certifies == built.report.identity_ok
+    nominal_fails = [c.name for c in built.report.clauses if c.status == FAIL]
+    assert len(nominal_fails) == (2 if args.count == 4 else 0)

@@ -8,7 +8,6 @@ from bdlab.algebra import Vector, d_coords_of, d_vector, evaluation_analysis, sy
 from bdlab.elements import BFunctional
 from bdlab.sequences import (
     ConstructionFailure,
-    RISInstance,
     SupplierExhausted,
     _step_pair,
     block_sequence,
@@ -17,11 +16,11 @@ from bdlab.sequences import (
     build_shifted_exact_pair,
     check_exact_pair,
     estimate_alternating_sums,
+    estimate_dependent_average,
     estimate_interval_sums,
     estimate_lower_bound,
     estimate_ris_averages,
     estimate_ris_weighted_averages,
-    evaluate_estimates,
     greedy_j_seq,
     helper_pair_parts,
     lower_bound_search,
@@ -425,23 +424,19 @@ def test_lower_bound_estimate_requires_skipped_blocks():
     assert single.status == "PASS"
 
 
-def test_estimates_dispatch_on_subject():
+def test_estimates_of_a_chain_and_of_a_sequence():
     u = steep_universe()
     cert = build_dependent_sequence(u, j0=1, length=2)
-    names = [r.name for r in evaluate_estimates(u, cert)]
-    assert names == ["interval-sums", "dependent-average"]
+    reports = [
+        estimate_interval_sums(u, cert.vectors, cert.constant, cert.j0),
+        estimate_dependent_average(u, cert.vectors, cert.constant, cert.j0),
+    ]
+    assert [r.name for r in reports] == ["interval-sums", "dependent-average"]
 
     u3 = build_universe(micro_config(horizon=3))
-    inst = RISInstance(
-        vectors=(d_vector(u3, 3), d_vector(u3, u3.ids_in_window(2, 3)[15])),
-        constant=F(1),
-        j0=1,
-    )
-    names = [r.name for r in evaluate_estimates(u3, inst)]
-    assert names == ["ris-averages", "lower-bound-search"]
-
-    with pytest.raises(ConstructionFailure):
-        evaluate_estimates(u3, object())
+    xs = (d_vector(u3, 3), d_vector(u3, u3.ids_in_window(2, 3)[15]))
+    reports = [estimate_ris_averages(u3, xs, F(1), 1), estimate_lower_bound(u3, xs, 1)]
+    assert [r.name for r in reports] == ["ris-averages", "lower-bound-search"]
 
 
 def test_worst_status_ordering():

@@ -21,7 +21,7 @@ from bdlab.algebra import (
 )
 from bdlab.config import RELAXED, desk_relaxed, desk_strict, make_config
 from bdlab.elements import BASE, TYPE1, TYPE2, BFunctional, describe, t1_candidate
-from bdlab.sequences import IDENTITY
+from bdlab.sequences import IDENTITY, build_dependent_sequence
 from bdlab.shift import witness_id
 from bdlab.universe import Universe, UniverseError, build_universe
 from bdlab.verify import (
@@ -558,6 +558,25 @@ def test_odd_weight_check_counts_the_elements_that_carry_a_weight():
     assert proof(verify._carried_weights, u) == (
         True, f"{carrying} of {odd} odd-weight elements carry a weight"
     )
+
+
+def test_chain_and_gamma_check_read_one_carried_weight_rule():
+    # A chain of length two carries weight indices 4 and 4 sigma(xi_1) = 40:
+    # increasing indices, decreasing weights 1/m.  The chain's clause and the
+    # gamma check agree that this is the paper's order.
+    u = build_universe(
+        micro_config(
+            k=2,
+            horizon=2,
+            m_seq=tuple(2 ** (2 * j + 1) for j in range(1, 65)),
+            n_seq=tuple(16 + 2 * (j - 1) for j in range(1, 65)),
+            level_cap=4,
+        )
+    )
+    cert = build_dependent_sequence(u, length=2)
+    assert cert.weight_indices == (4, 40) and cert.identity_ok
+    check = next(c for c in run_gamma_suite(u).checks if c.name.startswith("odd-weight"))
+    assert (check.status, check.detail) == ("PASS", "2 of 3 odd-weight elements carry a weight")
 
 
 def test_missing_witness_on_a_singleton_net_advises_only_a_larger_cap():
