@@ -28,9 +28,8 @@ from .config import (
     ConstructionConfig,
     desk_relaxed,
     desk_strict,
-    env_horizon,
     load_config_file,
-    validate_config,
+    with_env_horizon,
 )
 from .elements import BASE, TYPE1, GammaElement
 from .sequences import (
@@ -52,11 +51,7 @@ def resolve_config(name_or_path: str) -> ConstructionConfig:
     factory = BUNDLED.get(name_or_path)
     if factory is None:
         return load_config_file(name_or_path)
-    cfg = factory()
-    horizon = env_horizon(cfg.horizon)
-    if horizon == cfg.horizon:
-        return cfg
-    return validate_config(cfg._replace(horizon=horizon, notes=()))
+    return with_env_horizon(factory())
 
 
 def _emit(args: argparse.Namespace, payload: dict[str, Any], lines: list[str]) -> None:

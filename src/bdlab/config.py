@@ -92,12 +92,6 @@ class ConstructionConfig(_ConfigFields):
     def singleton_net(self) -> bool:
         return self.max_support == 1 and self.denominator_bound == 1
 
-    def growth_report(self) -> list[ClauseReport]:
-        return _growth_clauses(self.m_seq, self.n_seq)
-
-    def failed_clauses(self) -> list[str]:
-        return [c.name for c in self.growth_report() if not c.ok]
-
     def to_json_dict(self) -> dict[str, Any]:
         return {
             "k": self.k,
@@ -258,15 +252,16 @@ def load_config_file(path: str) -> ConstructionConfig:
     return config_from_dict(raw)
 
 
-def env_horizon(horizon: int) -> int:
-    """The truncation depth set by the environment override, else ``horizon``."""
+def with_env_horizon(config: ConstructionConfig) -> ConstructionConfig:
+    """``config`` validated afresh at the truncation depth the environment
+    override sets, else at its own: the last step of every config a verb
+    reads, from a file or a bundled fixture."""
     value = os.environ.get(HORIZON_ENV_VAR)
-    if value is None:
-        return horizon
     try:
-        return int(value)
+        horizon = config.horizon if value is None else int(value)
     except ValueError as exc:
         raise ConfigError(f"{HORIZON_ENV_VAR} must be an integer") from exc
+    return validate_config(config._replace(horizon=horizon, notes=()))
 
 
 _KEYS = ("k", "m", "n", "horizon", "net", "regime", "max_elements")
@@ -302,7 +297,7 @@ def config_from_dict(raw: dict[str, Any]) -> ConstructionConfig:
         raise ConfigError(f"config missing required key {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config value: {exc}") from exc
-    return validate_config(config._replace(horizon=env_horizon(config.horizon)))
+    return with_env_horizon(config)
 
 
 def desk_strict() -> ConstructionConfig:

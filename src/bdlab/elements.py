@@ -99,10 +99,6 @@ class GammaElement(NamedTuple):
     key = Candidate.key
 
     @property
-    def is_base(self) -> bool:
-        return self.kind == BASE
-
-    @property
     def odd_weight(self) -> bool:
         return self.weight_idx % 2 == 1
 

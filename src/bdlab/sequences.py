@@ -687,7 +687,8 @@ def helper_pair_parts(
     universe: Universe, count: int
 ) -> tuple[list[Vector], tuple[int, ...], list[BFunctional]]:
     """Fresh helper vectors, cuts, and carried combinations above the top rank,
-    ready for ``build_exact_pair``."""
+    ready for ``build_exact_pair``.  A helper the config cannot hold (no
+    weight index 2) is refused as "helper admissibility"."""
     base_rank = universe.max_rank
     base0 = universe.level(1)[0]
     xs = []
@@ -695,10 +696,11 @@ def helper_pair_parts(
     cuts = [base_rank + 1]
     for i in range(1, count + 1):
         rank = base_rank + 2 * i
-        phi = universe.intern(t1_candidate(rank, 0, 2, BFunctional.zero()))
-        theta = universe.intern(
-            t1_candidate(rank, 0, 2, BFunctional.singleton(base0))
-        )
+        try:
+            phi = universe.intern(t1_candidate(rank, 0, 2, BFunctional.zero()))
+            theta = universe.intern(t1_candidate(rank, 0, 2, BFunctional.singleton(base0)))
+        except InadmissibleElement as err:
+            raise ConstructionFailure("helper admissibility", "; ".join(err.violations)) from err
         xs.append(d_vector(universe, theta))
         bs.append(BFunctional.singleton(phi))
         cuts.append(rank + 1)
@@ -968,6 +970,7 @@ def build_shifted_exact_pair(
     m = hypothesis_power
     if not 2 <= m <= k:
         raise ConstructionFailure("hypothesis", f"power {m} outside 2..{k}")
+    _require_weight(cfg, 2 * j, "weight index")
     a = len(xs)
     if a == 0:
         raise ConstructionFailure("length", "no vectors supplied")
@@ -1269,10 +1272,12 @@ def estimate_alternating_sums(
 
 
 def estimate_lower_bound(
-    universe: Universe, xs: Sequence[Vector], j: int
+    universe: Universe, xs: Sequence[Vector], j: int, search: Optional[SearchResult] = None
 ) -> EstimateReport:
-    """Witness search for the skipped-block lower norm estimate."""
-    search = lower_bound_search(universe, xs, j)
+    """Witness search for the skipped-block lower norm estimate; ``search``
+    is ``lower_bound_search(universe, xs, j)`` when the caller has run it."""
+    if search is None:
+        search = lower_bound_search(universe, xs, j)
     seq = block_sequence(universe, xs)
     cfg = universe.config
     clauses: list[ClauseResult] = [

@@ -165,12 +165,6 @@ class Universe:
             members.update(self._sigma[g] for g in frontier)
         return frozenset(members)
 
-    def weight_of(self, gid: int) -> Optional[Fraction]:
-        el = self.element(gid)
-        if el.weight_idx == 0:
-            return None
-        return self.config.weight(el.weight_idx)
-
     def fingerprint(self) -> str:
         """The hash of ``dump_lines()``, kept per element count: only
         ``intern`` writes an element or its sigma, and it appends one."""
@@ -382,22 +376,17 @@ class Universe:
         return self
 
     def _select_level_candidates(self, rank: int, limit: int) -> list[Candidate]:
-        """Pull candidates from the four shape strata, round-robin under the
-        level cap and at most ``limit`` of them.
+        """Pull at most ``limit`` candidates under the level cap, round-robin
+        over four strata: age-1 shapes at even, then odd weight index, then
+        age extensions of even-, then odd-weight roots.
 
         Streams yield in canonical order within each stratum, so the selected
         set is a deterministic function of the config alone.
         """
         cap = min(self.config.level_cap or limit, limit)
         pools = _LevelPools(self, rank)
-        streams = [
-            self._stream_t1_even(rank, pools),
-            self._stream_t1_odd(rank, pools),
-            self._stream_t2_even(rank, pools),
-            self._stream_t2_odd(rank, pools),
-        ]
+        live = [s(rank, pools, parity) for s in (self._stream_t1, self._stream_t2) for parity in (0, 1)]
         selected: list[Candidate] = []
-        live = list(streams)
         while live and len(selected) < cap:
             next_round = []
             for stream in live:
@@ -411,47 +400,39 @@ class Universe:
             live = next_round
         return selected
 
-    def _even_weights(self, rank: int) -> list[int]:
-        top = min(rank, self.config.num_weights)
-        return [w for w in range(2, top + 1, 2)]
+    def _carried(self, pools: "_LevelPools", lo: int, widx: int, xi: int) -> Iterator[BFunctional]:
+        """What a shape over window start ``lo`` may carry at weight index
+        ``widx``: at even weight, the net combinations of the window pool; at
+        odd weight, zero and then each unit singleton of the odd pool.  For an
+        age extension (``xi`` >= 0) a singleton's weight index over 4 must lie
+        in the sigma-set of ``xi``, computed once the pool yields an id."""
+        cfg = self.config
+        if widx % 2 == 0:
+            yield from iter_net(pools.window(lo), cfg.max_support, cfg.denominator_bound)
+            return
+        yield BFunctional.zero()
+        if cfg.max_support < 1:
+            return
+        allowed = None
+        for eta in pools.odd(lo, widx):
+            if xi >= 0:
+                allowed = allowed or self.sigma_set(xi)
+                if self.elements[eta].weight_idx // 4 not in allowed:
+                    continue
+            yield BFunctional.singleton(eta)
 
-    def _odd_weights(self, rank: int) -> list[int]:
+    def _stream_t1(self, rank: int, pools: "_LevelPools", parity: int) -> Iterator[Candidate]:
         top = min(rank, self.config.num_weights)
-        return [w for w in range(1, top + 1, 2)]
-
-    def _stream_t1_even(self, rank: int, pools: "_LevelPools") -> Iterator[Candidate]:
         for p in range(rank - 1):
-            pool = pools.window(p)
-            for widx in self._even_weights(rank):
-                for b in iter_net(pool, self.config.max_support, self.config.denominator_bound):
+            for widx in range(2 - parity, top + 1, 2):
+                for b in self._carried(pools, p, widx, -1):
                     yield t1_candidate(rank, p, widx, b)
 
-    def _stream_t1_odd(self, rank: int, pools: "_LevelPools") -> Iterator[Candidate]:
-        for p in range(rank - 1):
-            for widx in self._odd_weights(rank):
-                yield t1_candidate(rank, p, widx, BFunctional.zero())
-                if self.config.max_support < 1:
-                    continue
-                for eta in pools.odd(p, widx):
-                    yield t1_candidate(rank, p, widx, BFunctional.singleton(eta))
-
-    def _stream_t2_even(self, rank: int, pools: "_LevelPools") -> Iterator[Candidate]:
-        for xi in pools.roots(parity=0):
-            el = self.element(xi)
-            pool = pools.window(el.rank)
-            for b in iter_net(pool, self.config.max_support, self.config.denominator_bound):
+    def _stream_t2(self, rank: int, pools: "_LevelPools", parity: int) -> Iterator[Candidate]:
+        for xi in pools.roots(parity):
+            el = self.elements[xi]
+            for b in self._carried(pools, el.rank, el.weight_idx, xi):
                 yield t2_candidate(rank, xi, el.weight_idx, b)
-
-    def _stream_t2_odd(self, rank: int, pools: "_LevelPools") -> Iterator[Candidate]:
-        for xi in pools.roots(parity=1):
-            el = self.element(xi)
-            yield t2_candidate(rank, xi, el.weight_idx, BFunctional.zero())
-            if self.config.max_support < 1:
-                continue
-            allowed = self.sigma_set(xi)
-            for eta in pools.odd(el.rank, el.weight_idx):
-                if self.element(eta).weight_idx // 4 in allowed:
-                    yield t2_candidate(rank, xi, el.weight_idx, BFunctional.singleton(eta))
 
     # -- dump --------------------------------------------------------------------
 

@@ -889,16 +889,16 @@ def _linked_chains(universe: Universe) -> list[Outcome]:
 def _estimates(universe: Universe) -> list[Outcome]:
     base = (d_vector(universe, universe.level(1)[0]),)
     try:
-        # every lower-bound estimate here reads weight index 2
+        # weight index 2 guard; the base vector's estimate and outcome read it
         search = lower_bound_search(universe, base, 1)
     except ConstructionFailure as err:
         return [("inequality diagnostics", IDENTITY, False, str(err))]
     outcomes: list[Outcome] = []
     zero = (Vector({}, universe.max_rank),)
-    for label, xs in (("zero sequence", zero), ("base basis vector", base)):
+    for label, xs, found in (("zero sequence", zero, None), ("base basis vector", base, search)):
         name = f"inequality diagnostics ({label})"
         cert = validate_ris(universe, block_sequence(universe, xs), 1)
-        reports = (estimate_ris_averages(universe, xs, 1, 1), estimate_lower_bound(universe, xs, 1))
+        reports = (estimate_ris_averages(universe, xs, 1, 1), estimate_lower_bound(universe, xs, 1, found))
         bad = [f"{r.name}/{c.name}" for r in reports for c in r.clauses if c.status == FAIL]
         if not cert.certifies:
             outcomes.append((name, IDENTITY, False, "instance fails its certificate"))

@@ -253,7 +253,7 @@ def test_criterion_10_linked_chain_structure():
         for gid in cert.xi_chain + cert.eta_seq:
             assert gid in u.ids()
         assert cert.weight_indices[1] == 4 * u.sigma(cert.xi_chain[0])
-        weights = [u.weight_of(g) for g in cert.eta_seq]
+        weights = [u.config.weight(u.element(g).weight_idx) for g in cert.eta_seq]
         assert weights[0] > weights[1]
         assert {u.element(g).weight_idx for g in cert.xi_chain} == {2 * cert.j0 - 1}
 

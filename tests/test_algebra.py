@@ -27,7 +27,7 @@ from bdlab.algebra import (
     to_e_basis,
     vector_range,
 )
-from bdlab.elements import BFunctional, t1_candidate, t2_candidate
+from bdlab.elements import BASE, BFunctional, t1_candidate, t2_candidate
 from bdlab.universe import DanglingReference, build_universe
 from conftest import micro_config
 from oracles import (
@@ -203,7 +203,7 @@ def test_projection_adjoint_to_vector_projection(micro3):
 
 def test_analysis_reconstructs_every_element(micro3):
     for gid in micro3.ids():
-        if micro3.element(gid).is_base:
+        if micro3.element(gid).kind == BASE:
             continue
         analysis = evaluation_analysis(micro3, gid)
         assert analysis.age == micro3.element(gid).age

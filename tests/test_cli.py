@@ -405,7 +405,8 @@ def test_report_document(capsys):
 
 def test_one_weight_config_keeps_the_exit_contract(capsys, tmp_path, monkeypatch):
     # With one weight there is no weight index 2 for the lower-bound
-    # diagnostics: the sequence suite grades the refusal instead of raising.
+    # diagnostics or the helper pair: the sequence suite grades the refusal,
+    # and report records the pair as unsatisfiable instead of raising.
     monkeypatch.delenv("BDLAB_HORIZON", raising=False)
     cfg = micro_config(horizon=4, m_seq=(4,), n_seq=(16,), level_cap=6)
     path = tmp_path / "one-weight.json"
@@ -414,8 +415,14 @@ def test_one_weight_config_keeps_the_exit_contract(capsys, tmp_path, monkeypatch
     assert code == 1
     refusal = "weight cap: weight index 2 outside configured 1..1"
     assert f"  [FAIL] inequality diagnostics -- {refusal}" in out.splitlines()
-    code, _, _ = run_cli(capsys, "report", "--config", str(path))
-    assert code in (0, 1, 2)
+    code, out, _ = run_cli(capsys, "report", "--config", str(path), "--format", "json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["pair"] == {
+        "unsatisfiable": "helper admissibility",
+        "detail": "weight cap: weight index 2 beyond configured sequence",
+    }
+    assert doc["result"] == "FAIL"
 
 
 def test_importing_the_cli_loads_no_dataclasses():

@@ -295,7 +295,7 @@ def test_linked_chain_length_two_by_hand():
     assert len(cert.vectors) == len(cert.pair_reports) == 2
     assert all(c.status == "PASS" for c in cert.clauses)
     # the carried elements' weights strictly decrease along the chain
-    w = [u.weight_of(g) for g in cert.eta_seq]
+    w = [u.config.weight(u.element(g).weight_idx) for g in cert.eta_seq]
     assert w[0] > w[1]
     # while every chain element shares the requested odd weight
     assert {u.element(g).weight_idx for g in cert.xi_chain} == {2 * cert.j0 - 1}
@@ -371,6 +371,15 @@ def test_shifted_pair_rejects_out_of_range_powers():
     for power in (1, 4):
         with pytest.raises(ConstructionFailure):
             build_shifted_exact_pair(u, [d_vector(u, 0)], 1, hypothesis_power=power)
+
+
+def test_shifted_pair_refuses_a_weight_the_config_lacks():
+    # power 2 < k reads the weight 1/m[2j] of its decay clause: one weight
+    # has no index 2, which is refused before anything reads it
+    u = build_universe(micro_config(horizon=3, m_seq=(4,), n_seq=(16,)))
+    with pytest.raises(ConstructionFailure) as exc:
+        build_shifted_exact_pair(u, [d_vector(u, 0)], 1, hypothesis_power=2, epsilon=F(1))
+    assert exc.value.clause == "weight cap"
 
 
 # -- inequality diagnostics ----------------------------------------------------------------

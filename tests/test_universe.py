@@ -3,13 +3,16 @@ from __future__ import annotations
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from bdlab.cli import resolve_config
 from bdlab.config import desk_relaxed, desk_strict, make_config, validate_config
 from bdlab.elements import (
+    BASE,
     BFunctional,
     base_candidate,
     t1_candidate,
@@ -49,7 +52,7 @@ def test_level_one_is_the_k_rank_one_elements(micro_universe):
     assert u.level(1) == (0, 1, 2)
     for j in range(3):
         el = u.element(j)
-        assert el.is_base and el.index == j and el.rank == 1
+        assert el.kind == BASE and el.index == j and el.rank == 1
 
 
 def test_level_two_contents_by_hand(micro_universe):
@@ -83,9 +86,9 @@ def test_numbering_trace_by_hand(micro_universe):
 
 def test_weight_accessors(micro_universe):
     u = micro_universe
-    assert u.weight_of(0) is None
-    assert u.weight_of(3) == Fraction(1, 4)
-    assert u.weight_of(4) == Fraction(1, 16)
+    assert u.element(0).weight_idx == 0
+    assert u.config.weight(u.element(3).weight_idx) == Fraction(1, 4)
+    assert u.config.weight(u.element(4).weight_idx) == Fraction(1, 16)
 
 
 def test_shift_images_by_hand(micro_universe):
@@ -301,15 +304,15 @@ def test_a_level_past_the_budget_stops_listing_one_candidate_past_it(monkeypatch
     pulled = [0]
 
     def counted(stream):
-        def wrapped(self, rank, pools):
-            for cand in stream(self, rank, pools):
+        def wrapped(self, rank, pools, parity):
+            for cand in stream(self, rank, pools, parity):
                 pulled[0] += 1
                 assert pulled[0] <= budget + 1, "listed candidates past the budget"
                 yield cand
 
         return wrapped
 
-    for name in ("_stream_t1_even", "_stream_t1_odd", "_stream_t2_even", "_stream_t2_odd"):
+    for name in ("_stream_t1", "_stream_t2"):
         monkeypatch.setattr(Universe, name, counted(getattr(Universe, name)))
     with pytest.raises(UniverseError, match=r"element budget exceeded \(5000\)"):
         build_universe(cfg)
@@ -431,9 +434,10 @@ def test_level_pools_match_direct_scans(factory):
         u.enumerate_level(rank)
 
 
-def test_level_pools_match_direct_scans_with_odd_supports():
-    # Capped selections rarely admit weight index 4, so odd-weight singleton
-    # pools are empty on the desk configs; intern some at rank 4 by hand.
+def weight4_universe() -> Universe:
+    """Levels 1..4 of a capped config plus hand-interned weight-4 elements
+    at rank 4.  Capped selections rarely admit weight index 4, so odd-weight
+    singleton pools are empty on the committed configs."""
     u = Universe(
         micro_config(
             k=2, horizon=6, m_seq=(4, 16, 64, 256), n_seq=(16, 18, 20, 22), level_cap=12
@@ -445,11 +449,56 @@ def test_level_pools_match_direct_scans_with_odd_supports():
         for eta in u.ids_in_window(p, 3):
             if u.element(eta).weight_idx % 2 == 0 and u.element(eta).weight_idx:
                 u.intern(t1_candidate(4, p, 4, unit(eta)))
+    return u
+
+
+def test_level_pools_match_direct_scans_with_odd_supports():
+    u = weight4_universe()
     nonempty = 0
     for rank in (5, 6):
         nonempty += assert_level_pools_match_direct_scans(u, rank)
         u.enumerate_level(rank)
     assert nonempty > 0
+
+
+def counted_sigma_sets(monkeypatch) -> list[int]:
+    """The ids ``Universe.sigma_set`` is called on from now on."""
+    calls: list[int] = []
+    sigma_set = Universe.sigma_set
+
+    def counted(self, gid):
+        calls.append(gid)
+        return sigma_set(self, gid)
+
+    monkeypatch.setattr(Universe, "sigma_set", counted)
+    return calls
+
+
+BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["desk-strict", "desk-relaxed", str(BENCH_CONFIGS / "wide.json"), str(BENCH_CONFIGS / "deep.json")],
+    ids=["desk-strict", "desk-relaxed", "wide", "deep"],
+)
+def test_building_a_committed_config_reads_no_sigma_set(name, monkeypatch):
+    # Their odd pools are empty, so no age extension needs a sigma-set to
+    # filter singletons, and no enumerated element carries one to validate.
+    monkeypatch.delenv("BDLAB_HORIZON", raising=False)
+    cfg = resolve_config(name)
+    calls = counted_sigma_sets(monkeypatch)
+    build_universe(cfg)
+    assert calls == []
+
+
+def test_odd_supports_make_enumeration_read_sigma_sets(monkeypatch):
+    u = weight4_universe()
+    calls = counted_sigma_sets(monkeypatch)
+    for rank in (5, 6):
+        u.enumerate_level(rank)
+    assert calls
+    assert {u.element(g).weight_idx % 2 for g in calls} == {1}
 
 
 def _drawn_candidate(data, u: Universe):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from bdlab import verify
+from bdlab import sequences, verify
 from bdlab.algebra import (
     D_BASIS,
     CodingRows,
@@ -30,6 +30,7 @@ from bdlab.verify import (
     _window_column,
     run_functional_suite,
     run_gamma_suite,
+    run_sequence_suite,
     run_verification,
 )
 from conftest import micro_config, small_universes
@@ -646,3 +647,20 @@ def test_combination_above_its_cut_breaks_only_the_unwindowed_form(kind):
     expected = (False, f"full form differs at element {xi}")
     assert per_form_analysis_check(u) == expected
     assert proof(verify._analysis_forms, u) == expected
+
+
+def test_sequence_suite_searches_the_base_vector_once(monkeypatch):
+    # The guard's search on the base basis vector also feeds its estimate and
+    # the witness outcome; the zero sequence's estimate makes the other call.
+    searched = []
+    search = sequences.lower_bound_search
+
+    def counted(universe, xs, j):
+        searched.append(bool(xs[0].coords))
+        return search(universe, xs, j)
+
+    monkeypatch.setattr(sequences, "lower_bound_search", counted)
+    monkeypatch.setattr(verify, "lower_bound_search", counted)
+    suite = run_sequence_suite(build_universe(desk_strict()))
+    assert sorted(searched) == [False, True]
+    assert any(c.name == "lower-bound witness search" for c in suite.checks)
