@@ -37,7 +37,6 @@ from .sequences import (
     build_dependent_sequence,
     build_exact_pair,
     helper_pair_parts,
-    minimal_pair_constant,
 )
 from .serialize import format_rational, stable_json
 from .universe import InvariantFault, Universe, UniverseError, build_universe
@@ -131,7 +130,7 @@ def cmd_pair(args: argparse.Namespace) -> int:
     universe = build_universe(cfg)
     xs, cuts, bs = helper_pair_parts(universe, args.count)
     built = build_exact_pair(universe, xs, cuts, bs, args.j)
-    minimal = minimal_pair_constant(universe, built.z, built.eta, built.j)
+    minimal = built.report.minimal_constant
     payload = {
         "schema": "bdlab.pair/1",
         "config": cfg.to_json_dict(),

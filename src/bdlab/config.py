@@ -23,7 +23,7 @@ import json
 import os
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, NamedTuple, Optional
+from typing import Any, Iterator, NamedTuple, Optional
 
 from .serialize import format_rational, parse_integer, parse_rational
 
@@ -37,12 +37,6 @@ class ConfigError(ValueError):
     """Raised when a configuration violates its declared regime."""
 
 
-class ClauseReport(NamedTuple):
-    name: str
-    ok: bool
-    detail: str
-
-
 class _ConfigFields(NamedTuple):
     k: int
     m_seq: tuple[Fraction, ...]
@@ -53,13 +47,12 @@ class _ConfigFields(NamedTuple):
     level_cap: int = 0  # 0 = no per-level cap
     regime: str = STRICT
     max_elements: int = 50_000
-    notes: tuple[str, ...] = ()
 
 
 class ConstructionConfig(_ConfigFields):
     """The config fields and their derived accessors.  Declaring no
-    ``__slots__`` gives each config a ``__dict__`` for the cached ``weights``;
-    ``_replace`` makes a new config with an empty cache."""
+    ``__slots__`` gives each config a ``__dict__`` for the cached ``weights``
+    and ``notes``; ``_replace`` makes a new config with an empty cache."""
 
     def m(self, j: int) -> Fraction:
         """m_j, 1-indexed."""
@@ -83,6 +76,17 @@ class ConstructionConfig(_ConfigFields):
     def weight(self, j: int) -> Fraction:
         """1/m_j, 1-indexed."""
         return self.weights[j - 1]
+
+    @cached_property
+    def notes(self) -> tuple[str, ...]:
+        """The concessions the ladders, the regime and the net fix: each
+        growth clause the relaxed regime drops, then an empty net."""
+        notes = []
+        if self.regime == RELAXED:
+            notes += [f"relaxed regime drops {c}" for c in _failed_growth_clauses(self)]
+        if self.max_support == 0:
+            notes.append("net is empty (max_support=0); only zero-b odd-weight elements enumerate")
+        return tuple(notes)
 
     @property
     def num_weights(self) -> int:
@@ -111,8 +115,8 @@ class ConstructionConfig(_ConfigFields):
 def validate_config(config: ConstructionConfig) -> ConstructionConfig:
     """Check structural invariants plus the declared regime.
 
-    Returns a config whose ``notes`` record relaxed-regime concessions.
-    Raises ConfigError when the config is not usable at all.
+    Returns the config itself; its ``notes`` record what the relaxed regime
+    gives up.  Raises ConfigError when the config is not usable at all.
     """
     if config.k < 2:
         raise ConfigError(f"k must be at least 2, got {config.k}")
@@ -146,19 +150,11 @@ def validate_config(config: ConstructionConfig) -> ConstructionConfig:
         if not isinstance(n, int) or n < 1:
             raise ConfigError("n entries must be positive integers")
 
-    clauses = _growth_clauses(config.m_seq, config.n_seq)
-    failed = [c for c in clauses if not c.ok]
-    notes = list(config.notes)
     if config.regime == STRICT:
+        failed = list(_failed_growth_clauses(config))
         if failed:
-            lines = "; ".join(f"{c.name}: {c.detail}" for c in failed)
-            raise ConfigError(f"strict regime violated: {lines}")
-    else:
-        for c in failed:
-            notes.append(f"relaxed regime drops {c.name}: {c.detail}")
-    if config.max_support == 0:
-        notes.append("net is empty (max_support=0); only zero-b odd-weight elements enumerate")
-    return config._replace(notes=tuple(notes))
+            raise ConfigError(f"strict regime violated: {'; '.join(failed)}")
+    return config
 
 
 def make_config(**kwargs: Any) -> ConstructionConfig:
@@ -172,35 +168,20 @@ def make_config(**kwargs: Any) -> ConstructionConfig:
 # -- growth clause evaluation ----------------------------------------------
 
 
-def _growth_clauses(m_seq: tuple[Fraction, ...], n_seq: tuple[int, ...]) -> list[ClauseReport]:
-    clauses = [_clause_m1(m_seq), _clause_n1(m_seq, n_seq)]
+def _failed_growth_clauses(config: ConstructionConfig) -> Iterator[str]:
+    """Each growth clause (2)-(4) the ladders fail, in order, as "name:
+    detail"; (1), m_1 >= 4, is a structural check of ``validate_config``."""
+    m_seq, n_seq = config.m_seq, config.n_seq
+    if n_seq[0] < m_seq[0] ** 2:
+        yield f"n[1] >= m[1]^2: {n_seq[0]} vs {format_rational(m_seq[0] ** 2)}"
     for j in range(len(m_seq) - 1):
-        ok = m_seq[j + 1] >= m_seq[j] ** 2
-        clauses.append(
-            ClauseReport(
-                name=f"m[{j + 2}] >= m[{j + 1}]^2",
-                ok=ok,
-                detail=f"{format_rational(m_seq[j + 1])} vs {format_rational(m_seq[j] ** 2)}",
-            )
-        )
+        if m_seq[j + 1] < m_seq[j] ** 2:
+            m_next, bound = format_rational(m_seq[j + 1]), format_rational(m_seq[j] ** 2)
+            yield f"m[{j + 2}] >= m[{j + 1}]^2: {m_next} vs {bound}"
     for j in range(len(n_seq) - 1):
-        verdict, detail = _check_log2_growth(n_seq[j + 1], 16 * n_seq[j], m_seq[j + 1])
-        clauses.append(
-            ClauseReport(name=f"n[{j + 2}] >= (16 n[{j + 1}])^log2(m[{j + 2}])", ok=bool(verdict), detail=detail)
-        )
-    return clauses
-
-
-def _clause_m1(m_seq: tuple[Fraction, ...]) -> ClauseReport:
-    ok = m_seq[0] >= 4
-    return ClauseReport("m[1] >= 4", ok, format_rational(m_seq[0]))
-
-
-def _clause_n1(m_seq: tuple[Fraction, ...], n_seq: tuple[int, ...]) -> ClauseReport:
-    ok = n_seq[0] >= m_seq[0] ** 2
-    return ClauseReport(
-        "n[1] >= m[1]^2", ok, f"{n_seq[0]} vs {format_rational(m_seq[0] ** 2)}"
-    )
+        ok, detail = _check_log2_growth(n_seq[j + 1], 16 * n_seq[j], m_seq[j + 1])
+        if not ok:
+            yield f"n[{j + 2}] >= (16 n[{j + 1}])^log2(m[{j + 2}]): {detail}"
 
 
 def exact_log2(value: Fraction) -> Optional[int]:
@@ -261,7 +242,7 @@ def with_env_horizon(config: ConstructionConfig) -> ConstructionConfig:
         horizon = config.horizon if value is None else int(value)
     except ValueError as exc:
         raise ConfigError(f"{HORIZON_ENV_VAR} must be an integer") from exc
-    return validate_config(config._replace(horizon=horizon, notes=()))
+    return validate_config(config._replace(horizon=horizon))
 
 
 _KEYS = ("k", "m", "n", "horizon", "net", "regime", "max_elements")

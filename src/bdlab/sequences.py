@@ -188,14 +188,13 @@ class RISCertificate(NamedTuple):
         return not self.violations
 
 
-def greedy_j_seq(universe: Universe, seq: BlockSequence) -> tuple[int, ...]:
+def greedy_j_seq(seq: BlockSequence) -> tuple[int, ...]:
     """The minimal increasing index sequence compatible with the cut-growth rule."""
     out: list[int] = []
     prev = 0
     for rng in seq.ranges:
-        j = max(prev + 1, 1)
-        out.append(j)
-        prev = max(j, rng[1] if rng else 0)
+        out.append(prev + 1)
+        prev = max(prev + 1, rng[1] if rng else 0)
     return tuple(out)
 
 
@@ -278,7 +277,7 @@ def validate_ris(
 ) -> RISCertificate:
     """Exhaustive rapid-increase check; violations are named, never raised."""
     constant = Fraction(constant)
-    js = tuple(j_seq) if j_seq is not None else greedy_j_seq(universe, seq)
+    js = tuple(j_seq) if j_seq is not None else greedy_j_seq(seq)
     bad: list[str] = []
     if len(js) != len(seq.vectors):
         bad.append("index sequence length mismatch")
@@ -312,10 +311,8 @@ def validate_ris(
 def minimal_ris_constant(universe: Universe, seq: BlockSequence) -> Fraction:
     """Smallest constant under which the sequence certifies at its greedy
     index sequence (structure permitting)."""
-    js = greedy_j_seq(universe, seq)
     best = max((sup_norm(x) for x in seq.vectors), default=Fraction(0))
-    for k, x in enumerate(seq.vectors):
-        jk = js[k] if k < len(js) else 1
+    for x, jk in zip(seq.vectors, greedy_j_seq(seq)):
         best = max(best, _weighted_sup(universe, x, lambda w: w < jk, universe.config.m)[0])
     return best
 
@@ -338,6 +335,11 @@ class ExactPairReport(NamedTuple):
     j: int
     epsilon: Optional[Fraction]
     clauses: tuple[ClauseResult, ...]
+    # The least constant at which every magnitude clause holds, so the pair
+    # certifies there exactly when its identities hold (``identity_ok``):
+    # every magnitude term has a positive factor (1, a weight, or a positive
+    # epsilon), the tail estimate is INFO, and no identity reads the constant.
+    minimal_constant: Fraction
 
     @property
     def weak(self) -> bool:
@@ -364,9 +366,12 @@ class ExactPairReport(NamedTuple):
         return out
 
 
+MagnitudeTerms = list[tuple[str, Fraction, Fraction, Optional[int]]]
+
+
 def _magnitude_terms(
     universe: Universe, x: Vector, eta: int, j: int, epsilon: Optional[Fraction]
-) -> list[tuple[str, Fraction, Fraction, Optional[int]]]:
+) -> MagnitudeTerms:
     """The pair's magnitude conditions in report order, each as (name, lhs,
     factor, witness): it holds at constant C when lhs <= C * factor, at the
     element ``witness`` (as ``_bound_clause`` reads it).  The weak orbit
@@ -392,6 +397,11 @@ def _magnitude_terms(
     return terms
 
 
+def _least_constant(terms: MagnitudeTerms) -> Fraction:
+    """The largest lhs / factor: the least constant at which every term holds."""
+    return max(lhs / factor for _, lhs, factor, _ in terms)
+
+
 def check_exact_pair(
     universe: Universe,
     x: Vector,
@@ -402,17 +412,22 @@ def check_exact_pair(
 ) -> ExactPairReport:
     """Evaluate every pair condition exactly over the materialized elements.
 
-    ``epsilon`` switches the orbit-vanishing condition to its weak form
-    (orbit values bounded by constant * epsilon instead of exactly zero).
+    ``epsilon``, positive, switches the orbit-vanishing condition to its
+    weak form (orbit values bounded by constant * epsilon, not exactly zero).
     The windowed tail estimates that follow the definition are evaluated
     report-only and never affect certification.
     """
-    C = Fraction(constant)
     eps = None if epsilon is None else Fraction(epsilon)
-    graded = [
-        _bound_clause(name, lhs, C * factor, witness)
-        for name, lhs, factor, witness in _magnitude_terms(universe, x, eta, j, eps)
-    ]
+    terms = _magnitude_terms(universe, x, eta, j, eps)
+    return _graded_pair(universe, x, eta, Fraction(constant), j, eps, terms)
+
+
+def _graded_pair(
+    universe: Universe, x: Vector, eta: int, C: Fraction, j: int, eps: Optional[Fraction],
+    terms: MagnitudeTerms,
+) -> ExactPairReport:
+    """``check_exact_pair`` at constant C over the pair's evaluated terms."""
+    graded = [_bound_clause(name, lhs, C * factor, witness) for name, lhs, factor, witness in terms]
     eta_widx = universe.element(eta).weight_idx
     identities = [
         _identity_clause(
@@ -440,7 +455,7 @@ def check_exact_pair(
     # (3) and (4) come after the norm and biorthogonal bounds, as numbered
     clauses = graded[:2] + identities + graded[2:]
     clauses.append(_tail_estimate_clause(universe, x, j, C))
-    return ExactPairReport(C, j, eps, tuple(clauses))
+    return ExactPairReport(C, j, eps, tuple(clauses), _least_constant(terms))
 
 
 def _tail_estimate_clause(universe: Universe, x: Vector, j: int, C: Fraction) -> ClauseResult:
@@ -477,26 +492,6 @@ def _tail_estimate_clause(universe: Universe, x: Vector, j: int, C: Fraction) ->
         rhs="1",
         witness=(worst_note + ("" if held else " [exceeded]")) or "no instances",
     )
-
-
-def minimal_pair_constant(
-    universe: Universe,
-    x: Vector,
-    eta: int,
-    j: int,
-    epsilon: Optional[Fraction] = None,
-) -> Fraction:
-    """Smallest constant at which every magnitude condition of the pair holds:
-    the largest lhs / factor over the conditions ``check_exact_pair`` grades.
-
-    So the pair certifies at this constant exactly when its identity
-    conditions hold (``ExactPairReport.identity_ok`` at any constant):
-    every magnitude term has a positive factor (1, a weight, or a positive
-    epsilon), so each holds at the largest of the ratios; the tail estimate
-    is INFO; and no identity condition reads the constant.
-    """
-    terms = _magnitude_terms(universe, x, eta, j, epsilon)
-    return max(lhs / factor for _, lhs, factor, _ in terms)
 
 
 # -- pair construction over prescribed cuts ---------------------------------------
@@ -536,15 +531,17 @@ def _coords_json(coords: dict[int, Fraction]) -> dict[str, str]:
 
 
 def _window_offences(
-    universe: Universe, cuts: Sequence[int], xs: Sequence[Vector], bs: Sequence[BFunctional]
+    universe: Universe,
+    cuts: Sequence[int],
+    ranges: Sequence[Optional[tuple[int, int]]],
+    bs: Sequence[BFunctional],
 ) -> Iterator[tuple[str, str]]:
     """(clause, detail) for each way a step leaves its window (cuts[i-1],
     cuts[i]), open at both ends, in step order: the step's vector range
     ("vector ranges"), then each rank its carried combination touches
     ("window")."""
-    for idx, (x, b) in enumerate(zip(xs, bs), start=1):
+    for idx, (rng, b) in enumerate(zip(ranges, bs), start=1):
         lo, hi = cuts[idx - 1], cuts[idx]
-        rng = vector_range(universe, x)
         if rng is not None and not (lo < rng[0] and rng[1] < hi):
             yield "vector ranges", f"vector {idx} has range {rng}, not inside ({lo}, {hi})"
         for rank in (universe.element(gid).rank for gid, _ in b.items()):
@@ -626,7 +623,8 @@ def build_exact_pair(
         raise ConstructionFailure(
             "cuts", "cuts must increase with room for a rank strictly between"
         )
-    offence = next(_window_offences(universe, cuts, xs, bs), None)
+    seq = block_sequence(universe, xs)
+    offence = next(_window_offences(universe, cuts, seq.ranges, bs), None)
     if offence is not None:
         raise ConstructionFailure(*offence)
     for idx, (x, b) in enumerate(zip(xs, bs), start=1):
@@ -668,7 +666,7 @@ def build_exact_pair(
         )
     )
 
-    constant = 16 * minimal_ris_constant(universe, block_sequence(universe, list(xs)))
+    constant = 16 * minimal_ris_constant(universe, seq)
     report = check_exact_pair(universe, z, eta, constant, widx)
     return PairConstruction(
         z=z,
@@ -836,10 +834,9 @@ def build_dependent_sequence(
 
     top = universe.max_rank
     vectors = [extend_vector(universe, x, top) for x in vectors]
-    C = max(
-        minimal_pair_constant(universe, x, eta, w, epsilon)
-        for x, eta, w in zip(vectors, eta_seq, weight_indices)
-    )
+    steps = list(zip(vectors, eta_seq, weight_indices))
+    terms = [_magnitude_terms(universe, x, eta, w, epsilon) for x, eta, w in steps]
+    C = max(_least_constant(t) for t in terms)
 
     clauses: list[ClauseResult] = []
     clauses.append(
@@ -849,7 +846,8 @@ def build_dependent_sequence(
         )
     )
     carried = [BFunctional.singleton(eta) for eta in eta_seq]
-    offences = {clause for clause, _ in _window_offences(universe, p_seq, vectors, carried)}
+    ranges = block_sequence(universe, vectors).ranges
+    offences = {clause for clause, _ in _window_offences(universe, p_seq, ranges, carried)}
     clauses.append(_identity_clause("(1) vector ranges", "vector ranges" not in offences))
     clauses.append(_identity_clause("element windows", "window" not in offences))
     tail = universe.element(xi_chain[-1])
@@ -886,8 +884,7 @@ def build_dependent_sequence(
     clauses.append(magnitude)
 
     reports = tuple(
-        check_exact_pair(universe, x, eta, C, w, epsilon)
-        for x, eta, w in zip(vectors, eta_seq, weight_indices)
+        _graded_pair(universe, x, eta, C, w, epsilon, t) for (x, eta, w), t in zip(steps, terms)
     )
     cert = DependentSequenceCertificate(
         j0=j0,

@@ -88,7 +88,6 @@ from .sequences import (
     estimate_lower_bound,
     estimate_ris_averages,
     lower_bound_search,
-    minimal_pair_constant,
     minimal_ris_constant,
     block_sequence,
     shifted_sequence,
@@ -846,10 +845,9 @@ def _constructed_pair(universe: Universe) -> tuple[bool, str]:
     except UniverseError as err:
         return False, str(err)
     # the pair certifies at its minimal constant exactly when its identities hold
-    best = minimal_pair_constant(universe, built.z, built.eta, built.j)
     return built.identity_ok and built.report.identity_ok, (
         f"element {built.eta}, orbit exactly zero, certifies at constant "
-        f"{format_rational(best)}"
+        f"{format_rational(built.report.minimal_constant)}"
     )
 
 

@@ -644,14 +644,9 @@ def _total(xs: Sequence[Vector], gid: int) -> Fraction:
     return sum((x.at(gid) for x in xs), Fraction(0))
 
 
-def fraction_minimal_ris_constant(
-    universe: Universe, xs: Sequence[Vector], j_seq: Optional[Sequence[int]] = None
-) -> Fraction:
-    seq = block_sequence(universe, xs)
-    js = tuple(j_seq) if j_seq is not None else greedy_j_seq(universe, seq)
+def fraction_minimal_ris_constant(universe: Universe, xs: Sequence[Vector]) -> Fraction:
     best = max((sup_norm(x) for x in xs), default=Fraction(0))
-    for k, x in enumerate(xs):
-        jk = js[k] if k < len(js) else 1
+    for x, jk in zip(xs, greedy_j_seq(block_sequence(universe, xs))):
         worst, _ = scan_argmax_weighted(
             universe, [x], lambda w: w < jk, lambda w, g: abs(x.at(g)) / universe.config.weight(w)
         )
@@ -679,7 +674,7 @@ def fraction_off_weight_clauses(
 
 
 def fraction_minimal_pair_constant(universe: Universe, x: Vector, j: int) -> Fraction:
-    """``minimal_pair_constant`` for the exact form (no epsilon)."""
+    """``ExactPairReport.minimal_constant`` for the exact form (no epsilon)."""
     cfg = universe.config
     need = sup_norm(x)
     for coeff in d_coords_of(universe, x).values():

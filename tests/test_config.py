@@ -16,6 +16,7 @@ from bdlab.config import (
     load_config_file,
     make_config,
     validate_config,
+    with_env_horizon,
 )
 from conftest import with_field
 
@@ -177,9 +178,14 @@ def test_unknown_keys_are_config_errors(path, value, named, monkeypatch):
         config_from_dict(doc)
 
 
-def test_validate_is_idempotent_on_fixtures():
-    for fixture in (desk_strict, desk_relaxed):
-        cfg = fixture()
-        again = validate_config(cfg)
-        assert again.n_seq == cfg.n_seq
-        assert again.regime == cfg.regime
+def test_validate_is_idempotent_on_fixtures(monkeypatch):
+    monkeypatch.delenv("BDLAB_HORIZON", raising=False)
+    empty_net = make_config(k=3, m_seq=(4, 16, 64), n_seq=(16, 18, 20), horizon=3, max_support=0)
+    for cfg in (desk_strict(), desk_relaxed(), empty_net):
+        for again in (validate_config(cfg), with_env_horizon(with_env_horizon(cfg))):
+            assert again == cfg
+            assert again.notes == cfg.notes
+    assert len(desk_relaxed().notes) == 7
+    assert [n for n in empty_net.notes if not n.startswith("relaxed regime drops")] == [
+        "net is empty (max_support=0); only zero-b odd-weight elements enumerate"
+    ]

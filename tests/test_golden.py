@@ -44,7 +44,6 @@ from bdlab.sequences import (
     build_exact_pair,
     check_exact_pair,
     helper_pair_parts,
-    minimal_pair_constant,
 )
 from bdlab.serialize import stable_json
 from bdlab.universe import build_universe
@@ -171,7 +170,7 @@ def test_pair_certifies_at_minimal_exactly_when_its_identities_hold(argv, monkey
     args = build_parser().parse_args(argv)
     universe = build_universe(resolve_config(args.config))
     built = build_exact_pair(universe, *helper_pair_parts(universe, args.count), args.j)
-    minimal = minimal_pair_constant(universe, built.z, built.eta, built.j)
+    minimal = built.report.minimal_constant
     at_minimal = check_exact_pair(universe, built.z, built.eta, minimal, built.j)
     assert at_minimal.certifies == built.report.identity_ok
     nominal_fails = [c.name for c in built.report.clauses if c.status == FAIL]

@@ -27,7 +27,6 @@ from bdlab.sequences import (
     estimate_ris_averages,
     estimate_ris_weighted_averages,
     lower_bound_search,
-    minimal_pair_constant,
     minimal_ris_constant,
     validate_ris,
 )
@@ -214,7 +213,9 @@ def assert_scans_agree(u: Universe, rng: random.Random) -> None:
     eta = u.level(1)[0]
     for x in xs:
         for j in range(1, min(weights, 3) + 1):
-            assert minimal_pair_constant(u, x, eta, j) == fraction_minimal_pair_constant(u, x, j)
+            assert check_exact_pair(u, x, eta, 0, j).minimal_constant == (
+                fraction_minimal_pair_constant(u, x, j)
+            )
             for C in CONSTANTS:
                 clauses = check_exact_pair(u, x, eta, C, j).clauses
                 scanned = tuple(c for c in clauses if c.name.startswith("(5)"))

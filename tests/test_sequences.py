@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from bdlab import sequences, verify
 from bdlab.algebra import Vector, d_coords_of, d_vector, evaluation_analysis, synthesize
 from bdlab.elements import BFunctional
 from bdlab.sequences import (
@@ -24,12 +25,12 @@ from bdlab.sequences import (
     greedy_j_seq,
     helper_pair_parts,
     lower_bound_search,
-    minimal_pair_constant,
     minimal_ris_constant,
     shifted_sequence,
     validate_ris,
     worst_status,
 )
+from bdlab.cli import main
 from bdlab.universe import build_universe
 from conftest import micro_config
 from oracles import scan_weight_decay_violations
@@ -66,7 +67,7 @@ def test_block_structure_flags():
 def test_greedy_index_sequence_clears_each_range():
     u = build_universe(micro_config(horizon=3))
     seq = block_sequence(u, [d_vector(u, 3), d_vector(u, u.ids_in_window(2, 3)[15])])
-    assert greedy_j_seq(u, seq) == (1, 3)
+    assert greedy_j_seq(seq) == (1, 3)
 
 
 def test_ris_certificate_at_minimal_constant():
@@ -153,7 +154,7 @@ def test_pair_minimal_constant_by_hand():
     u = build_universe(micro_config(horizon=3))
     xs, cuts, bs = helper_pair_parts(u, 1)
     built = build_exact_pair(u, xs, cuts, bs, 1)
-    minimal = minimal_pair_constant(u, built.z, built.eta, built.j)
+    minimal = check_exact_pair(u, built.z, built.eta, 0, built.j).minimal_constant
     # norm 16 forced through the biorthogonal-coefficient bound C / m_2
     assert minimal == 256
     assert check_exact_pair(u, built.z, built.eta, minimal, built.j).certifies
@@ -203,8 +204,8 @@ def test_pair_orbit_clauses_name_the_failing_value():
     assert (orbit.lhs, orbit.rhs, orbit.margin) == ("3/2", "1/2", "-1")
     # the weak orbit term binds once epsilon is small: |-3/2| / (1/32) = 48
     # against 24 from the biorthogonal coefficient
-    assert minimal_pair_constant(u, x, eta, 2, epsilon=F(1, 2)) == 24
-    assert minimal_pair_constant(u, x, eta, 2, epsilon=F(1, 32)) == 48
+    assert check_exact_pair(u, x, eta, F(1), 2, epsilon=F(1, 2)).minimal_constant == 24
+    assert check_exact_pair(u, x, eta, F(1), 2, epsilon=F(1, 32)).minimal_constant == 48
 
 
 @pytest.mark.parametrize(
@@ -263,7 +264,7 @@ def test_pair_vector_range_window_and_orthogonality_gates():
 def test_default_supplier_produces_a_certified_pair():
     u = build_universe(micro_config(horizon=2))
     x, eta = _step_pair(u, 1, 2)
-    constant = minimal_pair_constant(u, x, eta, 2)
+    constant = check_exact_pair(u, x, eta, 0, 2).minimal_constant
     report = check_exact_pair(u, x, eta, constant, 2)
     assert report.identity_ok and report.certifies
 
@@ -318,6 +319,66 @@ def test_linked_chain_certificate_serializes():
     assert payload["weight_indices"] == [4]
     assert payload["clauses"] and payload["pair_reports"]
     assert isinstance(payload["vectors_d_coords"][0], dict)
+
+
+# -- one evaluation per pair ------------------------------------------------------------
+
+
+def counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records each call's arguments."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+VERB_PAIRS = [["pair"], ["pair", "--count", "4", "--j", "2"], ["depseq"], ["depseq", "--weak"]]
+
+
+@pytest.mark.parametrize("config", ["desk-strict", "desk-relaxed"])
+@pytest.mark.parametrize("argv", VERB_PAIRS, ids=[" ".join(argv) for argv in VERB_PAIRS])
+def test_a_verb_evaluates_its_pair_terms_once(argv, config, monkeypatch, capsys):
+    monkeypatch.delenv("BDLAB_HORIZON", raising=False)
+    calls = counting(monkeypatch, sequences, "_magnitude_terms")
+    assert main([*argv, "--config", config]) == 0
+    assert len(calls) == 1
+
+
+def test_a_chain_evaluates_each_step_pair_once(monkeypatch):
+    u = build_universe(
+        micro_config(
+            k=2,
+            horizon=2,
+            m_seq=tuple(2 ** (2 * j + 1) for j in range(1, 65)),
+            n_seq=tuple(16 + 2 * (j - 1) for j in range(1, 65)),
+            level_cap=4,
+        )
+    )
+    calls = counting(monkeypatch, sequences, "_magnitude_terms")
+    cert = build_dependent_sequence(u, length=2)
+    assert cert.identity_ok
+    assert [call[2] for call in calls] == list(cert.eta_seq)
+
+
+def test_the_suites_constructed_pair_is_evaluated_once(monkeypatch):
+    u = build_universe(micro_config(horizon=3))
+    calls = counting(monkeypatch, sequences, "_magnitude_terms")
+    ok, detail = verify._constructed_pair(u)
+    assert ok and "certifies at constant" in detail
+    assert len(calls) == 1
+
+
+def test_pair_construction_reads_each_helper_range_once(monkeypatch):
+    u = build_universe(micro_config(horizon=3))
+    xs, cuts, bs = helper_pair_parts(u, 3)
+    calls = counting(monkeypatch, sequences, "vector_range")
+    assert build_exact_pair(u, xs, cuts, bs, 1).identity_ok
+    assert [x for _, x in calls] == xs
 
 
 # -- lower-bound witness search ---------------------------------------------------------

@@ -299,7 +299,7 @@ def test_a_base_level_past_the_budget_is_refused_before_it_is_listed():
 def test_a_level_past_the_budget_stops_listing_one_candidate_past_it(monkeypatch):
     budget = 5000
     cfg = validate_config(
-        desk_relaxed()._replace(notes=(), level_cap=0, horizon=4, max_elements=budget)
+        desk_relaxed()._replace(level_cap=0, horizon=4, max_elements=budget)
     )
     pulled = [0]
 
