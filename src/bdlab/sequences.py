@@ -397,6 +397,13 @@ def _magnitude_terms(
     return terms
 
 
+def _weak_epsilon(epsilon: Optional[Fraction]) -> Optional[Fraction]:
+    """The weak form's epsilon (None for the exact form), refused unless positive."""
+    if epsilon is not None and epsilon <= 0:
+        raise ConstructionFailure("hypothesis", f"epsilon {epsilon} is not positive")
+    return None if epsilon is None else Fraction(epsilon)
+
+
 def _least_constant(terms: MagnitudeTerms) -> Fraction:
     """The largest lhs / factor: the least constant at which every term holds."""
     return max(lhs / factor for _, lhs, factor, _ in terms)
@@ -417,7 +424,7 @@ def check_exact_pair(
     The windowed tail estimates that follow the definition are evaluated
     report-only and never affect certification.
     """
-    eps = None if epsilon is None else Fraction(epsilon)
+    eps = _weak_epsilon(epsilon)
     terms = _magnitude_terms(universe, x, eta, j, eps)
     return _graded_pair(universe, x, eta, Fraction(constant), j, eps, terms)
 
@@ -967,6 +974,7 @@ def build_shifted_exact_pair(
     m = hypothesis_power
     if not 2 <= m <= k:
         raise ConstructionFailure("hypothesis", f"power {m} outside 2..{k}")
+    eps = _weak_epsilon(epsilon)
     _require_weight(cfg, 2 * j, "weight index")
     a = len(xs)
     if a == 0:
@@ -997,11 +1005,10 @@ def build_shifted_exact_pair(
         )
     )
     if m < k:
-        if epsilon is None:
+        if eps is None:
             raise ConstructionFailure(
                 "hypothesis", "epsilon is required for powers below the nilpotency degree"
             )
-        eps = Fraction(epsilon)
         decay = max(
             (sup_norm(s_apply_power(universe, x, m)) for x in xs), default=Fraction(0)
         )

@@ -285,7 +285,7 @@ class Universe:
         keep the sigma counter rank-monotone.  Interning strictly below the
         current maximum is permitted for sequence constructions but breaks
         the cross-rank sigma ordering; such interns are counted so reports
-        can disclose them.
+        can disclose them, and no level is enumerated after one.
         """
         if key is None:
             key = cand.key()
@@ -350,6 +350,8 @@ class Universe:
             )
         if self.max_rank >= rank:
             raise UniverseError(f"level {rank} already holds interned elements")
+        if self.interior_interns:
+            raise UniverseError(f"level {rank} cannot follow an intern below the top rank")
 
         # The base level's size is known before it is listed, and a higher
         # level stops listing one candidate past the room left, so a refused
@@ -462,33 +464,24 @@ class _LevelPools:
     the pool of window start ``lo`` is ``ids_in_window(lo, rank - 1)``; the
     odd pool of ``(lo, widx)`` holds the ids of that window whose weight
     index is a positive multiple of 4 (in the strict regime also with
-    m[weight] > n[widx]^2).  All are ascending by id.  While ranks ascend
-    with ids (no interior interns), each is a contiguous run of its index,
-    found by bisection and read lazily.  They stay valid only while the
-    universe is unchanged, which holds during selection: the level's
-    candidates are interned after selection ends.
+    m[weight] > n[widx]^2).  All are ascending by id.  ``enumerate_level``
+    refuses a universe with interior interns, so ranks ascend with ids and
+    each is a contiguous run of its index, found by bisection and read
+    lazily.  They stay valid only while the universe is unchanged, which
+    holds during selection: the level's candidates are interned after it.
     """
 
     def __init__(self, universe: Universe, rank: int):
         self._universe = universe
         self._rank = rank
-        self._ordered = universe.interior_interns == 0
-        self._window: dict[int, Sequence[int]] = {}
 
     def roots(self, parity: int) -> Iterator[int]:
         """Extension roots of the level whose weight index has this parity."""
         return self._span(self._universe._roots[parity], 0, self._rank - 2)
 
     def window(self, lo: int) -> Sequence[int]:
-        pool = self._window.get(lo)
-        if pool is None:
-            ids = self._universe.ids()
-            if self._ordered:
-                pool = ids[bisect_right(ids, lo, key=self._rank_of):]
-            else:
-                pool = self._universe.ids_in_window(lo, self._rank - 1)
-            self._window[lo] = pool
-        return pool
+        ids = self._universe.ids()
+        return ids[bisect_right(ids, lo, key=self._rank_of):]
 
     def odd(self, lo: int, widx: int) -> Iterator[int]:
         cfg = self._universe.config
@@ -505,8 +498,6 @@ class _LevelPools:
     def _span(self, ids: list[int], lo: int, hi: int) -> Iterator[int]:
         """The ids of the ascending list with lo < rank <= hi, in order."""
         rank = self._rank_of
-        if not self._ordered:
-            return (g for g in ids if lo < rank(g) <= hi)
         start = bisect_right(ids, lo, key=rank)
         return map(ids.__getitem__, range(start, bisect_right(ids, hi, start, key=rank)))
 

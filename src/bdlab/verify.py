@@ -45,11 +45,10 @@ check that holds is PASS, and a check that fails is FAIL unless its kind has
 an excuse that holds for the universe, which makes it WARN.  Identity checks
 have no excuse.  Magnitude checks are excused under the relaxed regime,
 because their derivations assume growth conditions a desk-sized
-configuration cannot satisfy.  ``grown`` checks (rank ordering of the
-numbering) are excused once constructions interned elements below the top
-rank, and the ``net`` check (the compact-difference witness family) on any
-net but the singleton one.  The sequence suite interns new elements, so it
-always runs last and its effect is disclosed in the report notes.
+configuration cannot satisfy, and the ``net`` check (the compact-difference
+witness family) on any net but the singleton one.  The sequence suite
+interns new elements, so it always runs last and its effect is disclosed in
+the report notes.
 """
 from __future__ import annotations
 
@@ -107,9 +106,7 @@ from .shift import (
 )
 from .universe import Universe, UniverseError, build_universe
 
-# Check kinds beyond the identity, magnitude and info kinds of the sequence
-# laboratory; the module docstring gives their excuses.
-GROWN = "grown"
+# A check kind beyond the sequence laboratory's; the module docstring gives its excuse.
 NET = "net"
 
 SUITE_ORDER = ("gamma", "functional", "shift", "sequence")
@@ -218,7 +215,6 @@ Entry = Callable[[Universe], Iterable[Outcome]]
 # A failed check whose kind has an excuse that holds for the universe is WARN.
 _EXCUSES: dict[str, Callable[[Universe], bool]] = {
     MAGNITUDE: lambda u: u.config.regime == RELAXED,
-    GROWN: lambda u: u.interior_interns > 0,
     NET: lambda u: not u.config.singleton_net,
 }
 
@@ -286,18 +282,14 @@ def _level_structure(universe: Universe) -> tuple[bool, str]:
 def _ranks_climb(members: Callable[[Universe, int], Iterable[int]], offence: str) -> Run:
     """A check that each rank's members lie above every member of the ranks
     below it.  ``offence`` names the first rank that does not (``{rank}``
-    and ``{below}`` are filled in), noting a universe grown out of
-    enumeration order."""
+    and ``{below}`` are filled in)."""
 
     def run(universe: Universe) -> tuple[bool, str]:
         top = 0
         for rank in range(1, universe.max_rank + 1):
             values = set().union(*(members(universe, g) for g in universe.level(rank)))
             if values and top and min(values) <= top:
-                offender = offence.format(rank=rank, below=rank - 1)
-                if universe.interior_interns:
-                    offender += " (universe grew out of enumeration order)"
-                return False, offender
+                return False, offence.format(rank=rank, below=rank - 1)
             top = max([top, *values])
         return True, ""
 
@@ -338,7 +330,7 @@ def _membership(universe: Universe) -> list[Outcome]:
     return [
         ("membership sets match the orbit definition", IDENTITY, orbits, ""),
         ("membership monotone under the shift", IDENTITY, all(map(monotone, sets)), ""),
-        ("membership separated by rank", GROWN, *separated),
+        ("membership separated by rank", IDENTITY, *separated),
         ("membership identifies chain position", IDENTITY, all(map(identifies, sets)), ""),
     ]
 
@@ -367,14 +359,11 @@ def _image_law_fault(universe: Universe, gid: int) -> str:
     return ""
 
 
-def _rebuild_determinism(universe: Universe) -> list[Outcome]:
-    name = "rebuild determinism"
-    if universe.interior_interns:
-        return [(name, INFO_KIND, True, "skipped: universe contains post-enumeration elements")]
+def _rebuild_determinism(universe: Universe) -> tuple[bool, str]:
     fingerprint = universe.fingerprint()
     twin = build_universe(universe.config)
     same = twin.fingerprint() == fingerprint and len(twin) == len(universe)
-    return [(name, IDENTITY, same, f"fingerprint {fingerprint[:16]}...")]
+    return same, f"fingerprint {fingerprint[:16]}..."
 
 
 _GAMMA: tuple[Entry, ...] = (
@@ -392,7 +381,7 @@ _GAMMA: tuple[Entry, ...] = (
     ),
     Check(
         "numbering dominates lower ranks",
-        GROWN,
+        IDENTITY,
         _ranks_climb(
             lambda u, g: {u.sigma(g)}, "rank {rank} numbering does not clear rank {below}"
         ),
@@ -400,7 +389,7 @@ _GAMMA: tuple[Entry, ...] = (
     _membership,
     Check("odd-weight carried weights decrease", IDENTITY, _carried_weights),
     Check("shift image laws", IDENTITY, _first_violation(_image_law_fault)),
-    _rebuild_determinism,
+    Check("rebuild determinism", IDENTITY, _rebuild_determinism),
 )
 
 

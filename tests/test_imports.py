@@ -1,5 +1,6 @@
-"""Every name a package module imports is used by that module, and every
-private module-level name is used by the package.
+"""Every name a package module imports is used by that module, every
+private module-level name is used by the package, and the public ones that
+only tests read are a pinned list that may only shrink.
 
 A stdlib ``ast`` check in place of a linter: a name bound by an import must
 be read somewhere in the module, or be listed in its ``__all__``.  A name
@@ -7,6 +8,8 @@ read only inside a quoted annotation does not count as read.  A module-level
 function, class or constant whose name starts with one underscore must be
 read by another top-level statement of the package: its own body does not
 count, so a helper left behind after a refactor shows, recursive or not.
+A public one that no statement of another module reads, and that
+``__init__`` does not export, is reached only from outside the package.
 """
 from __future__ import annotations
 
@@ -14,6 +17,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+import bdlab
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bdlab"
 
@@ -51,8 +56,9 @@ def test_package_modules_use_every_import(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
 
 
-def private_definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
-    """(name, statement) for each top-level private function, class or constant."""
+def definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """(name, statement) for each top-level function, class or constant,
+    dunder names aside."""
     found = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -62,13 +68,14 @@ def private_definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
             names = [t.id for t in targets if isinstance(t, ast.Name)]
         else:
             continue
-        found += [(n, node) for n in names if n.startswith("_") and not n.startswith("__")]
+        found += [(n, node) for n in names if not n.startswith("__")]
     return found
 
 
-def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
-    """``module: name`` for each private definition that no other top-level
-    statement of the given modules reads, by name, attribute or import."""
+def unreferenced_names(sources: dict[str, str], private: bool = True) -> list[str]:
+    """``module: name`` for each private (or else public) definition that no
+    other top-level statement of the given modules reads, by name, attribute
+    or import."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     reads: list[tuple[ast.stmt, set[str]]] = []
     for tree in trees.values():
@@ -85,8 +92,9 @@ def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
     return [
         f"{module}: {name}"
         for module, tree in trees.items()
-        for name, defined in private_definitions(tree)
-        if not any(name in names for stmt, names in reads if stmt is not defined)
+        for name, defined in definitions(tree)
+        if name.startswith("_") == private
+        and not any(name in names for stmt, names in reads if stmt is not defined)
     ]
 
 
@@ -95,9 +103,34 @@ def test_the_scan_sees_unreferenced_private_names():
         "a.py": "def _used(): pass\ndef _loop(): return _loop()\n_KEPT = 1\n_DROPPED = 2\n",
         "b.py": "from a import _KEPT\ndef f(): return _used()\n",
     }
-    assert unreferenced_private_names(sources) == ["a.py: _loop", "a.py: _DROPPED"]
+    assert unreferenced_names(sources) == ["a.py: _loop", "a.py: _DROPPED"]
+    assert unreferenced_names(sources, private=False) == ["b.py: f"]
 
 
 def test_package_uses_every_private_name():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
-    assert unreferenced_private_names(sources) == []
+    assert unreferenced_names(sources) == []
+
+
+# Public definitions that no package statement reads, so that no verb
+# reaches them and only tests do (ROADMAP item 15).  A removal must shrink
+# this list, and a new test-only definition fails against it.
+READ_ONLY_FROM_OUTSIDE = [
+    "algebra.py: d_star",
+    "algebra.py: to_d_basis",
+    "algebra.py: op_norm_l1",
+    "sequences.py: build_shifted_exact_pair",
+    "sequences.py: estimate_ris_weighted_averages",
+    "sequences.py: estimate_interval_sums",
+    "sequences.py: estimate_dependent_average",
+    "sequences.py: estimate_alternating_sums",
+    "shift.py: s_star_power",
+    "shift.py: shift_polynomial",
+]
+
+
+def test_public_names_no_package_statement_reads_are_pinned():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    del sources["__init__.py"]  # its imports re-export names; they are not reads
+    found = unreferenced_names(sources, private=False)
+    assert [e for e in found if e.split(": ")[1] not in bdlab.__all__] == READ_ONLY_FROM_OUTSIDE

@@ -31,6 +31,7 @@ from bdlab.sequences import (
     worst_status,
 )
 from bdlab.cli import main
+from bdlab.config import desk_strict
 from bdlab.universe import build_universe
 from conftest import micro_config
 from oracles import scan_weight_decay_violations
@@ -206,6 +207,20 @@ def test_pair_orbit_clauses_name_the_failing_value():
     # against 24 from the biorthogonal coefficient
     assert check_exact_pair(u, x, eta, F(1), 2, epsilon=F(1, 2)).minimal_constant == 24
     assert check_exact_pair(u, x, eta, F(1), 2, epsilon=F(1, 32)).minimal_constant == 48
+
+
+@pytest.mark.parametrize("epsilon", [0, -1])
+def test_weak_forms_refuse_a_non_positive_epsilon(epsilon):
+    # a zero epsilon divided the least constant by zero, and a negative one
+    # gave a minimal constant at which the pair did not certify
+    u = build_universe(desk_strict())
+    with pytest.raises(ConstructionFailure, match="not positive") as exc:
+        check_exact_pair(u, d_vector(u, 0), 5, 1, 1, epsilon=epsilon)
+    assert exc.value.clause == "hypothesis"
+    for power in (2, 3):  # the weak form, and the special one that reads no epsilon
+        with pytest.raises(ConstructionFailure, match="not positive") as exc:
+            build_shifted_exact_pair(u, [d_vector(u, 0)], 1, power, epsilon=epsilon)
+        assert exc.value.clause == "hypothesis"
 
 
 @pytest.mark.parametrize(

@@ -278,6 +278,17 @@ def test_horizon_is_enforced(micro_universe):
         micro_universe.enumerate_level(3)
 
 
+def test_no_level_follows_an_interior_intern():
+    u = Universe(micro_config(horizon=4))
+    for rank in (1, 2, 3):
+        u.enumerate_level(rank)
+    u.intern(t1_candidate(3, 0, 1, BFunctional.zero()))  # at the top rank
+    assert u.interior_interns == 0
+    u.intern(t1_candidate(2, 0, 2, BFunctional.zero()))
+    with pytest.raises(UniverseError, match="level 4 cannot follow an intern below the top rank"):
+        u.enumerate_level(4)
+
+
 def test_element_budget_is_enforced():
     cfg = micro_config(max_elements=5)
     with pytest.raises(UniverseError, match="budget"):
@@ -479,6 +490,23 @@ BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 
 @pytest.mark.parametrize(
     "name",
+    ["desk-strict", "desk-relaxed", str(BENCH_CONFIGS / "wide.json")],
+    ids=["desk-strict", "desk-relaxed", "wide"],
+)
+def test_each_depth_is_a_prefix_of_the_next(name, monkeypatch):
+    # One enumeration order: a deeper truncation only appends elements, and
+    # every element already built keeps its id, shape and numbering.
+    monkeypatch.delenv("BDLAB_HORIZON", raising=False)
+    cfg = resolve_config(name)
+    shorter: list[str] = []
+    for horizon in range(2, cfg.horizon + 4):
+        lines = build_universe(validate_config(cfg._replace(horizon=horizon))).dump_lines()[2:]
+        assert len(lines) > len(shorter) and lines[: len(shorter)] == shorter, horizon
+        shorter = lines
+
+
+@pytest.mark.parametrize(
+    "name",
     ["desk-strict", "desk-relaxed", str(BENCH_CONFIGS / "wide.json"), str(BENCH_CONFIGS / "deep.json")],
     ids=["desk-strict", "desk-relaxed", "wide", "deep"],
 )
@@ -547,15 +575,25 @@ def test_indexes_match_scans_through_interior_interns(data):
             level_cap=cap,
         )
     u = Universe(cfg)
+    enumerated = 0
     for rank in range(1, cfg.horizon + 1):
-        u.enumerate_level(rank)
+        if u.interior_interns:
+            # the level pools bisect on rank order, so no level follows an
+            # interior intern; ``sequences`` still reads ``_by_weight`` then
+            with pytest.raises(UniverseError, match="below the top rank"):
+                u.enumerate_level(enumerated + 1)
+        else:
+            enumerated = rank
+            u.enumerate_level(rank)
         interns = data.draw(st.integers(min_value=0, max_value=4)) if rank > 1 else 0
         for step in range(interns + 1):
             if step:
                 cand = _drawn_candidate(data, u)
                 if cand is not None:
                     u.intern(cand)
-            assert_level_pools_match_direct_scans(u, rank + 1)
+            assert u._by_weight == scan_ids_by_weight(u)
+            if not u.interior_interns:
+                assert_level_pools_match_direct_scans(u, rank + 1)
 
 
 def test_selection_cap_can_be_exceeded_by_closure(strict_universe):

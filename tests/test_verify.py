@@ -140,14 +140,21 @@ def test_sequence_suite_growth_is_disclosed(strict_report):
     assert any("sequence suite grew the universe" in n for n in strict_report.notes)
 
 
-def test_gamma_suite_downgrades_after_interior_interns():
+def test_gamma_suite_fails_order_checks_after_interior_interns():
+    # gamma grades a universe as it stands: an element interned below the
+    # top rank breaks the enumeration order, and no check excuses or skips it
     u = build_universe(micro_config(horizon=3))
     u.intern(t1_candidate(2, 0, 2, BFunctional.zero()))
     suite = run_gamma_suite(u)
-    assert suite.status == "WARN"
-    by_name = {c.name: c.status for c in suite.checks}
-    assert by_name["numbering dominates lower ranks"] == "WARN"
-    assert by_name["rebuild determinism"] == "INFO"  # skipped: grown universe
+    assert suite.status == "FAIL"
+    failed = {c.name: c.detail for c in suite.checks if c.status == "FAIL"}
+    assert set(failed) == {
+        "numbering dominates lower ranks", "membership separated by rank", "rebuild determinism"
+    }
+    assert failed["numbering dominates lower ranks"] == "rank 3 numbering does not clear rank 2"
+    assert failed["membership separated by rank"] == "membership overlap between ranks at 3"
+    assert failed["rebuild determinism"] == f"fingerprint {u.fingerprint()[:16]}..."
+    assert all(c.status == "PASS" for c in suite.checks if c.name not in failed)
 
 
 def heaviest_windows(u):
