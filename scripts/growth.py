@@ -34,8 +34,10 @@ before ``exit`` (the interpreter's shutdown collections call no callbacks).
 Runs are stored under a label, so the same table can hold the code before
 and after a change::
 
-    python scripts/growth.py --label before --src /path/to/other/checkout/src
-    python scripts/growth.py --label after
+    python scripts/growth.py --out BENCH_N.json --label before --src /path/to/other/checkout/src
+    python scripts/growth.py --out BENCH_N.json --label after
+
+``--out`` is required, so that no run rewrites a committed table by default.
 
 Rerunning a label replaces its rows and keeps the others; per ladder the
 table says whether every label's reports are identical.  Labels whose trees
@@ -267,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", default="after", help="name of this run in the table")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="source tree to time")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_19.json")
+    parser.add_argument("--out", type=Path, required=True, help="table to update (JSON)")
     args = parser.parse_args(argv)
 
     table = json.loads(args.out.read_text()) if args.out.exists() else {"runs": {}}

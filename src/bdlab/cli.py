@@ -11,10 +11,11 @@ Verbs:
   its certificate;
 * ``report``    -- everything above in one document.
 
-Exit status: 0 when nothing identity-level failed, 1 when a verification
-suite or certificate reports FAIL, 2 for unusable configurations or
-unsatisfiable construction requests.  All numeric output is exact rational
-text; reports are byte-identical across reruns unless ``--timing`` is given.
+Exit status: 1 when a verification suite reports FAIL, an identity clause
+of a certificate fails or an exact identity is violated, 2 for unusable
+configurations or unsatisfiable construction requests, else 0.  All numeric
+output is exact rational text; reports are byte-identical across reruns
+unless ``--timing`` is given.
 """
 from __future__ import annotations
 
@@ -33,6 +34,8 @@ from .config import (
 )
 from .elements import BASE, TYPE1, GammaElement
 from .sequences import (
+    FAIL,
+    PASS,
     ConstructionFailure,
     build_dependent_sequence,
     build_exact_pair,
@@ -40,7 +43,7 @@ from .sequences import (
 )
 from .serialize import format_rational, stable_json
 from .universe import InvariantFault, Universe, UniverseError, build_universe
-from .verify import FAIL, PASS, run_verification
+from .verify import run_verification
 
 BUNDLED = {"desk-strict": desk_strict, "desk-relaxed": desk_relaxed}
 
@@ -149,7 +152,7 @@ def cmd_pair(args: argparse.Namespace) -> int:
         f"report at constant {format_rational(built.report.constant)}:",
         *_clause_lines(built.report.clauses),
         f"minimal certifying constant: {format_rational(minimal)}",
-        f"result: {'PASS' if built.identity_ok else 'FAIL'}",
+        f"result: {PASS if built.identity_ok else FAIL}",
     ]
     _emit(args, payload, lines)
     return 0 if built.identity_ok else 1
@@ -176,7 +179,7 @@ def cmd_depseq(args: argparse.Namespace) -> int:
     for i, report in enumerate(cert.pair_reports, start=1):
         lines.append(f"pair {i} report:")
         lines.extend(_clause_lines(report.clauses))
-    lines.append(f"result: {'PASS' if cert.identity_ok else 'FAIL'}")
+    lines.append(f"result: {PASS if cert.identity_ok else FAIL}")
     _emit(args, payload, lines)
     return 0 if cert.identity_ok else 1
 
@@ -206,9 +209,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         "result": FAIL if failed else PASS,
     }
     lines = verification.text_lines()
-    lines.append(f"pair construction: {'PASS' if pair_ok else 'FAIL'}")
-    lines.append(f"chain construction: {'PASS' if chain_ok else 'FAIL'}")
-    lines.append(f"overall: {'FAIL' if failed else 'PASS'}")
+    lines.append(f"pair construction: {PASS if pair_ok else FAIL}")
+    lines.append(f"chain construction: {PASS if chain_ok else FAIL}")
+    lines.append(f"overall: {FAIL if failed else PASS}")
     _emit(args, payload, lines)
     return 1 if failed else 0
 

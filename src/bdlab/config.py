@@ -37,6 +37,14 @@ class ConfigError(ValueError):
     """Raised when a configuration violates its declared regime."""
 
 
+def _rung(j: int) -> int:
+    """The 0-based position of ladder index j; an index below 1 fails as
+    one past the end does, instead of wrapping to the last rung."""
+    if j < 1:
+        raise IndexError(f"ladder index {j} is below 1")
+    return j - 1
+
+
 class _ConfigFields(NamedTuple):
     k: int
     m_seq: tuple[Fraction, ...]
@@ -56,11 +64,11 @@ class ConstructionConfig(_ConfigFields):
 
     def m(self, j: int) -> Fraction:
         """m_j, 1-indexed."""
-        return self.m_seq[j - 1]
+        return self.m_seq[_rung(j)]
 
     def n(self, j: int) -> int:
         """n_j, 1-indexed."""
-        return self.n_seq[j - 1]
+        return self.n_seq[_rung(j)]
 
     def odd_weight_magnitude(self, odd_widx: int, widx: int) -> bool:
         """The strict regime's rule for an element of odd weight index
@@ -75,7 +83,7 @@ class ConstructionConfig(_ConfigFields):
 
     def weight(self, j: int) -> Fraction:
         """1/m_j, 1-indexed."""
-        return self.weights[j - 1]
+        return self.weights[_rung(j)]
 
     @cached_property
     def notes(self) -> tuple[str, ...]:

@@ -64,6 +64,17 @@ MAGNITUDE = "magnitude"
 INFO_KIND = "info"
 
 
+def grade(kind: str, ok: bool, excused: bool = False) -> str:
+    """The one grading rule for every clause and check: an info-kind outcome
+    is INFO, one that holds is PASS, and one that fails is FAIL, or WARN when
+    its failure is excused."""
+    if kind == INFO_KIND:
+        return INFO
+    if ok:
+        return PASS
+    return WARN if excused else FAIL
+
+
 class ConstructionFailure(UniverseError):
     """A constructor could not satisfy a clause; the clause is named."""
 
@@ -103,13 +114,18 @@ class ClauseResult(NamedTuple):
         return out
 
 
+def _clause(
+    name: str, kind: str, ok: bool, lhs: Fraction | int | None = None,
+    rhs: Fraction | int | None = None, margin: Fraction | None = None, witness: str = "",
+) -> ClauseResult:
+    """The one way a clause is made: ``grade`` gives its status, and each
+    number given is written as exact rational text."""
+    numbers = ("" if v is None else format_rational(v) for v in (lhs, rhs, margin))
+    return ClauseResult(name, grade(kind, ok), kind, *numbers, witness)
+
+
 def _identity_clause(name: str, ok: bool, detail: str = "") -> ClauseResult:
-    return ClauseResult(
-        name=name,
-        status=PASS if ok else FAIL,
-        kind=IDENTITY,
-        witness=detail if not ok else "",
-    )
+    return _clause(name, IDENTITY, ok, witness=detail if not ok else "")
 
 
 def _bound_clause(
@@ -121,16 +137,9 @@ def _bound_clause(
     a bound that names no element keeps the default -1.
     """
     if witness is None:
-        return ClauseResult(name=name, status=PASS, kind=MAGNITUDE, witness="no instances")
-    return ClauseResult(
-        name=name,
-        status=PASS if lhs <= rhs else FAIL,
-        kind=MAGNITUDE,
-        lhs=format_rational(lhs),
-        rhs=format_rational(rhs),
-        margin=format_rational(rhs - lhs),
-        witness="" if witness < 0 else f"element {witness}",
-    )
+        return _clause(name, MAGNITUDE, True, witness="no instances")
+    at = "" if witness < 0 else f"element {witness}"
+    return _clause(name, MAGNITUDE, lhs <= rhs, lhs, rhs, rhs - lhs, at)
 
 
 def _identities_hold(clauses: Iterable[ClauseResult]) -> bool:
@@ -424,6 +433,7 @@ def check_exact_pair(
     The windowed tail estimates that follow the definition are evaluated
     report-only and never affect certification.
     """
+    _require_weight(universe.config, j, "weight index")
     eps = _weak_epsilon(epsilon)
     terms = _magnitude_terms(universe, x, eta, j, eps)
     return _graded_pair(universe, x, eta, Fraction(constant), j, eps, terms)
@@ -491,12 +501,12 @@ def _tail_estimate_clause(universe: Universe, x: Vector, j: int, C: Fraction) ->
                 f"vs {format_rational(bound[universe.element(gid).weight_idx])}"
             )
     held = worst_ratio <= 1
-    return ClauseResult(
-        name="windowed tail estimate (reported)",
-        status=INFO,
-        kind=INFO_KIND,
-        lhs=format_rational(worst_ratio),
-        rhs="1",
+    return _clause(
+        "windowed tail estimate (reported)",
+        INFO_KIND,
+        held,
+        worst_ratio,
+        1,
         witness=(worst_note + ("" if held else " [exceeded]")) or "no instances",
     )
 
@@ -879,16 +889,13 @@ def build_dependent_sequence(
             "carried element weights do not strictly decrease",
         )
     )
-    # require n^2 < m(4j) over the chain's weights: lhs strictly below rhs
     n_bound = Fraction(cfg.n(odd_widx)) ** 2
     worst_m = min(cfg.m(w) for w in weight_indices)
-    magnitude = _bound_clause("odd-weight magnitude", n_bound, worst_m)
-    if n_bound == worst_m:
-        magnitude = magnitude._replace(
-            status=FAIL,
-            witness="bound met with equality; strict inequality required",
-        )
-    clauses.append(magnitude)
+    ok = all(cfg.odd_weight_magnitude(odd_widx, w) for w in weight_indices)
+    met = "bound met with equality; strict inequality required" if n_bound == worst_m else ""
+    clauses.append(
+        _clause("odd-weight magnitude", MAGNITUDE, ok, n_bound, worst_m, worst_m - n_bound, met)
+    )
 
     reports = tuple(
         _graded_pair(universe, x, eta, C, w, epsilon, t) for (x, eta, w), t in zip(steps, terms)
@@ -995,12 +1002,12 @@ def build_shifted_exact_pair(
     shifted_once = [s_apply_power(universe, x, m - 1) for x in xs]
     delta_bound = min((sup_norm(sx) for sx in shifted_once), default=Fraction(0))
     clauses.append(
-        ClauseResult(
-            name=f"orbit norms at power {m - 1}",
-            status=PASS if delta_bound > 0 else FAIL,
-            kind=MAGNITUDE,
-            lhs=format_rational(delta_bound),
-            rhs="0",
+        _clause(
+            f"orbit norms at power {m - 1}",
+            MAGNITUDE,
+            delta_bound > 0,
+            delta_bound,
+            0,
             witness="uniform lower bound over the sequence",
         )
     )
@@ -1166,14 +1173,14 @@ def estimate_ris_weighted_averages(
         (lo, hi), hyp_lhs = spans[at], Fraction(found[at][0], q)
         hyp_rhs = C * max(abs(lam) for lam in lams[lo:hi])
         witness = f"element {gid}, interval [{lo + 1}, {hi}]"
-    hyp = ClauseResult(
-        name="interval hypothesis (evaluated)",
-        status=INFO,
-        kind=INFO_KIND,
-        lhs=format_rational(hyp_lhs),
-        rhs=format_rational(hyp_rhs),
-        margin=format_rational(hyp_rhs - hyp_lhs),
-        witness=witness,
+    hyp = _clause(
+        "interval hypothesis (evaluated)",
+        INFO_KIND,
+        hyp_lhs <= hyp_rhs,
+        hyp_lhs,
+        hyp_rhs,
+        hyp_rhs - hyp_lhs,
+        witness,
     )
     conclusion = _bound_clause(
         "weighted average norm",
@@ -1300,28 +1307,12 @@ def estimate_lower_bound(
                 f"2j = {2 * j} not below {seq.ranges[1][0]}",
             )
         )
-    if search.witness is None:
-        clauses.append(
-            ClauseResult(
-                name="witness search",
-                status=FAIL,
-                kind=MAGNITUDE,
-                rhs=format_rational(search.rhs),
-                witness="no materialized element of the required weight",
-            )
-        )
-    else:
-        clauses.append(
-            ClauseResult(
-                name="witness search",
-                status=PASS if search.satisfied else FAIL,
-                kind=MAGNITUDE,
-                lhs=format_rational(search.lhs),
-                rhs=format_rational(search.rhs),
-                margin=format_rational(search.lhs - search.rhs),
-                witness=f"element {search.witness}",
-            )
-        )
+    found = search.witness is not None
+    at = f"element {search.witness}" if found else "no materialized element of the required weight"
+    lhs, margin = (search.lhs, search.lhs - search.rhs) if found else (None, None)
+    clauses.append(
+        _clause("witness search", MAGNITUDE, search.satisfied, lhs, search.rhs, margin, at)
+    )
     clauses.append(_bound_clause("norm lower display", search.rhs, sup_norm(_vector_sum(xs))))
     return EstimateReport(name="lower-bound-search", clauses=tuple(clauses))
 

@@ -40,9 +40,10 @@ cross-multiplication and build a ``Fraction`` only for a value they report.
 The preimage sums follow from the duality, basis-change and unit-row proofs,
 but stay a check of their own, so that they hold whichever suites run.
 
-One rule grades every outcome (``_grade``): an info-kind check is INFO, a
-check that holds is PASS, and a check that fails is FAIL unless its kind has
-an excuse that holds for the universe, which makes it WARN.  Identity checks
+One rule grades every outcome, ``sequences.grade``, the rule that grades the
+certificates' clauses too: an info-kind check is INFO, a check that holds is
+PASS, and a check that fails is FAIL unless its kind has an excuse that holds
+for the universe (``_grade``), which makes it WARN.  Identity checks
 have no excuse.  Magnitude checks are excused under the relaxed regime,
 because their derivations assume growth conditions a desk-sized
 configuration cannot satisfy, and the ``net`` check (the compact-difference
@@ -73,12 +74,10 @@ from .elements import BASE, BFunctional, describe, t1_candidate
 from .sequences import (
     FAIL,
     IDENTITY,
-    INFO,
     INFO_KIND,
     MAGNITUDE,
     PASS,
     STATUS_ORDER,
-    WARN,
     ConstructionFailure,
     SupplierExhausted,
     build_dependent_sequence,
@@ -86,6 +85,7 @@ from .sequences import (
     carried_weights_decrease,
     estimate_lower_bound,
     estimate_ris_averages,
+    grade,
     lower_bound_search,
     minimal_ris_constant,
     block_sequence,
@@ -188,7 +188,7 @@ class VerificationReport(NamedTuple):
         if self.timings is not None:
             for name, secs in self.timings.items():
                 lines.append(f"timing {name}: {secs}s")
-        lines.append(f"result: {'FAIL' if self.has_fail else 'PASS'}")
+        lines.append(f"result: {FAIL if self.has_fail else PASS}")
         return lines
 
 
@@ -220,13 +220,9 @@ _EXCUSES: dict[str, Callable[[Universe], bool]] = {
 
 
 def _grade(universe: Universe, kind: str, ok: bool) -> str:
-    """The one grading rule for every check of every suite."""
-    if kind == INFO_KIND:
-        return INFO
-    if ok:
-        return PASS
+    """``grade``, with the excuse of the check's kind, if any, for the universe."""
     excused = _EXCUSES.get(kind)
-    return WARN if excused is not None and excused(universe) else FAIL
+    return grade(kind, ok, excused is not None and excused(universe))
 
 
 def _run_table(name: str, table: Sequence[Entry], universe: Universe) -> SuiteReport:
@@ -846,11 +842,7 @@ def _linked_chains(universe: Universe) -> list[Outcome]:
         cert = build_dependent_sequence(universe, j0=1, length=1)
     except UniverseError as err:
         return [(name, IDENTITY, False, str(err))]
-    magnitude_bad = [
-        c.name
-        for c in cert.clauses
-        if c.kind == MAGNITUDE and c.status not in (PASS, INFO)
-    ]
+    magnitude_bad = [c.name for c in cert.clauses if c.kind == MAGNITUDE and c.status != PASS]
     if not cert.identity_ok:
         first = (name, IDENTITY, False, "identity clause failed")
     elif magnitude_bad:

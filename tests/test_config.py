@@ -51,6 +51,15 @@ def test_weight_accessors_are_one_indexed():
     assert cfg.num_weights == 4
 
 
+@pytest.mark.parametrize("j", [0, -1, 5])
+def test_ladder_accessors_refuse_an_index_outside_the_ladder(j):
+    # below 1 the index used to wrap: m(0) read the last rung, 65536
+    cfg = desk_strict()
+    for accessor in (cfg.m, cfg.n, cfg.weight):
+        with pytest.raises(IndexError):
+            accessor(j)
+
+
 def test_strict_regime_rejects_broken_ladder():
     with pytest.raises(ConfigError, match="strict regime violated"):
         make_config(

@@ -284,6 +284,17 @@ def test_default_supplier_produces_a_certified_pair():
     assert report.identity_ok and report.certifies
 
 
+@pytest.mark.parametrize("j", [0, 5])
+def test_pair_report_refuses_a_weight_index_outside_the_ladder(j):
+    # desk-strict has four weights; j = 0 used to grade against 1/m[4], j = 5 raised IndexError
+    u = build_universe(desk_strict())
+    with pytest.raises(ConstructionFailure) as exc:
+        check_exact_pair(u, d_vector(u, 0), 5, 1, j)
+    assert (exc.value.clause, exc.value.detail) == (
+        "weight cap", f"weight index {j} outside configured 1..4"
+    )
+
+
 def test_default_supplier_refusals_are_named():
     u = build_universe(micro_config(horizon=2))
     with pytest.raises(SupplierExhausted) as exc:
