@@ -15,8 +15,7 @@ per element the rank, the row, and the reverse "users" index (the elements
 whose rows mention it).  The store is synced on read: every entry point first
 appends rows for ids it has not seen yet, which is sound because a row only
 mentions ids of lower rank interned earlier.  Building or growing a universe
-therefore computes no rows.  Rows are immutable once stored; ``c_star``
-hands out a read-only view of the stored row.
+therefore computes no rows.  Rows are immutable once stored.
 
 Vectors are coordinate arrays over the materialized universe up to a stated
 horizon.  They are synthesized from prescribed ``d``-coordinates by forward
@@ -40,9 +39,9 @@ leaves this module.  There is no tolerance anywhere in this module.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .elements import BASE, TYPE1, TYPE2, BFunctional, GammaElement
 from .universe import Universe
@@ -86,9 +85,6 @@ class Functional:
         for g, c in other.coords.items():
             out[g] = out.get(g, Fraction(0)) + c
         return Functional(self.basis, out)
-
-    def is_zero(self) -> bool:
-        return not self.coords
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -211,39 +207,35 @@ class CodingRows:
     def to_d(self, coords: IntCoords, q: int) -> tuple[IntCoords, int]:
         """Back-substitute from the top rank down (unitriangular system).
 
-        Rows only mention lower ranks, so the work set is bucketed by rank once
-        and each bucket is final when its rank is reached.  Output order: rank
-        descending, id ascending within a rank.  Each output numerator is a
-        multiple of its own row's denominator.
+        Pending ids wait on a heap of ``(-rank, id)`` pairs, so the cost does
+        not depend on how many ranks lie between them.  Rows only mention
+        lower ranks, so an id is final when it is popped, and the output comes
+        in pop order: rank descending, id ascending within a rank.  Each output
+        numerator is a multiple of its own row's denominator.
         """
         rank, num, den = self.rank, self.num, self.den
         work = dict(coords)
-        buckets: dict[int, list[int]] = {}
-        for g in work:
-            buckets.setdefault(rank[g], []).append(g)
+        heap = [(-rank[g], g) for g in work]
+        heapify(heap)
         out: IntCoords = {}
-        for r in range(max(buckets, default=0), 0, -1):
-            layer = buckets.get(r)
-            if not layer:
+        while heap:
+            gid = heappop(heap)[1]
+            a = work.pop(gid)
+            if not a:
                 continue
-            layer.sort()
-            for gid in layer:
-                a = work.pop(gid)
-                if not a:
-                    continue
-                d = den[gid]
-                if a % d:
-                    t = d // gcd(a, d)
-                    q, a = q * t, a * t
-                    _grow(t, work, out)
-                out[gid] = a
-                a //= d
-                for h, c in num[gid].items():
-                    if h in work:
-                        work[h] += a * c
-                    else:
-                        work[h] = a * c
-                        buckets.setdefault(rank[h], []).append(h)
+            d = den[gid]
+            if a % d:
+                t = d // gcd(a, d)
+                q, a = q * t, a * t
+                _grow(t, work, out)
+            out[gid] = a
+            a //= d
+            for h, c in num[gid].items():
+                if h in work:
+                    work[h] += a * c
+                else:
+                    work[h] = a * c
+                    heappush(heap, (-rank[h], h))
         return out, q
 
     def to_e(self, coords: IntCoords, q: int) -> tuple[IntCoords, int]:
@@ -367,16 +359,6 @@ def _below(store: CodingRows, ids: Iterable[int], top: int) -> list[int]:
 # -- coding functionals and the basis change ---------------------------------
 
 
-def c_star(universe: Universe, gid: int) -> Functional:
-    """The coding functional of an element, in e*-coordinates: a read-only
-    view of the stored row."""
-    store = coding_rows(universe)
-    _checked(universe, store, (gid,))
-    row = Functional(E_BASIS)
-    row.coords = MappingProxyType(_fractions(store.num[gid], store.den[gid]))
-    return row
-
-
 def _compute_cstar(
     store: CodingRows, universe: Universe, el: GammaElement
 ) -> tuple[IntCoords, int]:
@@ -393,20 +375,6 @@ def _compute_cstar(
         row[g] = row.get(g, 0) + c * beta.numerator
     common = gcd(den, *row.values())
     return {g: v // common for g, v in row.items() if v}, den // common
-
-
-def d_star(universe: Universe, gid: int) -> Functional:
-    """e*_gid minus the coding functional, in e*-coordinates."""
-    return e_star(gid).plus(c_star(universe, gid).scaled(-1))
-
-
-def to_d_basis(universe: Universe, f: Functional) -> Functional:
-    """Back-substitute from the top rank down (unitriangular system)."""
-    if f.basis == D_BASIS:
-        return Functional(D_BASIS, dict(f.coords))
-    store = coding_rows(universe)
-    _checked(universe, store, f.coords)
-    return Functional(D_BASIS, _fractions(*store.to_d(*to_integers(f.coords))))
 
 
 def to_e_basis(universe: Universe, f: Functional) -> Functional:
@@ -438,8 +406,7 @@ def synthesize(universe: Universe, d_coords: Coords, horizon: Optional[int] = No
     Forward substitution: the coordinate at each element is its prescribed
     d-coordinate plus the pairing of its coding functional with the part of
     the vector already built.  Only elements reachable from the nonzero
-    data through the users index can be nonzero.  The rows are read from
-    the store directly, not through ``c_star``.
+    data through the users index can be nonzero.
     """
     top = universe.max_rank if horizon is None else horizon
     store = coding_rows(universe)
@@ -509,18 +476,6 @@ def l1_norm(universe: Universe, f: Functional) -> Fraction:
 
 def sup_norm(x: Vector) -> Fraction:
     return max(max(x.coords.values()), -min(x.coords.values())) if x.coords else Fraction(0)
-
-
-def op_norm_l1(
-    universe: Universe, column: Callable[[int], Functional], ids: Iterable[int]
-) -> Fraction:
-    """Exact operator norm on the summable side: max column l1 mass."""
-    best = Fraction(0)
-    for gid in ids:
-        mass = l1_norm(universe, column(gid))
-        if mass > best:
-            best = mass
-    return best
 
 
 # -- evaluation analysis ---------------------------------------------------------

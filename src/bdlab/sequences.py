@@ -351,10 +351,6 @@ class ExactPairReport(NamedTuple):
     minimal_constant: Fraction
 
     @property
-    def weak(self) -> bool:
-        return self.epsilon is not None
-
-    @property
     def identity_ok(self) -> bool:
         return _identities_hold(self.clauses)
 
@@ -1065,10 +1061,6 @@ class EstimateReport(NamedTuple):
     clauses: tuple[ClauseResult, ...]
     notes: tuple[str, ...] = ()
 
-    @property
-    def status(self) -> str:
-        return worst_status(self.clauses)
-
 
 def _capping_notes(universe: Universe, a: int, idx: int) -> tuple[str, ...]:
     expected = universe.config.n(idx)
@@ -1086,6 +1078,7 @@ def estimate_ris_averages(
     """Average-coordinate bounds for rapid-increase sequences, by weight case."""
     C = Fraction(constant)
     cfg = universe.config
+    _require_weight(cfg, j0, "weight index")
     a = len(xs)
     values, q = _numerators(xs)
 
@@ -1147,6 +1140,7 @@ def estimate_ris_weighted_averages(
     """Weighted-average norm bound, with its interval hypothesis evaluated."""
     C = Fraction(constant)
     cfg = universe.config
+    _require_weight(cfg, j0, "weight index")
     a = len(xs)
     lams = [Fraction(c) for c in lambdas]
     if len(lams) != a:
@@ -1213,6 +1207,7 @@ def _interval_sums_clause(
     """The largest interval sum, alternating when ``signs``, of a linked
     chain's vectors at the chain weight, against 7C."""
     widx = 2 * j0 - 1
+    _require_weight(universe.config, widx, "chain weight index")
     values, q = _numerators(xs)
     worst, gid = _argmax_weighted(
         universe,
@@ -1238,6 +1233,7 @@ def estimate_dependent_average(
     """Norm of the chain average against 70C times the squared chain weight."""
     C = Fraction(constant)
     cfg = universe.config
+    _require_weight(cfg, 2 * j0 - 1, "chain weight index")
     a = len(xs)
     clause = _bound_clause(
         "chain average norm",

@@ -45,14 +45,6 @@ def s_star(universe: Universe, f: Functional) -> Functional:
     return Functional(f.basis, universe.push(f.coords.items()))
 
 
-def s_star_power(universe: Universe, f: Functional, power: int) -> Functional:
-    if power < 0:
-        raise AlgebraError("negative operator power")
-    for _ in range(power):
-        f = s_star(universe, f)
-    return f
-
-
 # -- the operator on vectors ----------------------------------------------------
 
 
@@ -81,20 +73,6 @@ def s_apply_power(universe: Universe, x: Vector, power: int) -> Vector:
     for _ in range(power):
         x = s_apply(universe, x)
     return x
-
-
-def shift_polynomial(
-    universe: Universe, lambdas: Sequence[Fraction | int], x: Vector
-) -> Vector:
-    """Apply sum(lambdas[i] * S^i) to a vector."""
-    total = Vector({}, x.horizon)
-    cur = x
-    for lam in lambdas:
-        lam = Fraction(lam)
-        if lam != 0:
-            total = total.plus(cur.scaled(lam))
-        cur = s_apply(universe, cur)
-    return total
 
 
 # -- nilpotency ------------------------------------------------------------------

@@ -111,16 +111,6 @@ class Universe:
     def level_counts(self) -> dict[int, int]:
         return {rank: len(ids) for rank, ids in sorted(self._levels.items())}
 
-    def ids_in_window(self, lo: int, hi: int) -> list[int]:
-        """Ids with lo < rank <= hi, ascending by id."""
-        out = [
-            gid
-            for rank in range(lo + 1, hi + 1)
-            for gid in self._levels.get(rank, ())
-        ]
-        out.sort()
-        return out
-
     def lookup(self, cand: Candidate) -> Optional[int]:
         """Id of an already-interned candidate shape, or None."""
         return self._key_to_id.get(cand.key())
@@ -461,8 +451,8 @@ class _LevelPools:
     read off the universe's indexes without scanning the levels below.
 
     The roots are the indexed extension roots of rank below ``rank - 1``;
-    the pool of window start ``lo`` is ``ids_in_window(lo, rank - 1)``; the
-    odd pool of ``(lo, widx)`` holds the ids of that window whose weight
+    the pool of window start ``lo`` holds the ids of rank in (lo, rank - 1];
+    the odd pool of ``(lo, widx)`` holds the ids of that window whose weight
     index is a positive multiple of 4 (in the strict regime also with
     m[weight] > n[widx]^2).  All are ascending by id.  ``enumerate_level``
     refuses a universe with interior interns, so ranks ascend with ids and

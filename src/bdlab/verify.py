@@ -401,9 +401,10 @@ Column = tuple[int, dict[int, list[tuple[int, int]]]]
 
 
 def _window_column(universe: Universe, gid: int) -> Column:
-    """Column gid, the e*-form of d-row ``to_d_basis(e*_gid)``, split by the
-    rank of the d-coordinate that contributes each entry; the e*-form of the
-    window (lo, hi] restriction sums the entries of the ranks in (lo, hi].
+    """Column gid, the e*-form of the d-row that ``CodingRows.to_d`` gives
+    for e*_gid, split by the rank of the d-coordinate that contributes each
+    entry; the e*-form of the window (lo, hi] restriction sums the entries of
+    the ranks in (lo, hi].
     All entries are numerators over the d-row's denominator, since each
     numerator of a d-row is a multiple of its own row's denominator."""
     rows = coding_rows(universe)

@@ -1,8 +1,11 @@
 """Independent oracles used by the tests.
 
 Everything here is deliberately naive: dense matrices of Fractions and
-textbook Gaussian elimination, sharing no code with the package's sparse
-back-substitution.  Slow is fine; independent is the point.
+textbook Gaussian elimination over the coding rows as stored (``stored_row``
+reads ``CodingRows.num`` and ``den``), sharing no code with the package's
+sparse back-substitution.  Slow is fine; independent is the point.  The one
+exception is ``store_to_d``, which calls ``CodingRows.to_d`` itself, so that
+tests can hold the store's basis change against these references.
 """
 
 from __future__ import annotations
@@ -22,18 +25,16 @@ from bdlab.algebra import (
     Functional,
     Vector,
     b_as_functional,
-    c_star,
     coding_rows,
     d_coords_of,
-    d_star,
     d_vector,
     e_star,
     evaluation_analysis,
     l1_norm,
     project_star,
     sup_norm,
-    to_d_basis,
     to_e_basis,
+    to_integers,
 )
 from bdlab.config import STRICT
 from bdlab.elements import BASE, TYPE1, TYPE2, describe
@@ -54,19 +55,29 @@ from bdlab.universe import Universe, UniverseError
 
 Matrix = list[list[Fraction]]
 
-# Coding rows as Fractions, one c_star read per stored row: a stored row
-# never changes, and a row replaced in the store is read again.
+# Coding rows as Fractions, one read per stored row: a stored row never
+# changes, and a row replaced in the store is read again.
 _ROW_READS: "WeakKeyDictionary[Universe, dict[int, tuple[object, Coords]]]" = WeakKeyDictionary()
 
 
 def stored_row(universe: Universe, gid: int) -> Coords:
-    """The coding row of gid as ``c_star`` reads it, memoized per stored row."""
-    num = coding_rows(universe).num[gid]
+    """The coding row of gid in e*-coordinates, each stored numerator over
+    the row's denominator, memoized per stored row."""
+    store = coding_rows(universe)
+    num = store.num[gid]
     reads = _ROW_READS.setdefault(universe, {})
     read = reads.get(gid)
     if read is None or read[0] is not num:
-        read = reads[gid] = (num, c_star(universe, gid).coords)
+        den = store.den[gid]
+        read = reads[gid] = (num, {h: Fraction(v, den) for h, v in num.items()})
     return read[1]
+
+
+def store_to_d(universe: Universe, coords: Coords) -> Coords:
+    """d*-coordinates of e*-coordinates by the store's own kernel,
+    ``CodingRows.to_d``, in its output order."""
+    d, q = coding_rows(universe).to_d(*to_integers(coords))
+    return {g: Fraction(v, q) for g, v in d.items()}
 
 
 def dstar_matrix(universe: Universe) -> Matrix:
@@ -282,14 +293,15 @@ def sweep_s_apply(universe: Universe, x: Vector) -> Vector:
 
 def sweep_window_mass(universe: Universe, lo: int, hi: Optional[int]) -> tuple[Fraction, int]:
     """Largest l1 mass, over columns gid, of the e*-form of the (lo, hi]
-    restriction of to_d_basis(e*_gid), and the first gid attaining it; one
-    basis change per column and window (0 and -1 when every mass is 0)."""
+    restriction of the d*-coordinates of e*_gid, and the first gid attaining
+    it; one basis change per column and window (0 and -1 when every mass is
+    0)."""
     worst, at = Fraction(0), -1
     for gid in universe.ids():
-        row = to_d_basis(universe, e_star(gid))
+        row = store_to_d(universe, {gid: Fraction(1)})
         kept = {
             g: c
-            for g, c in row.coords.items()
+            for g, c in row.items()
             if lo < universe.element(g).rank
             and (hi is None or universe.element(g).rank <= hi)
         }
@@ -455,7 +467,9 @@ def analysis_functional(
         total = e_star(analysis.steps[start - 1].xi)
     for r in range(start, analysis.age):
         step = analysis.steps[r]
-        total = total.plus(d_star(universe, step.xi))
+        # d*_xi = e*_xi minus the stored coding row of xi
+        row = Functional(E_BASIS, stored_row(universe, step.xi))
+        total = total.plus(e_star(step.xi)).plus(row.scaled(-1))
         hi = cuts[r + 1] if windowed else None
         piece = project_star(universe, cuts[r], hi, b_as_functional(step.b))
         total = total.plus(piece.scaled(beta))

@@ -10,20 +10,16 @@ from bdlab.algebra import (
     AlgebraError,
     Functional,
     b_as_functional,
-    c_star,
     d_coords_of,
-    d_star,
     d_vector,
     e_star,
     evaluation_analysis,
     extend,
     l1_norm,
-    op_norm_l1,
     pairing,
     project_star,
     sup_norm,
     synthesize,
-    to_d_basis,
     to_e_basis,
     vector_range,
 )
@@ -36,6 +32,8 @@ from oracles import (
     functional_column,
     project_vector,
     solve_exact,
+    store_to_d,
+    stored_row,
     transpose,
     unit_column,
 )
@@ -63,25 +61,30 @@ def micro3():
 # and the dual-basis rows follow as d* = e* - c*.
 
 
+def dual_row(u, gid: int) -> Functional:
+    """d*_gid in e*-coordinates."""
+    return to_e_basis(u, Functional("d*", {gid: F(1)}))
+
+
 def test_base_elements_have_zero_coding_functional(micro2):
     for j in range(3):
-        assert c_star(micro2, j).is_zero()
+        assert stored_row(micro2, j) == {}
 
 
 def test_coding_functional_of_empty_combination_is_zero(micro2):
-    assert c_star(micro2, 3).is_zero()
-    assert d_star(micro2, 3) == e_star(3)
+    assert stored_row(micro2, 3) == {}
+    assert dual_row(micro2, 3) == e_star(3)
 
 
 def test_coding_functional_of_carried_singleton_by_hand(micro2):
-    assert c_star(micro2, 4) == Functional("e*", {0: F(-1, 16)})
-    assert d_star(micro2, 4) == Functional("e*", {4: F(1), 0: F(1, 16)})
-    assert to_d_basis(micro2, e_star(4)) == Functional("d*", {4: F(1), 0: F(-1, 16)})
+    assert stored_row(micro2, 4) == {0: F(-1, 16)}
+    assert dual_row(micro2, 4) == Functional("e*", {4: F(1), 0: F(1, 16)})
+    assert store_to_d(micro2, {4: F(1)}) == {4: F(1), 0: F(-1, 16)}
 
 
 @pytest.mark.parametrize("read", [
-    lambda u: c_star(u, -1),
-    lambda u: to_d_basis(u, e_star(-1)),
+    lambda u: project_star(u, 0, None, e_star(-1)),
+    lambda u: project_star(u, 0, None, Functional("d*", {-1: F(1)})),
     lambda u: to_e_basis(u, Functional("d*", {-1: F(1)})),
 ])
 def test_negative_ids_are_dangling_references(micro2, read):
@@ -98,9 +101,7 @@ def test_age_extension_coding_functional_by_hand():
     eta = u.lookup(t1_candidate(3, 0, 2, BFunctional.singleton(0)))
     assert eta is not None
     gid = u.intern(t2_candidate(4, 4, 2, BFunctional.singleton(eta)))
-    assert c_star(u, gid) == Functional(
-        "e*", {4: F(1), eta: F(1, 16), 0: F(-1, 256)}
-    )
+    assert stored_row(u, gid) == {4: F(1), eta: F(1, 16), 0: F(-1, 256)}
 
 
 def test_biorthogonal_vectors_by_hand(micro2):
@@ -116,7 +117,7 @@ def test_biorthogonal_vectors_by_hand(micro2):
 
 def test_biorthogonality_exhaustive(micro3):
     vectors = [d_vector(micro3, gid) for gid in micro3.ids()]
-    rows = [d_star(micro3, gid) for gid in micro3.ids()]
+    rows = [dual_row(micro3, gid) for gid in micro3.ids()]
     for i, row in enumerate(rows):
         for j, vec in enumerate(vectors):
             expected = F(1) if i == j else F(0)
@@ -140,9 +141,9 @@ def test_change_of_basis_matches_dense_elimination(micro3):
     samples.append(Functional("e*", {g: F(1) for g in micro3.ids()}))
     for f in samples:
         expected = solve_exact(mt, functional_column(micro3, f))
-        got = to_d_basis(micro3, f)
-        assert got.coords == {g: c for g, c in enumerate(expected) if c != 0}
-        assert to_e_basis(micro3, got) == f
+        got = store_to_d(micro3, f.coords)
+        assert got == {g: c for g, c in enumerate(expected) if c != 0}
+        assert to_e_basis(micro3, Functional("d*", got)) == f
 
 
 def test_biorthogonal_vectors_match_dense_elimination(micro3):
@@ -169,23 +170,21 @@ def test_window_projections_partition_the_identity(micro3):
         low = project_star(micro3, 0, q, f)
         high = project_star(micro3, q, None, f)
         assert low.plus(high) == f
-        assert project_star(micro3, 0, q, high).is_zero()
+        assert not project_star(micro3, 0, q, high).coords
 
 
 def test_initial_projection_norm_by_hand(micro2):
     # every dual-basis row is affected by at most the 1/16-mass correction,
     # so the initial window at q = 1 has exact operator norm 1
-    ids = list(micro2.ids())
-    norm = op_norm_l1(micro2, lambda g: project_star(micro2, 0, 1, e_star(g)), ids)
+    norm = max(l1_norm(micro2, project_star(micro2, 0, 1, e_star(g))) for g in micro2.ids())
     assert norm == 1
 
 
 def test_initial_projection_norms_bounded(micro3):
     bound = 1 / (1 - 2 * micro3.config.weight(1))
     assert bound == 2
-    ids = list(micro3.ids())
     for q in range(1, micro3.max_rank + 1):
-        norm = op_norm_l1(micro3, lambda g: project_star(micro3, 0, q, e_star(g)), ids)
+        norm = max(l1_norm(micro3, project_star(micro3, 0, q, e_star(g))) for g in micro3.ids())
         assert norm <= bound
 
 
@@ -238,14 +237,14 @@ def test_base_elements_have_no_analysis(micro3):
 def test_extension_matches_data_below_the_cut(micro3):
     data = {0: F(1), 5: F(-3, 2), 9: F(2)}
     x = extend(micro3, data, 2)
-    for gid in micro3.ids_in_window(0, 2):
+    for gid in [g for g in micro3.ids() if micro3.element(g).rank <= 2]:
         assert x.at(gid) == data.get(gid, F(0))
     assert all(micro3.element(g).rank <= 2 for g in d_coords_of(micro3, x))
 
 
 def test_extension_reproduces_spanned_vectors(micro3):
     x = synthesize(micro3, {3: F(1), 8: F(-1, 4)})
-    clipped = {g: x.at(g) for g in micro3.ids_in_window(0, 2)}
+    clipped = {g: x.at(g) for g in micro3.ids() if micro3.element(g).rank <= 2}
     again = extend(micro3, clipped, 2)
     assert again.coords == x.coords
 
@@ -261,7 +260,7 @@ def test_vector_range_and_norms(micro3):
 
 
 def test_pairing_guards_the_horizon(micro3):
-    tall = e_star(micro3.ids_in_window(2, 3)[0])
+    tall = e_star(micro3.level(3)[0])
     x = d_vector(micro3, 0, horizon=2)
     with pytest.raises(AlgebraError):
         pairing(micro3, tall, x)
@@ -290,18 +289,17 @@ def functionals(draw, basis: str = "e*") -> Functional:
 @settings(max_examples=60, deadline=None)
 @given(functionals())
 def test_basis_round_trip(micro2, f: Functional):
-    assert to_e_basis(micro2, to_d_basis(micro2, f)) == f
+    assert to_e_basis(micro2, Functional("d*", store_to_d(micro2, f.coords))) == f
 
 
 @settings(max_examples=60, deadline=None)
 @given(functionals("d*"))
 def test_basis_round_trip_other_way(micro2, g: Functional):
-    assert to_d_basis(micro2, to_e_basis(micro2, g)) == g
+    assert Functional("d*", store_to_d(micro2, to_e_basis(micro2, g).coords)) == g
 
 
 @settings(max_examples=40, deadline=None)
 @given(functionals(), functionals())
 def test_change_of_basis_is_linear(micro2, f: Functional, g: Functional):
-    assert to_d_basis(micro2, f.plus(g)) == to_d_basis(micro2, f).plus(
-        to_d_basis(micro2, g)
-    )
+    d = lambda h: Functional("d*", store_to_d(micro2, h.coords))
+    assert d(f.plus(g)) == d(f).plus(d(g))

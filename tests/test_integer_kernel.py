@@ -20,17 +20,13 @@ from hypothesis import HealthCheck, given, settings
 from bdlab import verify
 from bdlab.algebra import (
     D_BASIS,
-    E_BASIS,
     Functional,
     Vector,
-    c_star,
     coding_rows,
     d_coords_of,
     d_vector,
-    e_star,
     extend,
     synthesize,
-    to_d_basis,
     to_e_basis,
 )
 from bdlab.universe import Universe, build_universe
@@ -38,6 +34,8 @@ from conftest import micro_config, quinary_universes
 from oracles import (
     definition_rows,
     per_form_analysis_check,
+    store_to_d,
+    stored_row,
     sweep_d_coords_of,
     sweep_extend,
     sweep_heaviest_windows,
@@ -59,7 +57,7 @@ def assert_kernels_match(u: Universe, rng: random.Random) -> None:
     ids, top = list(u.ids()), u.max_rank
     for gid in ids:
         one = {gid: Fraction(1)}
-        assert list(to_d_basis(u, e_star(gid)).coords.items()) == list(sweep_to_d(u, one).items())
+        assert list(store_to_d(u, one).items()) == list(sweep_to_d(u, one).items())
         assert to_e_basis(u, Functional(D_BASIS, one)).coords == sweep_to_e(u, one)
         x = d_vector(u, gid)
         assert items(x) == items(sweep_synthesize(u, one))
@@ -76,7 +74,7 @@ def assert_kernels_match(u: Universe, rng: random.Random) -> None:
         q = rng.randint(0, top)
         assert items(extend(u, data, q)) == items(sweep_extend(u, data, q))
         clean = {g: c for g, c in data.items() if c}
-        assert to_d_basis(u, Functional(E_BASIS, data)).coords == sweep_to_d(u, clean)
+        assert store_to_d(u, data) == sweep_to_d(u, clean)
         assert to_e_basis(u, Functional(D_BASIS, data)).coords == sweep_to_e(u, clean)
 
 
@@ -104,7 +102,7 @@ def corrupt_one_row(u: Universe, rng: random.Random) -> bool:
 
 
 def assert_integer_kernel_matches_fraction_forms(u: Universe, rng: random.Random) -> None:
-    assert [dict(c_star(u, g).coords) for g in u.ids()] == definition_rows(u)
+    assert [stored_row(u, g) for g in u.ids()] == definition_rows(u)
     assert_kernels_match(u, rng)
     assert_proofs_match(u)
     if corrupt_one_row(u, rng):

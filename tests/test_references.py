@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from bdlab import verify
-from bdlab.algebra import Vector, c_star, coding_rows, d_vector, synthesize
+from bdlab.algebra import Vector, coding_rows, d_vector, synthesize
 from bdlab.config import desk_relaxed, desk_strict
 from bdlab.elements import BFunctional, t1_candidate
 from bdlab.sequences import (
@@ -103,7 +103,7 @@ def test_shift_proofs_match_the_fraction_references(name):
     u = build_universe(FIXTURES[name]())
     assert_shift_proofs_agree(u)
     # a corrupted coding row fails the basis change in both, with one witness
-    gid = next(g for g in u.ids() if u.f_image_of(g) is not None and c_star(u, g).coords)
+    gid = next(g for g in u.ids() if u.f_image_of(g) is not None and coding_rows(u).num[g])
     h = next(
         h
         for h in u.ids()

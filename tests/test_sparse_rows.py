@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from bdlab import algebra, cli
 from bdlab.algebra import (
     Vector,
-    c_star,
+    coding_rows,
     d_coords_of,
     d_vector,
     extend,
@@ -89,7 +89,7 @@ def assert_users_index_complete(u: Universe) -> None:
     assert len(store) == len(u)
     expected: list[list[int]] = [[] for _ in u.ids()]
     for gid in u.ids():
-        for h in c_star(u, gid).coords:
+        for h in store.num[gid]:
             expected[h].append(gid)
     assert store.users == expected
 
@@ -115,16 +115,6 @@ def test_lazy_sync_extends_old_rows_after_interns_below_the_top(name):
     assert_users_index_complete(u)
 
 
-def test_stored_rows_are_read_only(micro_universe):
-    # c_star serves a read-only Fraction view of the one stored integer row
-    row = c_star(micro_universe, 4)
-    store = row_store(micro_universe)
-    assert row.coords == {h: Fraction(v, store.den[4]) for h, v in store.num[4].items()}
-    assert row == c_star(micro_universe, 4) and row.coords
-    with pytest.raises(TypeError):
-        row.coords[0] = Fraction(1)  # type: ignore[index]
-
-
 def test_build_and_enumerate_compute_no_coding_rows(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("coding row computed on the build path")
@@ -145,7 +135,7 @@ def test_build_and_enumerate_compute_no_coding_rows(monkeypatch, capsys):
     assert len(built) == 1 and len(row_store(built[0])) == 0
 
     monkeypatch.undo()
-    c_star(u, len(u) - 1)
+    coding_rows(u)
     assert len(row_store(u)) == len(u)
 
 
@@ -155,7 +145,7 @@ def live_row_stores() -> int:
 
 def test_a_dropped_universe_releases_its_row_store():
     u = build_universe(desk_strict())
-    c_star(u, len(u) - 1)
+    coding_rows(u)
     assert row_store(u) is u.rows and len(u.rows) == len(u)
     dropped = weakref.ref(u)
     gc.collect()

@@ -133,13 +133,6 @@ def test_universe_is_closed_under_the_shift(micro_universe):
         assert gid in u.f_preimages_of(img)
 
 
-def test_ids_in_window_uses_half_open_rank_interval(micro_universe):
-    u = micro_universe
-    assert u.ids_in_window(0, 1) == [0, 1, 2]
-    assert u.ids_in_window(1, 2) == list(range(3, 10))
-    assert u.ids_in_window(2, 2) == []
-
-
 # -- admissibility clauses ----------------------------------------------------
 
 
@@ -427,7 +420,7 @@ def assert_level_pools_match_direct_scans(u: Universe, rank: int) -> int:
         assert list(pools.roots(parity)) == roots[parity]
     nonempty = 0
     for lo in range(rank - 1):
-        window = u.ids_in_window(lo, rank - 1)
+        window = [g for g in u.ids() if lo < u.element(g).rank <= rank - 1]
         assert list(pools.window(lo)) == window
         for widx in range(1, u.config.num_weights + 1):
             odd = list(pools.odd(lo, widx))
@@ -457,7 +450,7 @@ def weight4_universe() -> Universe:
     for rank in range(1, 5):
         u.enumerate_level(rank)
     for p in range(3):
-        for eta in u.ids_in_window(p, 3):
+        for eta in [g for g in u.ids() if p < u.element(g).rank <= 3]:
             if u.element(eta).weight_idx % 2 == 0 and u.element(eta).weight_idx:
                 u.intern(t1_candidate(4, p, 4, unit(eta)))
     return u
@@ -533,7 +526,7 @@ def _drawn_candidate(data, u: Universe):
     """An admissible t1 or t2 shape of rank 2..max_rank with b zero or a unit
     singleton, or None when the drawn shape is inadmissible."""
     rank = data.draw(st.integers(min_value=2, max_value=u.max_rank))
-    roots = [g for g in u.ids_in_window(0, rank - 2) if u.element(g).weight_idx]
+    roots = [g for g in u.ids() if u.element(g).rank <= rank - 2 and u.element(g).weight_idx]
     if not roots or data.draw(st.booleans()):
         p = data.draw(st.integers(min_value=0, max_value=rank - 2))
         # highest weight first: weight index 4 feeds the odd-weight pools
@@ -544,7 +537,7 @@ def _drawn_candidate(data, u: Universe):
         xi = u.element(data.draw(st.sampled_from(roots)))
         cand = t2_candidate(rank, xi.gid, xi.weight_idx, BFunctional.zero())
         lo = xi.rank
-    pool = u.ids_in_window(lo, rank - 1)
+    pool = [g for g in u.ids() if lo < u.element(g).rank <= rank - 1]
     if cand.weight_idx % 2:
         pool = [g for g in pool if u.element(g).weight_idx % 4 == 0 < u.element(g).weight_idx]
     if pool and not data.draw(st.booleans()):

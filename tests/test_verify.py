@@ -12,11 +12,9 @@ from bdlab.algebra import (
     CodingRows,
     Functional,
     Vector,
-    c_star,
     coding_rows,
     evaluation_analysis,
     row_store,
-    to_d_basis,
     to_e_basis,
 )
 from bdlab.config import RELAXED, desk_relaxed, desk_strict, make_config
@@ -34,7 +32,12 @@ from bdlab.verify import (
     run_verification,
 )
 from conftest import micro_config, small_universes
-from oracles import per_form_analysis_check, sampled_compact_differences, sweep_heaviest_windows
+from oracles import (
+    per_form_analysis_check,
+    sampled_compact_differences,
+    store_to_d,
+    sweep_heaviest_windows,
+)
 
 
 @pytest.fixture(scope="module")
@@ -222,8 +225,8 @@ def violation(u, gid, count=1):
 
 def interior_used(u):
     """The first element with a nonzero coding row that other rows mention."""
-    users = row_store(u).users
-    return next(g for g in u.ids() if c_star(u, g).coords and users[g])
+    store = coding_rows(u)
+    return next(g for g in u.ids() if store.num[g] and store.users[g])
 
 
 def corrupt_row(u, gid, h):
@@ -240,7 +243,7 @@ def test_pushforward_wrong_at_one_element_fails_both_proofs(where, strict_univer
     # the faulty pushforward also keeps the coordinate at gid where it was
     u = strict_universe
     gid = len(u) - 1 if where == "top" else interior_used(u)
-    assert c_star(u, gid).coords
+    assert coding_rows(u).num[gid]
     real = verify.s_star
 
     def s_star(universe, f):
@@ -282,7 +285,7 @@ def test_corrupted_coding_row_fails_the_basis_change_proof():
     gid = next(
         g
         for g in u.ids()
-        if u.f_image_of(g) is not None and not u.f_preimages_of(g) and c_star(u, g).coords
+        if u.f_image_of(g) is not None and not u.f_preimages_of(g) and coding_rows(u).num[g]
     )
     h = next(
         h
@@ -344,7 +347,8 @@ def test_tail_restriction_wrong_at_one_element_and_cut_fails_tail_commutation(
 
         def project_star(universe, lo, hi, f, gid=gid, cut=cut):
             out = real(universe, lo, hi, f)
-            kept = to_d_basis(universe, f).coords.get(gid)
+            d = f.coords if f.basis == D_BASIS else store_to_d(universe, f.coords)
+            kept = d.get(gid)
             if lo != cut or not kept:
                 return out
             extra = Functional(D_BASIS, {gid: sign * kept})
@@ -556,7 +560,7 @@ def test_odd_weight_check_counts_the_elements_that_carry_a_weight():
         True, f"0 of {odd} odd-weight elements carry a weight"
     )
     for p in range(3):
-        for eta in u.ids_in_window(p, 3):
+        for eta in [g for g in u.ids() if p < u.element(g).rank <= 3]:
             if u.element(eta).weight_idx % 2 == 0 and u.element(eta).weight_idx:
                 u.intern(t1_candidate(4, p, 4, BFunctional.singleton(eta)))
     for rank in (5, 6):
@@ -645,11 +649,9 @@ def test_combination_above_its_cut_breaks_only_the_unwindowed_form(kind):
     # windowed one alone, so only the unwindowed full form of xi differs.
     u = build_universe(desk_relaxed())
     xi = next(g for g in u.ids() if u.element(g).kind == kind)
-    c_star(u, xi)  # rows are synced before the corruption
+    rows = coding_rows(u)  # rows are synced before the corruption
     el = u.element(xi)
-    eta = next(
-        g for g in u.ids() if u.element(g).rank > el.rank and not c_star(u, g).coords
-    )
+    eta = next(g for g in u.ids() if u.element(g).rank > el.rank and not rows.num[g])
     u.elements[xi] = el._replace(b=BFunctional.from_dict({**dict(el.b.items()), eta: Fraction(1)}))
     expected = (False, f"full form differs at element {xi}")
     assert per_form_analysis_check(u) == expected
