@@ -36,7 +36,6 @@ spirit of fraction-free elimination (Bareiss, Math. Comp. 22, 1968).  A
 ``Fraction`` is built only where a ``Functional``, ``Vector`` or ``Coords``
 leaves this module.  There is no tolerance anywhere in this module.
 """
-from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -185,9 +184,14 @@ class CodingRows:
         return len(self.rank)
 
     def sync(self, universe: Universe) -> None:
-        """Append the rows of every element interned since the last sync."""
+        """Append the rows of every element interned since the last sync.
+
+        Elements with equal b share one object (``Universe.intern``), so a
+        call expands each distinct b in the d*-basis once, keyed by the
+        object; the memo ends with the call."""
+        expanded: dict[int, tuple[IntCoords, int]] = {}
         for el in universe.elements[len(self.rank):]:
-            row, den = _compute_cstar(self, universe, el)
+            row, den = _compute_cstar(self, universe, el, expanded)
             for h in row:
                 self.users[h].append(el.gid)
             self.rank.append(el.rank)
@@ -360,14 +364,23 @@ def _below(store: CodingRows, ids: Iterable[int], top: int) -> list[int]:
 
 
 def _compute_cstar(
-    store: CodingRows, universe: Universe, el: GammaElement
+    store: CodingRows,
+    universe: Universe,
+    el: GammaElement,
+    expanded: dict[int, tuple[IntCoords, int]],
 ) -> tuple[IntCoords, int]:
-    """The element's coding row as numerators over its least denominator."""
+    """The element's coding row as numerators over its least denominator.
+    ``expanded`` holds the d*-coordinates of the b's seen so far in this
+    sync, by ``id``; they are read, never changed."""
     if el.kind == BASE:
         return {}, 1
     beta = universe.config.weight(el.weight_idx)
     lo = el.p if el.kind == TYPE1 else store.rank[el.xi]
-    d, q = store.to_d(*to_integers(dict(el.b.items())))
+    b = el.b
+    d_of_b = expanded.get(id(b))
+    if d_of_b is None:
+        d_of_b = expanded[id(b)] = store.to_d(*to_integers(dict(b.items())))
+    d, q = d_of_b
     tail, q = store.to_e(store.restrict(d, lo, None), q)
     den = q * beta.denominator
     row = {el.xi: den} if el.kind == TYPE2 else {}

@@ -68,7 +68,14 @@ def _emit(args: argparse.Namespace, payload: dict[str, Any], lines: list[str]) -
         sys.stdout.write(text)
 
 
-def _element_json(universe: Universe, el: GammaElement) -> dict[str, Any]:
+def _element_json(
+    universe: Universe, el: GammaElement, texts: dict[int, dict[str, str]]
+) -> dict[str, Any]:
+    """One element's record; ``texts`` holds the b records made so far in
+    this call, by ``id`` of the b that elements with equal b share."""
+    b = texts.get(id(el.b))
+    if b is None:
+        b = texts[id(el.b)] = {str(g): format_rational(c) for g, c in el.b.terms}
     kind = el.kind
     anchor, value = ("index", el.index) if kind == BASE else ("p", el.p) if kind == TYPE1 else ("xi", el.xi)
     return {
@@ -78,7 +85,7 @@ def _element_json(universe: Universe, el: GammaElement) -> dict[str, Any]:
         anchor: value,
         "weight_index": el.weight_idx,
         "age": el.age,
-        "b": {str(g): format_rational(c) for g, c in el.b.terms},
+        "b": b,
         "sigma": universe.sigma(el.gid),
         "image": universe.f_image_of(el.gid),
     }
@@ -107,13 +114,14 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.format != "json":
         _emit(args, {}, universe.dump_lines())
         return 0
+    texts: dict[int, dict[str, str]] = {}
     payload = {
         "schema": "bdlab.enumerate/1",
         "config": cfg.to_json_dict(),
         "element_count": len(universe),
         "level_counts": {str(r): c for r, c in universe.level_counts().items()},
         "fingerprint": universe.fingerprint(),
-        "elements": [_element_json(universe, el) for el in universe.elements],
+        "elements": [_element_json(universe, el, texts) for el in universe.elements],
         "notes": list(cfg.notes),
     }
     _emit(args, payload, [])

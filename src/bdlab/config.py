@@ -17,7 +17,6 @@ In the ``relaxed`` regime only ``m_1 >= 4`` and strict monotonicity of both
 sequences are enforced; the remaining clauses are evaluated and recorded so
 reports can say exactly which magnitudes were given up.
 """
-from __future__ import annotations
 
 import json
 import os

@@ -13,9 +13,11 @@ Elements are value objects; identity within a universe is the interned id.
 Every record here is a ``typing.NamedTuple``: immutable, changed by copying
 with ``._replace``, and compared as a tuple of its fields.  A universe's
 ``GammaElement`` repeats ``Candidate``'s seven fields in order, then adds its
-id and age, and shares ``Candidate.key``.
+id and age, and shares ``Candidate.key``.  Modules that define records do not
+postpone annotations (no ``from __future__ import annotations``): typing
+would turn each string field annotation into a ``ForwardRef`` and compile it
+at import.
 """
-from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterator, NamedTuple
@@ -75,12 +77,16 @@ class Candidate(NamedTuple):
     weight_idx: int = 0    # 0 for base, else 1-indexed into the m-sequence
     b: BFunctional = BFunctional()
 
-    def key(self) -> tuple:
+    def key(self, b_key: tuple | None = None) -> tuple:
+        """The shape's identity; its last part is ``b.key()`` (``b_key``,
+        when the caller already has it) except for base shapes."""
         if self.kind == BASE:
             return (self.rank, 0, self.index)
+        if b_key is None:
+            b_key = self.b.key()
         if self.kind == TYPE1:
-            return (self.rank, 1, self.p, self.weight_idx, self.b.key())
-        return (self.rank, 2, self.xi, self.weight_idx, self.b.key())
+            return (self.rank, 1, self.p, self.weight_idx, b_key)
+        return (self.rank, 2, self.xi, self.weight_idx, b_key)
 
 
 class GammaElement(NamedTuple):

@@ -21,7 +21,6 @@ Everything here is evaluated over a materialized universe, exactly:
 Constructors report structured failures naming the first clause they
 cannot satisfy; nothing is ever silently weakened.
 """
-from __future__ import annotations
 
 import heapq
 from fractions import Fraction

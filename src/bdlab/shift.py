@@ -18,7 +18,6 @@ class.  Here we expose everything built on top of the maps:
 
 All arithmetic is exact.
 """
-from __future__ import annotations
 
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence

@@ -63,6 +63,40 @@ class InvariantFault(UniverseError):
     """A shift image failed validation; the construction invariant is broken."""
 
 
+class _PerB:
+    """What a universe works out once per distinct carried b: the one
+    ``BFunctional`` every element with that b shares, its pushed image with
+    the image's key (``shift_image_candidate``) and its even-weight net
+    verdict (``_net_verdict``); the last two are filled on first use."""
+
+    __slots__ = ("b", "image", "net")
+
+    def __init__(self, b: BFunctional):
+        self.b = b
+        self.image: Optional[tuple[BFunctional, tuple]] = None
+        self.net: Optional[list[str]] = None
+
+
+def _net_verdict(cfg: ConstructionConfig, terms: tuple[tuple[int, Fraction], ...]) -> list[str]:
+    """The net-membership clauses of an even-weight b: support size,
+    denominators and l1 mass, which read b and the config alone."""
+    bad = []
+    if len(terms) > cfg.max_support:
+        bad.append(f"net membership: support size {len(terms)} exceeds cap {cfg.max_support}")
+    dens = [c.denominator for _, c in terms]
+    for den in dens:
+        if cfg.denominator_bound % den != 0:
+            bad.append(
+                f"net membership: denominator {den} does not divide {cfg.denominator_bound}"
+            )
+            break
+    # l1 mass against 1: numerators over the least common denominator q
+    q = lcm(*dens)
+    if sum([abs(c.numerator) * (q // den) for (_, c), den in zip(terms, dens)]) > q:
+        bad.append("net membership: l1 mass exceeds 1")
+    return bad
+
+
 class Universe:
     def __init__(self, config: ConstructionConfig):
         self.config = config
@@ -79,6 +113,9 @@ class Universe:
         self._sigma_counter = 0
         self._f_image: dict[int, Optional[int]] = {}
         self._f_preimages: dict[int, list[int]] = {}
+        # Per distinct carried b, keyed by its key (a candidate key's last
+        # part): what depends on b alone is worked out once (``_PerB``).
+        self._by_b: dict[tuple, _PerB] = {}
         self._enumerated_to = 0
         self.interior_interns = 0
         self._fingerprint = (-1, "")
@@ -166,11 +203,14 @@ class Universe:
 
     # -- validation -----------------------------------------------------------
 
-    def validate_candidate(self, cand: Candidate) -> list[str]:
+    def validate_candidate(self, cand: Candidate, key: Optional[tuple] = None) -> list[str]:
         """Return the list of violated admissibility clauses (empty = admissible).
 
         Structural problems (references to ids that do not exist) raise
-        DanglingReference instead of being reported as violations.
+        DanglingReference instead of being reported as violations.  With the
+        candidate's ``key`` the even-weight net verdict, which depends on b
+        alone, is read from (or kept in) the universe's per-b table; without
+        one every clause is recomputed.
         """
         cfg = self.config
         kind, rank = cand.kind, cand.rank
@@ -213,10 +253,10 @@ class Universe:
         if kind == TYPE2 and xi.age + 1 > cfg.n(widx):
             bad.append(f"age cap: age {xi.age + 1} exceeds n[{widx}]")
         if cand.b.terms:
-            self._check_b(cand, lo, bad)
+            self._check_b(cand, lo, bad, key)
         return bad
 
-    def _check_b(self, cand: Candidate, lo: int, bad: list[str]) -> None:
+    def _check_b(self, cand: Candidate, lo: int, bad: list[str], key: Optional[tuple]) -> None:
         """Window, net-membership and odd-weight form checks for a nonzero cand.b."""
         cfg = self.config
         terms = cand.b.terms
@@ -247,23 +287,20 @@ class Universe:
                 bad.append(
                     f"sigma membership: {eta_w // 4} not in sigma-set of xi #{cand.xi}"
                 )
+        elif key is None:
+            bad += _net_verdict(cfg, terms)
         else:
-            # even weight: any net combination
-            if len(terms) > cfg.max_support:
-                bad.append(
-                    f"net membership: support size {len(terms)} exceeds cap {cfg.max_support}"
-                )
-            dens = [c.denominator for _, c in terms]
-            for den in dens:
-                if cfg.denominator_bound % den != 0:
-                    bad.append(
-                        f"net membership: denominator {den} does not divide {cfg.denominator_bound}"
-                    )
-                    break
-            # l1 mass against 1: numerators over the least common denominator q
-            q = lcm(*dens)
-            if sum([abs(c.numerator) * (q // den) for (_, c), den in zip(terms, dens)]) > q:
-                bad.append("net membership: l1 mass exceeds 1")
+            carried = self._per_b(key[-1], cand.b)
+            if carried.net is None:
+                carried.net = _net_verdict(cfg, terms)
+            bad += carried.net
+
+    def _per_b(self, bkey: tuple, b: BFunctional) -> _PerB:
+        """The per-b entry of a b with key ``bkey``, made on first sight."""
+        carried = self._by_b.get(bkey)
+        if carried is None:
+            carried = self._by_b[bkey] = _PerB(b)
+        return carried
 
     # -- interning -------------------------------------------------------------
 
@@ -282,7 +319,7 @@ class Universe:
         found = self._key_to_id.get(key)
         if found is not None:
             return found
-        violations = self.validate_candidate(cand)
+        violations = self.validate_candidate(cand, key)
         if violations:
             raise InadmissibleElement(violations)
         gid = len(self.elements)
@@ -290,7 +327,9 @@ class Universe:
             raise UniverseError(
                 f"element budget exceeded ({self.config.max_elements})"
             )
-        kind, rank, widx = cand.kind, cand.rank, cand.weight_idx
+        kind, rank, widx, b = cand.kind, cand.rank, cand.weight_idx, cand.b
+        if kind != BASE:
+            b = self._per_b(key[-1], b).b
         if rank < self._max_rank:
             self.interior_interns += 1
         else:
@@ -301,7 +340,7 @@ class Universe:
             age = 1
         else:
             age = self.element(cand.xi).age + 1
-        element = GammaElement(kind, rank, cand.index, cand.p, cand.xi, widx, cand.b, gid, age)
+        element = GammaElement(kind, rank, cand.index, cand.p, cand.xi, widx, b, gid, age)
         self.elements.append(element)
         self._key_to_id[key] = gid
         self._levels.setdefault(rank, []).append(gid)
@@ -311,12 +350,12 @@ class Universe:
         sigma = self._sigma_counter
         self._sigma[gid] = self._sigma_counter = (sigma if sigma > rank else rank) + 1
 
-        image = shift_image_candidate(self, element)
+        image = shift_image_candidate(self, element, key)
         if image is None:
             self._f_image[gid] = None
         else:
             try:
-                img_id = self.intern(image)  # recursion depth bounded by k
+                img_id = self.intern(*image)  # recursion depth bounded by k
             except InadmissibleElement as err:
                 raise InvariantFault(
                     f"shift image of {describe(element)} is inadmissible: "
@@ -439,9 +478,13 @@ class Universe:
             f"# k={self.config.k} horizon={self.config.horizon} regime={self.config.regime}",
         ]
         sigma = self._sigma
+        texts: dict[int, str] = {}  # b text by id(b), for this call only
         for kind, rank, index, p, xi, widx, b, gid, age in self.elements:
             anchor = index if kind == BASE else p if kind == TYPE1 else xi
-            b_text = ",".join([f"{format_rational(c)}@{eta}" for eta, c in b.terms]) if b.terms else "0"
+            b_text = texts.get(id(b))
+            if b_text is None:
+                terms = [f"{format_rational(c)}@{eta}" for eta, c in b.terms]
+                b_text = texts[id(b)] = ",".join(terms) if terms else "0"
             lines.append(f"{gid} {rank} {kind} {widx} {age} {anchor} {b_text} {sigma[gid]}")
         return lines
 
@@ -541,33 +584,46 @@ def _walk_net(
 # -- shift image (the combinatorial half of the shift operator) -------------------
 
 
-def shift_image_candidate(universe: Universe, element: GammaElement) -> Optional[Candidate]:
-    """One step of the shift map on coded elements, or None when it vanishes.
+def shift_image_candidate(
+    universe: Universe, element: GammaElement, key: tuple
+) -> Optional[tuple[Candidate, tuple]]:
+    """One step of the shift map on coded elements, as the image candidate
+    and its key, or None when it vanishes.  ``key`` is the element's key.
 
     Base elements step down their index.  For the other shapes the carried
-    b-functional is pushed through the map (``Universe.push``); the image
-    element keeps the same rank and weight, and its age never increases.
+    b-functional is pushed through the map (``Universe.push``) once per
+    distinct b, whose image and image key the universe's per-b table keeps;
+    the image element keeps the same rank and weight, and its age never
+    increases.
     """
     kind = element.kind
     if kind == BASE:
         if element.index == 0:
             return None
-        return base_candidate(element.index - 1)
+        image = base_candidate(element.index - 1)
+        return image, image.key()
 
     b = element.b
-    mapped = BFunctional.from_dict(universe.push(b.terms)) if b.terms else b
+    if b.terms:
+        carried = universe._by_b[key[-1]]
+        if carried.image is None:
+            mapped = BFunctional.from_dict(universe.push(b.terms))
+            carried.image = (mapped, mapped.key())
+        mapped, mapped_key = carried.image
+    else:
+        mapped, mapped_key = b, ()
+    rank, widx = element.rank, element.weight_idx
     if kind == TYPE1:
-        if mapped.is_zero:
+        if not mapped_key:
             return None
-        return t1_candidate(element.rank, element.p, element.weight_idx, mapped)
-
-    xi_image = universe.f_image_of(element.xi)
-    if xi_image is None:
-        if mapped.is_zero:
+        image = t1_candidate(rank, element.p, widx, mapped)
+    else:
+        xi_image = universe.f_image_of(element.xi)
+        if xi_image is not None:
+            image = t2_candidate(rank, xi_image, widx, mapped)
+        elif not mapped_key:
             return None
-        # age collapses to 1; the window starts where xi's rank was
-        return t1_candidate(
-            element.rank, universe.element(element.xi).rank, element.weight_idx, mapped
-        )
-    return t2_candidate(element.rank, xi_image, element.weight_idx, mapped)
-
+        else:
+            # age collapses to 1; the window starts where xi's rank was
+            image = t1_candidate(rank, universe.element(element.xi).rank, widx, mapped)
+    return image, image.key(mapped_key)

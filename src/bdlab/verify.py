@@ -51,7 +51,6 @@ witness family) on any net but the singleton one.  The sequence suite
 interns new elements, so it always runs last and its effect is disclosed in
 the report notes.
 """
-from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product

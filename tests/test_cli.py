@@ -441,6 +441,33 @@ def test_importing_the_cli_loads_no_dataclasses():
     assert proc.stdout.strip() == "[]"
 
 
+def test_importing_the_cli_compiles_no_record_annotation():
+    # typing.NamedTuple turns a string field annotation into a ForwardRef,
+    # which compiles the string, so the modules that define records do not
+    # postpone annotations.  Compiling a module's own source file (where no
+    # bytecode is cached) is not counted.  -S keeps site start-up hooks out.
+    env = dict(os.environ)
+    source_root = str(Path(bdlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (source_root, env.get("PYTHONPATH")) if p
+    )
+    code = (
+        "import builtins\n"
+        "compile_, calls = builtins.compile, []\n"
+        "def counted(source, filename, *args, **kwargs):\n"
+        "    calls.append(str(filename))\n"
+        "    return compile_(source, filename, *args, **kwargs)\n"
+        "builtins.compile = counted\n"
+        "import bdlab.cli\n"
+        "print([f for f in calls if not f.endswith('.py')])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, env=env, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_importing_the_cli_loads_no_random():
     # No check draws from a generator, so no verb pays for importing one.
     # -I ignores PYTHONPATH and the user site; -S keeps site start-up hooks out.

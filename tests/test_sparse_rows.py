@@ -28,6 +28,7 @@ from bdlab.algebra import (
     synthesize,
 )
 from bdlab.config import desk_relaxed, desk_strict
+from bdlab.elements import BASE
 from bdlab.sequences import build_exact_pair, helper_pair_parts
 from bdlab.shift import s_apply
 from bdlab.universe import Universe, build_universe
@@ -136,6 +137,24 @@ def test_build_and_enumerate_compute_no_coding_rows(monkeypatch, capsys):
 
     monkeypatch.undo()
     coding_rows(u)
+    assert len(row_store(u)) == len(u)
+
+
+def test_sync_expands_each_distinct_b_once(monkeypatch):
+    # Elements with equal b share one object, so one full sync computes
+    # to_d once per distinct b, however many elements carry it.
+    u = build_universe(desk_relaxed())
+    expanded = []
+    to_d = algebra.CodingRows.to_d
+
+    def counted(self, coords, q):
+        expanded.append(dict(coords))
+        return to_d(self, coords, q)
+
+    monkeypatch.setattr(algebra.CodingRows, "to_d", counted)
+    coding_rows(u)
+    carried = {el.b for el in u.elements if el.kind != BASE}
+    assert len(expanded) == len(carried) < len(u) - u.config.k
     assert len(row_store(u)) == len(u)
 
 

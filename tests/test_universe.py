@@ -13,7 +13,10 @@ from bdlab.cli import resolve_config
 from bdlab.config import desk_relaxed, desk_strict, make_config, validate_config
 from bdlab.elements import (
     BASE,
+    TYPE1,
+    TYPE2,
     BFunctional,
+    Candidate,
     base_candidate,
     t1_candidate,
     t2_candidate,
@@ -28,8 +31,10 @@ from bdlab.universe import (
     _LevelPools,
     build_universe,
     iter_net,
+    shift_image_candidate,
 )
-from bdlab.verify import run_sequence_suite
+from bdlab.sequences import FAIL, PASS
+from bdlab.verify import run_gamma_suite, run_sequence_suite
 from conftest import micro_config
 from oracles import scan_extension_roots, scan_ids_by_weight, scan_odd_support_pool
 
@@ -327,9 +332,9 @@ def test_each_new_element_is_validated_once(monkeypatch):
     calls = []
     validate = Universe.validate_candidate
 
-    def counted(self, cand):
+    def counted(self, cand, key=None):
         calls.append(cand.key())
-        return validate(self, cand)
+        return validate(self, cand, key)
 
     monkeypatch.setattr(Universe, "validate_candidate", counted)
     u = build_universe(desk_relaxed())
@@ -342,8 +347,8 @@ def test_inadmissible_shift_image_is_an_invariant_fault(micro_universe, monkeypa
     cand = t1_candidate(3, 0, 2, unit(1))  # its image carries unit(0): a new element
     validate = Universe.validate_candidate
 
-    def planted(self, c):
-        return validate(self, c) if c == cand else ["planted violation"]
+    def planted(self, c, key=None):
+        return validate(self, c, key) if c == cand else ["planted violation"]
 
     monkeypatch.setattr(Universe, "validate_candidate", planted)
     message = r"^shift image of #\d+ .* is inadmissible: planted violation$"
@@ -520,6 +525,111 @@ def test_odd_supports_make_enumeration_read_sigma_sets(monkeypatch):
         u.enumerate_level(rank)
     assert calls
     assert {u.element(g).weight_idx % 2 for g in calls} == {1}
+
+
+# -- per-b work --------------------------------------------------------------------
+#
+# Every element carries its b from a finite net, so a few distinct b's recur at
+# every rank.  The universe keeps one BFunctional per distinct b, pushes it
+# through the shift map once, and decides its even-weight net verdict once.
+
+COMMITTED = [
+    ("desk-strict", 28),
+    ("desk-relaxed", 78),
+    (str(BENCH_CONFIGS / "wide.json"), 144),
+    (str(BENCH_CONFIGS / "deep.json"), 144),
+]
+
+
+@pytest.mark.parametrize(
+    "name, distinct", COMMITTED, ids=["desk-strict", "desk-relaxed", "wide", "deep"]
+)
+def test_build_pushes_each_distinct_b_once(name, distinct, monkeypatch):
+    monkeypatch.delenv("BDLAB_HORIZON", raising=False)
+    pushed = []
+    push = Universe.push
+
+    def counted(self, coords):
+        pushed.append(coords)
+        return push(self, coords)
+
+    monkeypatch.setattr(Universe, "push", counted)
+    u = build_universe(resolve_config(name))
+    carried = {el.b.terms for el in u.elements if el.b.terms}
+    assert len(pushed) == len(carried) == distinct
+    assert set(pushed) == carried
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["desk-strict", "desk-relaxed", str(BENCH_CONFIGS / "wide.json")],
+    ids=["desk-strict", "desk-relaxed", "wide"],
+)
+def test_elements_with_equal_b_share_one_object(name, monkeypatch):
+    monkeypatch.delenv("BDLAB_HORIZON", raising=False)
+    u = build_universe(resolve_config(name))
+    first: dict[BFunctional, BFunctional] = {}
+    for el in u.elements:
+        if el.kind != BASE:
+            assert first.setdefault(el.b, el.b) is el.b, el.gid
+    assert len(first) < len(u) - u.config.k
+
+
+def unmemoized_image(u: Universe, el) -> Candidate | None:
+    """The shift image candidate of a non-base element, from one push of its
+    b that reads no per-b entry."""
+    mapped = BFunctional.from_dict(u.push(el.b.terms))
+    if el.kind == TYPE2 and u.f_image_of(el.xi) is not None:
+        return t2_candidate(el.rank, u.f_image_of(el.xi), el.weight_idx, mapped)
+    if mapped.is_zero:
+        return None
+    p = el.p if el.kind == TYPE1 else u.element(el.xi).rank
+    return t1_candidate(el.rank, p, el.weight_idx, mapped)
+
+
+@pytest.mark.parametrize(
+    "name", ["desk-relaxed", str(BENCH_CONFIGS / "wide.json")], ids=["desk-relaxed", "wide"]
+)
+def test_stored_images_match_a_push_that_reads_no_memo(name, monkeypatch):
+    monkeypatch.delenv("BDLAB_HORIZON", raising=False)
+    u = build_universe(resolve_config(name))
+    for el in u.elements:
+        if el.kind == BASE:
+            continue
+        cand = unmemoized_image(u, el)
+        image = u.f_image_of(el.gid)
+        if cand is None:
+            assert shift_image_candidate(u, el, el.key()) is None
+            assert image is None, el.gid
+        else:
+            assert shift_image_candidate(u, el, el.key()) == (cand, cand.key())
+            assert image is not None and u.lookup(cand) == image, el.gid
+            assert u.element(image).key() == cand.key()
+
+
+def test_a_planted_net_verdict_reaches_no_revalidation():
+    # The verdict is kept per b for intern's path only: validation without a
+    # key, and so the gamma suite's revalidation, recomputes every clause.
+    u = build_universe(micro_config(max_support=2, denominator_bound=2))
+    cand = t1_candidate(2, 0, 2, BFunctional.from_dict({0: Fraction(3, 2)}))  # its image vanishes
+    truth = ["net membership: l1 mass exceeds 1"]
+    assert u.validate_candidate(cand) == truth
+    u._per_b(cand.key()[-1], cand.b).net = []  # planted: admissible
+    assert u.validate_candidate(cand, cand.key()) == []
+    gid = u.intern(cand)  # intern reads the planted verdict
+    assert u.validate_candidate(u.element(gid)) == truth
+    check = next(c for c in run_gamma_suite(u).checks if c.name == "element revalidation")
+    assert (check.status, check.detail) == (FAIL, f"element {gid}: {truth[0]}")
+
+
+def test_a_planted_net_violation_reaches_no_revalidation():
+    u = build_universe(desk_relaxed())
+    el = next(el for el in u.elements if el.b.terms and el.weight_idx % 2 == 0)
+    u._by_b[el.key()[-1]].net = ["net membership: planted"]
+    assert u.validate_candidate(el, el.key()) == ["net membership: planted"]
+    assert u.validate_candidate(el) == []
+    check = next(c for c in run_gamma_suite(u).checks if c.name == "element revalidation")
+    assert check.status == PASS
 
 
 def _drawn_candidate(data, u: Universe):
