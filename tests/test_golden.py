@@ -29,7 +29,9 @@ recorded on the code before the construction API lost its unused parameters.
 The text ``depseq`` and ``report`` runs, the desk-strict ``pair`` JSON (which
 carries ``certifies_at_minimal``) and the three-weight ``report`` were
 recorded before each certificate rule was left with one owner, which touched
-every one of them.
+every one of them.  The ``enumerate --format json`` runs on desk-strict,
+``wide.json`` and ``deep.json`` (n = 8,576, the largest output) were recorded
+before the element records were written from one text template per shape.
 """
 from __future__ import annotations
 
@@ -119,6 +121,18 @@ GOLDEN = [
     (
         ["pair", "--config", "desk-strict", "--format", "json"],
         "3a2eef265aa8269b4e2a8a15cd02df1fd26aa7127d8d57555882eab04723459c",
+    ),
+    (
+        ["enumerate", "--config", "desk-strict", "--format", "json"],
+        "de1b54a5010680ca0ab179d4de52c17f9db1d614585c5255008a9a37f302c528",
+    ),
+    (
+        ["enumerate", "--config", "perfbench/configs/wide.json", "--format", "json"],
+        "164c9392577ba9a586274deae1ac159d2680eddfad56b9e116329989dfd65406",
+    ),
+    (
+        ["enumerate", "--config", "perfbench/configs/deep.json", "--format", "json"],
+        "b93c533036713293c33ea3a813ee8d830367203042f93d3ff7547194b35ef6f4",
     ),
 ]
 
