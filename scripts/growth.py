@@ -39,6 +39,16 @@ and after a change::
 
 ``--out`` is required, so that no run rewrites a committed table by default.
 
+With ``--before`` the script runs only ``PHASE_PAIRS`` alternating pairs of
+phase-split children, one on the ``--before`` tree and one on ``--src``,
+with the ``--before`` tree first in even pairs, and stores them under
+``phase_pairs``: per pair both trees' phases, collections and stdout
+sha256 and the tree whose total was lower; per tree each phase's quartiles;
+per phase the number of pairs where ``--src`` was lower; and whether every
+child printed the same bytes::
+
+    python scripts/growth.py --out BENCH_N.json --before /path/to/other/checkout/src
+
 Rerunning a label replaces its rows and keeps the others; per ladder the
 table says whether every label's reports are identical.  Labels whose trees
 print different report bytes read false there: the extensions proof, for
@@ -55,6 +65,7 @@ check's seconds against R on the singleton ladder.  Standard library only.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -81,6 +92,7 @@ LADDERS = {
 REPEAT = 2
 IMPORT_RUNS = 21
 PHASE_RUNS = 11
+PHASE_PAIRS = 20
 PHASE_ARGS = ("enumerate", "--config", "perfbench/configs/deep.json", "--format", "json")
 PHASES = ("startup", "import", "build", "output", "fingerprint", "exit")
 
@@ -195,36 +207,73 @@ def import_ms(src: Path, runs: int) -> dict:
     return {"median": round(statistics.median(samples), 2), "samples": samples}
 
 
+def phase_run(src: Path, tmp: Path) -> dict:
+    """One fresh child's milliseconds per phase of ``PHASE_ARGS``, its
+    collections per generation before exit and the sha256 of its stdout."""
+    record_path, out_path = tmp / "record.json", tmp / "stdout.json"
+    with open(out_path, "wb") as out:
+        spawned = time.monotonic()
+        proc = subprocess.Popen(
+            [sys.executable, "-c", PHASE_CHILD, str(record_path), *PHASE_ARGS],
+            cwd=ROOT, env=child_env(src), stdout=out,
+        )
+        _, status, _ = os.wait4(proc.pid, 0)
+        ended = time.monotonic()
+    if os.waitstatus_to_exitcode(status) != 0:
+        raise SystemExit(f"phase child exited with status {status}")
+    r = json.loads(record_path.read_text(encoding="utf-8"))
+    marks = (spawned, r["started"], r["imported"], r["built"], r["done"], r["fingerprinted"], ended)
+    ms = {phase: round((hi - lo) * 1000, 1) for phase, lo, hi in zip(PHASES, marks, marks[1:])}
+    ms["total"] = round((ended - spawned) * 1000, 1)
+    return {
+        "ms": ms,
+        "collections": r["collections"],
+        "sha256": hashlib.sha256(out_path.read_bytes()).hexdigest(),
+    }
+
+
 def phase_split(src: Path, runs: int) -> dict:
     """Median milliseconds of each phase of ``PHASE_ARGS`` over fresh
     children, and the median collections per generation before exit."""
-    env = child_env(src)
-    samples: dict[str, list[float]] = {phase: [] for phase in (*PHASES, "total")}
-    counts: list[list[int]] = []
     with tempfile.TemporaryDirectory() as tmp:
-        record_path, out_path = Path(tmp) / "record.json", Path(tmp) / "stdout.json"
-        for _ in range(runs):
-            with open(out_path, "wb") as out:
-                spawned = time.monotonic()
-                proc = subprocess.Popen(
-                    [sys.executable, "-c", PHASE_CHILD, str(record_path), *PHASE_ARGS],
-                    cwd=ROOT, env=env, stdout=out,
-                )
-                _, status, _ = os.wait4(proc.pid, 0)
-                ended = time.monotonic()
-            if os.waitstatus_to_exitcode(status) != 0:
-                raise SystemExit(f"phase child exited with status {status}")
-            r = json.loads(record_path.read_text(encoding="utf-8"))
-            marks = (spawned, r["started"], r["imported"], r["built"], r["done"], r["fingerprinted"], ended)
-            for phase, lo, hi in zip(PHASES, marks, marks[1:]):
-                samples[phase].append(round((hi - lo) * 1000, 1))
-            samples["total"].append(round((ended - spawned) * 1000, 1))
-            counts.append(r["collections"])
+        records = [phase_run(src, Path(tmp)) for _ in range(runs)]
+    samples = {phase: [r["ms"][phase] for r in records] for phase in (*PHASES, "total")}
     return {
         "args": " ".join(PHASE_ARGS),
         "median_ms": {phase: round(statistics.median(v), 1) for phase, v in samples.items()},
         "samples_ms": samples,
-        "collections": [statistics.median(c[g] for c in counts) for g in range(3)],
+        "collections": [statistics.median(r["collections"][g] for r in records) for g in range(3)],
+    }
+
+
+def phase_pairs(before: Path, after: Path, pairs: int) -> dict:
+    """``pairs`` alternating pairs of one phase-split child per tree, the
+    ``before`` tree first in even pairs: per pair both trees' phases and the
+    tree whose total was lower; per tree each phase's median and quartiles;
+    per phase the number of pairs where ``after`` was lower."""
+    trees = {"before": before, "after": after}
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i in range(pairs):
+            order = ("before", "after") if i % 2 == 0 else ("after", "before")
+            runs = {side: phase_run(trees[side], Path(tmp)) for side in order}
+            totals = {side: runs[side]["ms"]["total"] for side in trees}
+            lower = "tie" if totals["before"] == totals["after"] else min(totals, key=totals.get)
+            rows.append({"first": order[0], **runs, "lower_total": lower})
+            print(f"pair {i + 1}: total before {totals['before']} after {totals['after']} ms "
+                  f"(output {runs['before']['ms']['output']} -> {runs['after']['ms']['output']})",
+                  file=sys.stderr)
+    phases = (*PHASES, "total")
+    return {
+        "args": " ".join(PHASE_ARGS),
+        "pairs": rows,
+        "quartiles_ms": {
+            side: {p: [round(q, 1) for q in statistics.quantiles([r[side]["ms"][p] for r in rows], n=4)]
+                   for p in phases}
+            for side in trees
+        },
+        "pairs_lower_after": {p: sum(r["after"]["ms"][p] < r["before"]["ms"][p] for r in rows) for p in phases},
+        "outputs_identical": len({r[side]["sha256"] for r in rows for side in trees}) == 1,
     }
 
 
@@ -270,9 +319,23 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--label", default="after", help="name of this run in the table")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="source tree to time")
     parser.add_argument("--out", type=Path, required=True, help="table to update (JSON)")
+    parser.add_argument(
+        "--before", type=Path, default=None,
+        help="run only alternating phase-split pairs of this source tree and --src",
+    )
     args = parser.parse_args(argv)
 
     table = json.loads(args.out.read_text()) if args.out.exists() else {"runs": {}}
+    table["machine"] = {
+        "python": platform.python_version(),
+        "cpus": os.cpu_count(),
+        "platform": platform.platform(terse=True),
+    }
+    table["description"] = __doc__.split("\n\n")[0].strip()
+    if args.before is not None:
+        table["phase_pairs"] = phase_pairs(args.before.resolve(), args.src.resolve(), PHASE_PAIRS)
+        args.out.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+        return 0
     imports = import_ms(args.src.resolve(), IMPORT_RUNS)
     print(f"{args.label} import bdlab.cli: median {imports['median']} ms", file=sys.stderr)
     phases = phase_split(args.src.resolve(), PHASE_RUNS)
@@ -290,12 +353,6 @@ def main(argv: list[str] | None = None) -> int:
     table["runs"][args.label] = {
         "rows": rows, "exponents": exponents(rows), "import_ms": imports, "phases": phases,
     }
-    table["machine"] = {
-        "python": platform.python_version(),
-        "cpus": os.cpu_count(),
-        "platform": platform.platform(terse=True),
-    }
-    table["description"] = __doc__.split("\n\n")[0].strip()
     table["reports_identical_across_runs"] = {
         ladder: len({
             tuple(r["sha256"] for r in run["rows"][ladder]) for run in table["runs"].values()

@@ -32,7 +32,7 @@ from .config import (
     load_config_file,
     with_env_horizon,
 )
-from .elements import BASE, TYPE1, GammaElement
+from .elements import BASE, TYPE1
 from .sequences import (
     FAIL,
     PASS,
@@ -41,7 +41,7 @@ from .sequences import (
     build_exact_pair,
     helper_pair_parts,
 )
-from .serialize import format_rational, stable_json
+from .serialize import format_rational, stable_json, stable_json_with
 from .universe import InvariantFault, Universe, UniverseError, build_universe
 from .verify import run_verification
 
@@ -56,9 +56,11 @@ def resolve_config(name_or_path: str) -> ConstructionConfig:
     return with_env_horizon(factory())
 
 
-def _emit(args: argparse.Namespace, payload: dict[str, Any], lines: list[str]) -> None:
+def _emit(args: argparse.Namespace, payload: dict[str, Any] | str, lines: list[str]) -> None:
+    """Write the JSON ``payload`` (or its canonical text) or the text lines
+    to ``--out`` or stdout."""
     if args.format == "json":
-        text = stable_json(payload)
+        text = payload if isinstance(payload, str) else stable_json(payload)
     else:
         text = "\n".join(lines) + "\n"
     if args.out:
@@ -68,27 +70,28 @@ def _emit(args: argparse.Namespace, payload: dict[str, Any], lines: list[str]) -
         sys.stdout.write(text)
 
 
-def _element_json(
-    universe: Universe, el: GammaElement, texts: dict[int, dict[str, str]]
-) -> dict[str, Any]:
-    """One element's record; ``texts`` holds the b records made so far in
-    this call, by ``id`` of the b that elements with equal b share."""
-    b = texts.get(id(el.b))
-    if b is None:
-        b = texts[id(el.b)] = {str(g): format_rational(c) for g, c in el.b.terms}
-    kind = el.kind
-    anchor, value = ("index", el.index) if kind == BASE else ("p", el.p) if kind == TYPE1 else ("xi", el.xi)
-    return {
-        "id": el.gid,
-        "rank": el.rank,
-        "kind": kind,
-        anchor: value,
-        "weight_index": el.weight_idx,
-        "age": el.age,
-        "b": b,
-        "sigma": universe.sigma(el.gid),
-        "image": universe.f_image_of(el.gid),
-    }
+def _element_records(universe: Universe) -> str:
+    """The canonical JSON text of the ``elements`` array: one template per
+    shape, keys in sorted order, integers through ``:d`` (see ``serialize``)."""
+    sigma, image_of = universe.sigma, universe.f_image_of
+    texts: dict[int, str] = {}  # b text by id(b), for this call only
+    records = []
+    for kind, rank, index, p, xi, widx, b, gid, age in universe.elements:
+        b_text = texts.get(id(b))
+        if b_text is None:
+            b_text = texts[id(b)] = stable_json({str(g): format_rational(c) for g, c in b.terms})[:-1]
+        image = image_of(gid)
+        image = "null" if image is None else f"{image:d}"
+        if kind == BASE:
+            records.append(f'{{"age":{age:d},"b":{b_text},"id":{gid:d},"image":{image},"index":{index:d},'
+                           f'"kind":"base","rank":{rank:d},"sigma":{sigma(gid):d},"weight_index":{widx:d}}}')
+        elif kind == TYPE1:
+            records.append(f'{{"age":{age:d},"b":{b_text},"id":{gid:d},"image":{image},"kind":"t1",'
+                           f'"p":{p:d},"rank":{rank:d},"sigma":{sigma(gid):d},"weight_index":{widx:d}}}')
+        else:
+            records.append(f'{{"age":{age:d},"b":{b_text},"id":{gid:d},"image":{image},"kind":"t2",'
+                           f'"rank":{rank:d},"sigma":{sigma(gid):d},"weight_index":{widx:d},"xi":{xi:d}}}')
+    return "[" + ",".join(records) + "]"
 
 
 def _clause_lines(clauses: Any) -> list[str]:
@@ -114,17 +117,15 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.format != "json":
         _emit(args, {}, universe.dump_lines())
         return 0
-    texts: dict[int, dict[str, str]] = {}
     payload = {
         "schema": "bdlab.enumerate/1",
         "config": cfg.to_json_dict(),
         "element_count": len(universe),
         "level_counts": {str(r): c for r, c in universe.level_counts().items()},
         "fingerprint": universe.fingerprint(),
-        "elements": [_element_json(universe, el, texts) for el in universe.elements],
         "notes": list(cfg.notes),
     }
-    _emit(args, payload, [])
+    _emit(args, stable_json_with(payload, {"elements": _element_records(universe)}), [])
     return 0
 
 

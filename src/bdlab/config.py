@@ -246,7 +246,7 @@ def with_env_horizon(config: ConstructionConfig) -> ConstructionConfig:
     reads, from a file or a bundled fixture."""
     value = os.environ.get(HORIZON_ENV_VAR)
     try:
-        horizon = config.horizon if value is None else int(value)
+        horizon = config.horizon if value is None else parse_integer(value)
     except ValueError as exc:
         raise ConfigError(f"{HORIZON_ENV_VAR} must be an integer") from exc
     return validate_config(config._replace(horizon=horizon))

@@ -3,6 +3,14 @@
 Everything the package writes to disk goes through these helpers so that
 repeated runs are byte-identical: rationals travel as ``num/den`` strings
 (never floats), and JSON is emitted with sorted keys and fixed separators.
+
+``enumerate --format json`` writes its element records as text, one
+template per element shape, and joins them to the other members with
+``stable_json_with``.  Each template lists its keys in sorted order with
+the separators ``stable_json`` uses; a b record is ``stable_json`` text;
+every integer field is written with a ``:d`` format spec, which refuses a
+float (``ValueError``) or a ``Fraction`` (``TypeError``), the classes
+``stable_json`` raises for them.
 """
 from __future__ import annotations
 
@@ -19,12 +27,15 @@ def format_rational(value: Fraction | int) -> str:
 
 
 def parse_rational(text: str | int) -> Fraction:
-    """Parse an integer, ``num/den`` string, or decimal-free numeral."""
+    """Parse an integer, or a string of ASCII digits with an optional sign
+    and ``/den``; spaces may surround it and each part."""
     if isinstance(text, bool):  # bool is an int subclass; reject explicitly
         raise ValueError(f"not a rational: {text!r}")
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, str):
+        if "_" in text or not text.isascii():  # int() reads "1_000" and non-ASCII digits
+            raise ValueError(f"not a rational: {text!r}")
         body = text.strip()
         try:
             if "/" in body:
@@ -53,6 +64,14 @@ def stable_json(payload: Any) -> str:
     return json.dumps(
         payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True, check_circular=False
     ) + "\n"
+
+
+def stable_json_with(payload: dict[str, Any], texts: dict[str, str]) -> str:
+    """``stable_json`` of ``payload`` with more members whose canonical JSON
+    text the caller wrote: the bytes ``stable_json`` gives the whole object."""
+    members = {key: stable_json(value)[:-1] for key, value in payload.items()}
+    members.update(texts)
+    return "{" + ",".join(f"{json.dumps(key)}:{members[key]}" for key in sorted(members)) + "}\n"
 
 
 def stable_hash(payload: Any) -> str:

@@ -37,7 +37,7 @@ from bdlab.algebra import (
     to_integers,
 )
 from bdlab.config import STRICT
-from bdlab.elements import BASE, TYPE1, TYPE2, describe
+from bdlab.elements import BASE, TYPE1, TYPE2, GammaElement, describe
 from bdlab.sequences import (
     INFO,
     INFO_KIND,
@@ -130,6 +130,27 @@ def unit_column(n: int, gid: int) -> list[Fraction]:
     col = [Fraction(0)] * n
     col[gid] = Fraction(1)
     return col
+
+
+# -- enumerate records ------------------------------------------------------------
+
+
+def element_record(universe: Universe, el: GammaElement) -> dict:
+    """One element's ``enumerate --format json`` record as a dict, which
+    ``stable_json`` turns into the text the CLI writes from its templates."""
+    kind = el.kind
+    anchor, value = ("index", el.index) if kind == BASE else ("p", el.p) if kind == TYPE1 else ("xi", el.xi)
+    return {
+        "id": el.gid,
+        "rank": el.rank,
+        "kind": kind,
+        anchor: value,
+        "weight_index": el.weight_idx,
+        "age": el.age,
+        "b": {str(g): format_rational(c) for g, c in el.b.terms},
+        "sigma": universe.sigma(el.gid),
+        "image": universe.f_image_of(el.gid),
+    }
 
 
 # -- full sweeps ------------------------------------------------------------------

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,10 +16,14 @@ from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
 import bdlab
-from bdlab.cli import main
+from bdlab.cli import _element_records, main, resolve_config
 from bdlab.config import ConfigError, config_from_dict, desk_relaxed, desk_strict
 from bdlab.serialize import stable_json
+from bdlab.universe import build_universe
 from conftest import DELETE, micro_config, with_field
+from oracles import element_record
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -306,6 +311,24 @@ def test_arbitrary_json_documents_keep_the_exit_contract(doc, tmp_path, monkeypa
         assert len(err.getvalue().splitlines()) == 1
 
 
+@pytest.mark.parametrize("value", ["1_0", "\u0661\u0660"])
+def test_underscored_or_non_ascii_numeral_exits_2(value, capsys, tmp_path):
+    doc = with_field(desk_strict().to_json_dict(), ("horizon",), value)
+    path = tmp_path / "numeral.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "enumerate", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: malformed config value")
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0661\u0660"])
+def test_underscored_or_non_ascii_horizon_override_exits_2(value, capsys, monkeypatch):
+    monkeypatch.setenv("BDLAB_HORIZON", value)
+    code, out, err = run_cli(capsys, "enumerate", "--config", "desk-strict")
+    assert (code, out) == (2, "")
+    assert "BDLAB_HORIZON must be an integer" in err
+
+
 def test_unknown_net_key_exits_2(capsys, tmp_path):
     doc = with_field(desk_strict().to_json_dict(), ("net", "level_cpa"), 4)
     path = tmp_path / "typo.json"
@@ -353,6 +376,77 @@ def test_out_writes_file_instead_of_stdout(capsys, micro_path, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["schema"] == "bdlab.enumerate/1"
+
+
+@pytest.mark.parametrize("config", ["micro", "desk-relaxed"])
+def test_out_file_holds_the_stdout_bytes(capsys, micro_path, tmp_path, monkeypatch, config):
+    monkeypatch.delenv("BDLAB_HORIZON", raising=False)
+    argv = ["enumerate", "--config", micro_path if config == "micro" else config, "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    target = tmp_path / "dump.json"
+    code, rest, _ = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 0 and rest == ""
+    assert target.read_bytes() == out.encode("utf-8")
+
+
+ENUMERATE_CONFIGS = {
+    "micro": lambda: micro_config(horizon=3),
+    "desk-strict": desk_strict,
+    "desk-relaxed": desk_relaxed,
+    "wide.json": lambda: resolve_config(str(ROOT / "perfbench" / "configs" / "wide.json")),
+}
+
+
+@pytest.mark.parametrize("name", ENUMERATE_CONFIGS)
+def test_element_records_match_the_dict_reference(name, capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("BDLAB_HORIZON", raising=False)
+    cfg = ENUMERATE_CONFIGS[name]()
+    universe = build_universe(cfg)
+    records = [element_record(universe, el) for el in universe.elements]
+    assert any(r["image"] is None for r in records)
+    kinds = {r["kind"] for r in records}
+    assert kinds == ({"base", "t1"} if name == "micro" else {"base", "t1", "t2"})
+    assert _element_records(universe) == stable_json(records)[:-1]
+
+    path = tmp_path / "config.json"
+    path.write_text(stable_json(cfg.to_json_dict()))
+    code, out, _ = run_cli(capsys, "enumerate", "--config", str(path), "--format", "json")
+    assert code == 0
+    assert out == stable_json({
+        "schema": "bdlab.enumerate/1",
+        "config": cfg.to_json_dict(),
+        "element_count": len(universe),
+        "level_counts": {str(r): c for r, c in universe.level_counts().items()},
+        "fingerprint": universe.fingerprint(),
+        "elements": records,
+        "notes": list(cfg.notes),
+    })
+
+
+def _raised(call) -> type:
+    with pytest.raises((TypeError, ValueError)) as info:
+        call()
+    return info.type
+
+
+@pytest.mark.parametrize("value, error", [(1.5, ValueError), (Fraction(1, 2), TypeError)])
+@pytest.mark.parametrize("field", ["rank", "anchor", "weight_idx", "age", "sigma", "image"])
+def test_element_records_refuse_what_stable_json_refuses(field, value, error):
+    """A non-integer in an integer field raises the class ``stable_json``
+    raises on the dict record, in every shape: no field is truncated."""
+    for kind in ("base", "t1", "t2"):
+        universe = build_universe(desk_strict())
+        el = next(e for e in universe.elements if e.kind == kind)
+        if field == "sigma":
+            universe._sigma[el.gid] = value
+        elif field == "image":
+            universe._f_image[el.gid] = value
+        else:
+            name = {"base": "index", "t1": "p", "t2": "xi"}[kind] if field == "anchor" else field
+            universe.elements[el.gid] = el._replace(**{name: value})
+        records = [element_record(universe, e) for e in universe.elements]
+        assert _raised(lambda: _element_records(universe)) is _raised(lambda: stable_json(records)) is error
 
 
 def test_pair_certificate(capsys):

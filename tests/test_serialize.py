@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bdlab.sequences import PASS, ClauseResult
-from bdlab.serialize import format_rational, parse_rational, stable_hash, stable_json
+from bdlab.serialize import format_rational, parse_rational, stable_hash, stable_json, stable_json_with
 
 
 def test_format_integer_has_no_denominator():
@@ -27,10 +27,12 @@ def test_parse_accepts_both_shapes():
     assert parse_rational("1/16") == Fraction(1, 16)
     assert parse_rational("-7/3") == Fraction(-7, 3)
     assert parse_rational(5) == Fraction(5)
+    assert parse_rational(" 3 ") == Fraction(3)
+    assert parse_rational("+4") == Fraction(4)
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "1/0", "one", "1.5", "1/2/3"):
+    for bad in ("", "1/0", "one", "1.5", "1/2/3", "1_000", "1/1_6", "\u0661\u0662", "\u0661/16", "\u00a03"):
         with pytest.raises(ValueError):
             parse_rational(bad)
 
@@ -42,6 +44,15 @@ def test_round_trip_is_identity(q: Fraction):
 
 def test_stable_json_sorts_keys_and_strips_spaces():
     assert stable_json({"b": 1, "a": [2, 3]}) == '{"a":[2,3],"b":1}\n'
+
+
+def test_stable_json_with_sorts_members_across_both_parts():
+    payload = {"element_count": 2, "b": {"z": 1, "a": ["\u00e9"]}}
+    texts = {"elements": '[{"a":1},{"b":null}]', "a": "null"}
+    whole = {**payload, "elements": [{"a": 1}, {"b": None}], "a": None}
+    assert stable_json_with(payload, texts) == stable_json(whole)
+    with pytest.raises(ValueError):
+        stable_json_with({"x": [0.5]}, texts)
 
 
 class _Real(float):
