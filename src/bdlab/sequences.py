@@ -14,8 +14,7 @@ Everything here is evaluated over a materialized universe, exactly:
   pair interned above the previous cut, where each step's required weight
   index is dictated by the numbering of the previous chain element;
 * the inequality-type diagnostics: each left-hand side is evaluated over
-  every materialized element (and every subinterval where the statement
-  quantifies over intervals) and compared against the configured bound,
+  every materialized element and compared against the configured bound,
   reporting exact rational margins and witnesses, never rounding.
 
 Constructors report structured failures naming the first clause they
@@ -25,7 +24,6 @@ cannot satisfy; nothing is ever silently weakened.
 import heapq
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate
 from math import lcm
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -1058,17 +1056,6 @@ def build_shifted_exact_pair(
 class EstimateReport(NamedTuple):
     name: str
     clauses: tuple[ClauseResult, ...]
-    notes: tuple[str, ...] = ()
-
-
-def _capping_notes(universe: Universe, a: int, idx: int) -> tuple[str, ...]:
-    expected = universe.config.n(idx)
-    if a != expected:
-        return (
-            f"length {a} substitutes for the configured {expected}; "
-            "inequality-type conclusions lose their derivation at capped length",
-        )
-    return ()
 
 
 def estimate_ris_averages(
@@ -1122,159 +1109,7 @@ def estimate_ris_averages(
             10 * C * cfg.weight(j0),
         )
     )
-    return EstimateReport(
-        name="ris-averages",
-        clauses=tuple(clauses),
-        notes=_capping_notes(universe, a, j0),
-    )
-
-
-def estimate_ris_weighted_averages(
-    universe: Universe,
-    xs: Sequence[Vector],
-    lambdas: Sequence[Fraction | int],
-    constant: Fraction | int,
-    j0: int,
-) -> EstimateReport:
-    """Weighted-average norm bound, with its interval hypothesis evaluated."""
-    C = Fraction(constant)
-    cfg = universe.config
-    _require_weight(cfg, j0, "weight index")
-    a = len(xs)
-    lams = [Fraction(c) for c in lambdas]
-    if len(lams) != a:
-        raise ConstructionFailure("scalars", "one scalar per vector required")
-    values, q = _numerators([x.scaled(lam) for lam, x in zip(lams, xs)])
-    spans = [(lo, hi) for lo in range(a) for hi in range(lo + 1, a + 1)]
-    # C times each interval's largest |scalar|, as numerators over cq
-    caps, cq = to_integers({i: C * max(map(abs, lams[lo:hi])) for i, (lo, hi) in enumerate(spans)})
-
-    def intervals(gid: int) -> list[tuple[int, int]]:
-        """Per interval at gid: q times |interval sum|, and the margin
-        |interval sum| - cap as a numerator over q * cq."""
-        prefix = list(accumulate((v.get(gid, 0) for v in values), initial=0))
-        sums = [abs(prefix[hi] - prefix[lo]) for lo, hi in spans]
-        return [(t, t * cq - q * caps.get(i, 0)) for i, t in enumerate(sums)]
-
-    _, gid = _argmax_weighted(
-        universe, xs, lambda w: w == j0, lambda w, g: max(m for _, m in intervals(g))
-    )
-    hyp_lhs, hyp_rhs, witness = Fraction(0), Fraction(1), "no instances"
-    if gid is not None:
-        found = intervals(gid)
-        at = max(range(len(spans)), key=lambda i: found[i][1])
-        (lo, hi), hyp_lhs = spans[at], Fraction(found[at][0], q)
-        hyp_rhs = C * max(abs(lam) for lam in lams[lo:hi])
-        witness = f"element {gid}, interval [{lo + 1}, {hi}]"
-    hyp = _clause(
-        "interval hypothesis (evaluated)",
-        INFO_KIND,
-        hyp_lhs <= hyp_rhs,
-        hyp_lhs,
-        hyp_rhs,
-        hyp_rhs - hyp_lhs,
-        witness,
-    )
-    conclusion = _bound_clause(
-        "weighted average norm",
-        sup_norm(_vector_sum(x.scaled(lam) for lam, x in zip(lams, xs)).scaled(Fraction(1, a))),
-        10 * C * cfg.weight(j0) ** 2,
-    )
-    return EstimateReport(
-        name="ris-weighted-averages",
-        clauses=(hyp, conclusion),
-        notes=_capping_notes(universe, a, j0),
-    )
-
-
-def _interval_extremes(values: list[int], signs: bool = False) -> int:
-    """Max over subintervals of |sum|, via prefix extremes (exact)."""
-    prefix = lo = hi = 0
-    sign = 1
-    for v in values:
-        prefix += (sign * v) if signs else v
-        if signs:
-            sign = -sign
-        lo = min(lo, prefix)
-        hi = max(hi, prefix)
-    return hi - lo
-
-
-def _interval_sums_clause(
-    universe: Universe, xs: Sequence[Vector], C: Fraction, j0: int, signs: bool
-) -> ClauseResult:
-    """The largest interval sum, alternating when ``signs``, of a linked
-    chain's vectors at the chain weight, against 7C."""
-    widx = 2 * j0 - 1
-    _require_weight(universe.config, widx, "chain weight index")
-    values, q = _numerators(xs)
-    worst, gid = _argmax_weighted(
-        universe,
-        xs,
-        lambda w: w == widx,
-        lambda w, g: _interval_extremes([v.get(g, 0) for v in values], signs),
-    )
-    name = "interval sums at the chain weight"
-    return _bound_clause(f"alternating {name}" if signs else name, Fraction(worst, q), 7 * C, gid)
-
-
-def estimate_interval_sums(
-    universe: Universe, xs: Sequence[Vector], constant: Fraction | int, j0: int
-) -> EstimateReport:
-    """Interval sums of a linked chain's vectors at the chain weight (7C)."""
-    clause = _interval_sums_clause(universe, xs, Fraction(constant), j0, False)
-    return EstimateReport(name="interval-sums", clauses=(clause,))
-
-
-def estimate_dependent_average(
-    universe: Universe, xs: Sequence[Vector], constant: Fraction | int, j0: int
-) -> EstimateReport:
-    """Norm of the chain average against 70C times the squared chain weight."""
-    C = Fraction(constant)
-    cfg = universe.config
-    _require_weight(cfg, 2 * j0 - 1, "chain weight index")
-    a = len(xs)
-    clause = _bound_clause(
-        "chain average norm",
-        sup_norm(_vector_sum(xs).scaled(Fraction(1, a))),
-        70 * C * cfg.weight(2 * j0 - 1) ** 2,
-    )
-    return EstimateReport(
-        name="dependent-average",
-        clauses=(clause,),
-        notes=_capping_notes(universe, a, 2 * j0 - 1),
-    )
-
-
-def estimate_alternating_sums(
-    universe: Universe, xs: Sequence[Vector], constant: Fraction | int, j0: int
-) -> EstimateReport:
-    """Alternating interval sums (7C) plus the paired norm displays."""
-    C = Fraction(constant)
-    cfg = universe.config
-    widx = 2 * j0 - 1
-    a = len(xs)
-    clauses = [_interval_sums_clause(universe, xs, C, j0, True)]
-    alternating = (x.scaled(-1 if i % 2 else 1) for i, x in enumerate(xs, start=1))
-    clauses.append(
-        _bound_clause(
-            "average norm lower display",
-            cfg.weight(widx),
-            sup_norm(_vector_sum(xs).scaled(Fraction(1, a))),
-        )
-    )
-    clauses.append(
-        _bound_clause(
-            "alternating average norm",
-            sup_norm(_vector_sum(alternating).scaled(Fraction(1, a))),
-            70 * C * cfg.weight(widx) ** 2,
-        )
-    )
-    return EstimateReport(
-        name="alternating-sums",
-        clauses=tuple(clauses),
-        notes=_capping_notes(universe, a, widx),
-    )
+    return EstimateReport(name="ris-averages", clauses=tuple(clauses))
 
 
 def estimate_lower_bound(

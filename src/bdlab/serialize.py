@@ -28,7 +28,7 @@ def format_rational(value: Fraction | int) -> str:
 
 def parse_rational(text: str | int) -> Fraction:
     """Parse an integer, or a string of ASCII digits with an optional sign
-    and ``/den``; spaces may surround it and each part."""
+    and an unsigned ``/den``; spaces may surround it and each part."""
     if isinstance(text, bool):  # bool is an int subclass; reject explicitly
         raise ValueError(f"not a rational: {text!r}")
     if isinstance(text, int):
@@ -40,6 +40,8 @@ def parse_rational(text: str | int) -> Fraction:
         try:
             if "/" in body:
                 num, _, den = body.partition("/")
+                if den.lstrip().startswith(("+", "-")):  # int() would take the sign
+                    raise ValueError(f"signed denominator: {text!r}")
                 return Fraction(int(num), int(den))
             return Fraction(int(body))
         except ZeroDivisionError:

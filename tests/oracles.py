@@ -45,7 +45,6 @@ from bdlab.sequences import (
     EstimateReport,
     SearchResult,
     _bound_clause,
-    _capping_notes,
     block_sequence,
     greedy_j_seq,
 )
@@ -758,53 +757,4 @@ def fraction_ris_averages(
     total = reduce(Vector.plus, xs, Vector({}, min(x.horizon for x in xs)))
     clauses.append(_bound_clause("average norm", sup_norm(total.scaled(Fraction(1, a))),
                                  10 * C * cfg.weight(j0)))
-    return EstimateReport("ris-averages", tuple(clauses), _capping_notes(universe, a, j0))
-
-
-def fraction_interval_sums(
-    universe: Universe, xs: Sequence[Vector], C: Fraction, j0: int, signs: bool
-) -> ClauseResult:
-    """The clause on the largest interval sum (alternating when ``signs``)
-    at the chain weight."""
-
-    def extremes(gid: int) -> Fraction:
-        prefix = lo = hi = Fraction(0)
-        for i, x in enumerate(xs):
-            prefix += -x.at(gid) if signs and i % 2 else x.at(gid)
-            lo, hi = min(lo, prefix), max(hi, prefix)
-        return hi - lo
-
-    worst, gid = scan_argmax_weighted(
-        universe, xs, lambda w: w == 2 * j0 - 1, lambda w, g: extremes(g)
-    )
-    name = "interval sums at the chain weight"
-    return _bound_clause(f"alternating {name}" if signs else name, worst, 7 * C, gid)
-
-
-def fraction_interval_hypothesis(
-    universe: Universe, xs: Sequence[Vector], lambdas: Sequence[Fraction], C: Fraction, j0: int
-) -> tuple[Fraction, Fraction, str]:
-    """The evaluated interval hypothesis of the weighted averages: lhs, rhs
-    and witness."""
-    a = len(xs)
-
-    def intervals(gid: int) -> list[tuple[Fraction, Fraction, int, int]]:
-        prefix = [Fraction(0)]
-        for lam, x in zip(lambdas, xs):
-            prefix.append(prefix[-1] + lam * x.at(gid))
-        return [
-            (abs(prefix[hi] - prefix[lo]), C * max(abs(v) for v in lambdas[lo:hi]), lo, hi)
-            for lo in range(a)
-            for hi in range(lo + 1, a + 1)
-        ]
-
-    def margin(interval: tuple[Fraction, Fraction, int, int]) -> Fraction:
-        return interval[0] - interval[1]
-
-    _, gid = scan_argmax_weighted(
-        universe, xs, lambda w: w == j0, lambda w, g: max(map(margin, intervals(g)))
-    )
-    if gid is None:
-        return Fraction(0), Fraction(1), "no instances"
-    lhs, rhs, lo, hi = max(intervals(gid), key=margin)
-    return lhs, rhs, f"element {gid}, interval [{lo + 1}, {hi}]"
+    return EstimateReport("ris-averages", tuple(clauses))

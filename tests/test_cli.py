@@ -321,6 +321,16 @@ def test_underscored_or_non_ascii_numeral_exits_2(value, capsys, tmp_path):
     assert err.startswith("config error: malformed config value")
 
 
+def test_signed_denominator_exits_2(capsys, tmp_path):
+    # -4/-1 equals desk-strict's own m[1] = 4: only the sign is at fault
+    doc = with_field(desk_strict().to_json_dict(), ("m", 0), "-4/-1")
+    path = tmp_path / "signed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "enumerate", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err == "config error: malformed config value: signed denominator: '-4/-1'\n"
+
+
 @pytest.mark.parametrize("value", ["1_0", "\u0661\u0660"])
 def test_underscored_or_non_ascii_horizon_override_exits_2(value, capsys, monkeypatch):
     monkeypatch.setenv("BDLAB_HORIZON", value)

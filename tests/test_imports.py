@@ -173,10 +173,6 @@ def test_package_uses_every_private_name():
 READ_ONLY_FROM_OUTSIDE = [
     "sequences.py: ShiftedPairOutcome",
     "sequences.py: build_shifted_exact_pair",
-    "sequences.py: estimate_ris_weighted_averages",
-    "sequences.py: estimate_interval_sums",
-    "sequences.py: estimate_dependent_average",
-    "sequences.py: estimate_alternating_sums",
 ]
 
 

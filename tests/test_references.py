@@ -21,24 +21,19 @@ from bdlab.algebra import Vector, coding_rows, d_vector, synthesize
 from bdlab.config import desk_relaxed, desk_strict
 from bdlab.elements import BFunctional, t1_candidate
 from bdlab.sequences import (
-    _interval_sums_clause,
     block_sequence,
     check_exact_pair,
     estimate_ris_averages,
-    estimate_ris_weighted_averages,
     lower_bound_search,
     minimal_ris_constant,
     validate_ris,
 )
-from bdlab.serialize import format_rational
 from bdlab.universe import Universe, build_universe
 from conftest import micro_config, small_universes
 from oracles import (
     fraction_adjoint,
     fraction_basis_change,
     fraction_extensions,
-    fraction_interval_hypothesis,
-    fraction_interval_sums,
     fraction_lower_bound_search,
     fraction_minimal_pair_constant,
     fraction_minimal_ris_constant,
@@ -194,17 +189,6 @@ def assert_scans_agree(u: Universe, rng: random.Random) -> None:
                 assert estimate_ris_averages(u, group, C, j0) == fraction_ris_averages(
                     u, group, C, j0
                 )
-                lambdas = [Fraction((-1) ** i * (i + 1), 2) for i in range(len(group))]
-                hypothesis = estimate_ris_weighted_averages(u, group, lambdas, C, j0).clauses[0]
-                lhs, rhs, witness = fraction_interval_hypothesis(u, group, lambdas, C, j0)
-                assert (hypothesis.lhs, hypothesis.rhs, hypothesis.witness) == (
-                    format_rational(lhs), format_rational(rhs), witness
-                )
-            for j0 in range(1, (weights + 1) // 2 + 1):
-                for signs in (False, True):
-                    assert _interval_sums_clause(u, group, C, j0, signs) == (
-                        fraction_interval_sums(u, group, C, j0, signs)
-                    )
             seq = block_sequence(u, group)
             js = [1 + i for i in range(len(group))]
             assert [v for v in validate_ris(u, seq, C, js).violations if v.startswith("(3)")] == (

@@ -16,12 +16,8 @@ from bdlab.sequences import (
     build_exact_pair,
     build_shifted_exact_pair,
     check_exact_pair,
-    estimate_alternating_sums,
-    estimate_dependent_average,
-    estimate_interval_sums,
     estimate_lower_bound,
     estimate_ris_averages,
-    estimate_ris_weighted_averages,
     greedy_j_seq,
     helper_pair_parts,
     lower_bound_search,
@@ -480,58 +476,31 @@ def test_ris_average_estimates_pass_with_margins():
     named = {c.name: c for c in report.clauses}
     assert named["average norm"].lhs == "1/2"
     assert named["average norm"].rhs == "5/2"
-    assert any("substitutes for the configured" in n for n in report.notes)
 
 
-def test_weighted_average_estimate_reports_its_hypothesis():
-    u = build_universe(micro_config(horizon=3))
-    xs = [d_vector(u, 3), d_vector(u, u.level(3)[15])]
-    report = estimate_ris_weighted_averages(u, xs, [F(1, 2), F(1, 2)], F(2), 1)
-    hyp, conclusion = report.clauses
-    assert hyp.status == "INFO"  # evaluated, never assumed
-    assert conclusion.status == "PASS"
-    assert (conclusion.lhs, conclusion.rhs) == ("1/4", "5/4")
-
-
-def test_interval_and_alternating_estimates():
-    u = build_universe(micro_config(horizon=3))
-    xs = [d_vector(u, 3), d_vector(u, u.level(3)[15])]
-    interval = estimate_interval_sums(u, xs, F(2), 1)
-    assert worst_status(interval.clauses) == "PASS"
-    alternating = estimate_alternating_sums(u, xs, F(2), 1)
-    assert worst_status(alternating.clauses) == "PASS"
-    assert {c.name for c in alternating.clauses} == {
-        "alternating interval sums at the chain weight",
-        "average norm lower display",
-        "alternating average norm",
-    }
-
-
-ESTIMATES = {
-    "ris-averages": lambda u, xs, j0: estimate_ris_averages(u, xs, 1, j0),
-    "ris-weighted-averages": lambda u, xs, j0: estimate_ris_weighted_averages(u, xs, [1], 1, j0),
-    "interval-sums": lambda u, xs, j0: estimate_interval_sums(u, xs, 1, j0),
-    "dependent-average": lambda u, xs, j0: estimate_dependent_average(u, xs, 1, j0),
-    "alternating-sums": lambda u, xs, j0: estimate_alternating_sums(u, xs, 1, j0),
-}
-
-
-@pytest.mark.parametrize("name", sorted(ESTIMATES))
-def test_estimates_refuse_a_weight_index_outside_the_ladder(name, strict_universe):
-    # desk-strict has four weights.  The ris estimates read weight j0 and the
-    # chain estimates weight 2 j0 - 1, so j0 runs over 1..4 and 1..2; beyond
-    # either end four of them raised IndexError and interval sums graded PASS.
+def test_ris_averages_refuse_a_weight_index_outside_the_ladder(strict_universe):
+    # desk-strict has four weights, so j0 runs over 1..4
     u, xs = strict_universe, [d_vector(strict_universe, 3)]
-    chain = name not in ("ris-averages", "ris-weighted-averages")
-    label, top = ("chain weight index", 2) if chain else ("weight index", 4)
-    assert ESTIMATES[name](u, xs, top).name == name
-    for j0 in (0, top + 1):
+    assert estimate_ris_averages(u, xs, 1, 4).name == "ris-averages"
+    for j0 in (0, 5):
         with pytest.raises(ConstructionFailure) as exc:
-            ESTIMATES[name](u, xs, j0)
-        widx = 2 * j0 - 1 if chain else j0
+            estimate_ris_averages(u, xs, 1, j0)
         assert (exc.value.clause, exc.value.detail) == (
-            "weight cap", f"{label} {widx} outside configured 1..4"
+            "weight cap", f"weight index {j0} outside configured 1..4"
         )
+
+
+@pytest.mark.parametrize("j0", [0, 3])
+def test_chains_refuse_a_weight_index_outside_the_ladder(j0, strict_universe, capsys):
+    # the chain weight index 2 j0 - 1 runs over 1..4 on desk-strict; the
+    # refusal comes before anything is interned
+    detail = f"chain weight index {2 * j0 - 1} outside configured 1..4"
+    with pytest.raises(ConstructionFailure) as exc:
+        build_dependent_sequence(strict_universe, j0=j0)
+    assert (exc.value.clause, exc.value.detail) == ("weight cap", detail)
+    assert main(["depseq", "--config", "desk-strict", "--j0", str(j0)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"unsatisfiable request (weight cap): {detail}\n")
 
 
 def test_lower_bound_estimate_requires_skipped_blocks():
@@ -547,18 +516,10 @@ def test_lower_bound_estimate_requires_skipped_blocks():
     assert worst_status(single.clauses) == "PASS"
 
 
-def test_estimates_of_a_chain_and_of_a_sequence():
-    u = steep_universe()
-    cert = build_dependent_sequence(u, j0=1, length=2)
-    reports = [
-        estimate_interval_sums(u, cert.vectors, cert.constant, cert.j0),
-        estimate_dependent_average(u, cert.vectors, cert.constant, cert.j0),
-    ]
-    assert [r.name for r in reports] == ["interval-sums", "dependent-average"]
-
-    u3 = build_universe(micro_config(horizon=3))
-    xs = (d_vector(u3, 3), d_vector(u3, u3.level(3)[15]))
-    reports = [estimate_ris_averages(u3, xs, F(1), 1), estimate_lower_bound(u3, xs, 1)]
+def test_estimates_of_a_sequence():
+    u = build_universe(micro_config(horizon=3))
+    xs = (d_vector(u, 3), d_vector(u, u.level(3)[15]))
+    reports = [estimate_ris_averages(u, xs, F(1), 1), estimate_lower_bound(u, xs, 1)]
     assert [r.name for r in reports] == ["ris-averages", "lower-bound-search"]
 
 

@@ -7,7 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bdlab.sequences import PASS, ClauseResult
-from bdlab.serialize import format_rational, parse_rational, stable_hash, stable_json, stable_json_with
+from bdlab.serialize import (
+    format_rational,
+    parse_integer,
+    parse_rational,
+    stable_hash,
+    stable_json,
+    stable_json_with,
+)
 
 
 def test_format_integer_has_no_denominator():
@@ -29,12 +36,18 @@ def test_parse_accepts_both_shapes():
     assert parse_rational(5) == Fraction(5)
     assert parse_rational(" 3 ") == Fraction(3)
     assert parse_rational("+4") == Fraction(4)
+    assert parse_rational(" 1 / 2 ") == Fraction(1, 2)
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "1/0", "one", "1.5", "1/2/3", "1_000", "1/1_6", "\u0661\u0662", "\u0661/16", "\u00a03"):
+    for bad in (
+        "", "1/0", "one", "1.5", "1/2/3", "1_000", "1/1_6", "\u0661\u0662", "\u0661/16", "\u00a03",
+        "1/-2", "-1/-2", "1/+2", " 1 / -2 ", "-1/ +2",
+    ):
         with pytest.raises(ValueError):
             parse_rational(bad)
+    with pytest.raises(ValueError):
+        parse_integer("4/-2")
 
 
 @given(st.fractions())
