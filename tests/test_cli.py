@@ -321,14 +321,24 @@ def test_underscored_or_non_ascii_numeral_exits_2(value, capsys, tmp_path):
     assert err.startswith("config error: malformed config value")
 
 
-def test_signed_denominator_exits_2(capsys, tmp_path):
-    # -4/-1 equals desk-strict's own m[1] = 4: only the sign is at fault
-    doc = with_field(desk_strict().to_json_dict(), ("m", 0), "-4/-1")
+@pytest.mark.parametrize("field,value", [(("m", 0), "-4/-1"), (("horizon",), "-8/-2")])
+def test_signed_denominator_exits_2(field, value, capsys, tmp_path):
+    # each value equals desk-strict's own (m[1] = 4, horizon 4): only the
+    # sign is at fault, for a rational field and for an integer one alike
+    doc = with_field(desk_strict().to_json_dict(), field, value)
     path = tmp_path / "signed.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = run_cli(capsys, "enumerate", "--config", str(path))
     assert (code, out) == (2, "")
-    assert err == "config error: malformed config value: signed denominator: '-4/-1'\n"
+    assert err == f"config error: malformed config value: signed denominator: {value!r}\n"
+
+
+def test_signed_denominator_horizon_override_exits_2(capsys, monkeypatch):
+    # -6/-2 once read as horizon 3
+    monkeypatch.setenv("BDLAB_HORIZON", "-6/-2")
+    code, out, err = run_cli(capsys, "enumerate", "--config", "desk-strict")
+    assert (code, out) == (2, "")
+    assert "BDLAB_HORIZON must be an integer" in err
 
 
 @pytest.mark.parametrize("value", ["1_0", "\u0661\u0660"])

@@ -9,6 +9,7 @@ from bdlab.algebra import Vector, d_coords_of, d_vector, evaluation_analysis, sy
 from bdlab.elements import BFunctional
 from bdlab.sequences import (
     ConstructionFailure,
+    EstimateReport,
     SupplierExhausted,
     _step_pair,
     block_sequence,
@@ -476,6 +477,11 @@ def test_ris_average_estimates_pass_with_margins():
     named = {c.name: c for c in report.clauses}
     assert named["average norm"].lhs == "1/2"
     assert named["average norm"].rhs == "5/2"
+
+
+def test_estimate_report_carries_only_a_name_and_clauses():
+    # the capping notes went with the chain estimates; no verb printed them
+    assert EstimateReport._fields == ("name", "clauses")
 
 
 def test_ris_averages_refuse_a_weight_index_outside_the_ladder(strict_universe):
