@@ -12,7 +12,6 @@ from .config import (
     desk_relaxed,
     desk_strict,
     load_config_file,
-    make_config,
 )
 from .elements import BFunctional, base_candidate, t1_candidate, t2_candidate
 from .universe import (
@@ -36,7 +35,6 @@ __all__ = [
     "desk_relaxed",
     "desk_strict",
     "load_config_file",
-    "make_config",
     "t1_candidate",
     "t2_candidate",
 ]

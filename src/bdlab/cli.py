@@ -30,7 +30,6 @@ from .config import (
     desk_relaxed,
     desk_strict,
     load_config_file,
-    with_env_horizon,
 )
 from .elements import BASE, TYPE1
 from .sequences import (
@@ -49,11 +48,9 @@ BUNDLED = {"desk-strict": desk_strict, "desk-relaxed": desk_relaxed}
 
 
 def resolve_config(name_or_path: str) -> ConstructionConfig:
-    """A bundled fixture name or a JSON config path, with the env override."""
+    """The config of a bundled fixture name or of a JSON config path."""
     factory = BUNDLED.get(name_or_path)
-    if factory is None:
-        return load_config_file(name_or_path)
-    return with_env_horizon(factory())
+    return load_config_file(name_or_path) if factory is None else factory()
 
 
 def _emit(args: argparse.Namespace, payload: dict[str, Any] | str, lines: list[str]) -> None:

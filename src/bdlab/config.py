@@ -19,14 +19,11 @@ reports can say exactly which magnitudes were given up.
 """
 
 import json
-import os
 from fractions import Fraction
 from functools import cached_property
 from typing import Any, Iterator, NamedTuple, Optional
 
 from .serialize import format_rational, parse_integer, parse_rational
-
-HORIZON_ENV_VAR = "BDLAB_HORIZON"
 
 STRICT = "strict"
 RELAXED = "relaxed"
@@ -164,14 +161,6 @@ def validate_config(config: ConstructionConfig) -> ConstructionConfig:
     return config
 
 
-def make_config(**kwargs: Any) -> ConstructionConfig:
-    """Build and validate a config from keyword arguments (test convenience)."""
-    kwargs.setdefault("regime", RELAXED)
-    m_seq = tuple(Fraction(m) for m in kwargs.pop("m_seq"))
-    n_seq = tuple(int(n) for n in kwargs.pop("n_seq"))
-    return validate_config(ConstructionConfig(m_seq=m_seq, n_seq=n_seq, **kwargs))
-
-
 # -- growth clause evaluation ----------------------------------------------
 
 
@@ -240,18 +229,6 @@ def load_config_file(path: str) -> ConstructionConfig:
     return config_from_dict(raw)
 
 
-def with_env_horizon(config: ConstructionConfig) -> ConstructionConfig:
-    """``config`` validated afresh at the truncation depth the environment
-    override sets, else at its own: the last step of every config a verb
-    reads, from a file or a bundled fixture."""
-    value = os.environ.get(HORIZON_ENV_VAR)
-    try:
-        horizon = config.horizon if value is None else parse_integer(value)
-    except ValueError as exc:
-        raise ConfigError(f"{HORIZON_ENV_VAR} must be an integer") from exc
-    return validate_config(config._replace(horizon=horizon))
-
-
 _KEYS = ("k", "m", "n", "horizon", "net", "regime", "max_elements")
 _NET_KEYS = ("max_support", "denominator_bound", "level_cap")
 
@@ -266,6 +243,7 @@ def config_from_dict(raw: dict[str, Any]) -> ConstructionConfig:
     unknown += [repr(f"net.{key}") for key in net if key not in _NET_KEYS]
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    default = ConstructionConfig._field_defaults
     try:
         k, m_raw, n_raw = raw["k"], raw["m"], raw["n"]
         if not (isinstance(m_raw, list) and isinstance(n_raw, list)):
@@ -275,17 +253,15 @@ def config_from_dict(raw: dict[str, Any]) -> ConstructionConfig:
             m_seq=tuple(parse_rational(m) for m in m_raw),
             n_seq=tuple(parse_integer(n) for n in n_raw),
             horizon=parse_integer(raw["horizon"]),
-            max_support=parse_integer(net.get("max_support", 1)),
-            denominator_bound=parse_integer(net.get("denominator_bound", 1)),
-            level_cap=parse_integer(net.get("level_cap", 0)),
-            regime=str(raw.get("regime", STRICT)),
-            max_elements=parse_integer(raw.get("max_elements", 50_000)),
+            **{key: parse_integer(net.get(key, default[key])) for key in _NET_KEYS},
+            regime=str(raw.get("regime", default["regime"])),
+            max_elements=parse_integer(raw.get("max_elements", default["max_elements"])),
         )
     except KeyError as exc:
         raise ConfigError(f"config missing required key {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config value: {exc}") from exc
-    return with_env_horizon(config)
+    return validate_config(config)
 
 
 def desk_strict() -> ConstructionConfig:

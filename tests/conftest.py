@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import copy
 import gc
+from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
-from bdlab.config import desk_relaxed, desk_strict, make_config
+from bdlab.config import RELAXED, ConstructionConfig, desk_relaxed, desk_strict, validate_config
 from bdlab.universe import Universe, build_universe
 
 
@@ -33,6 +34,15 @@ def strict_universe() -> Universe:
 def relaxed_universe() -> Universe:
     """Shared desk-relaxed universe.  Read-only."""
     return build_universe(desk_relaxed())
+
+
+def make_config(**kwargs) -> ConstructionConfig:
+    """Build and validate a config from keyword arguments, in the relaxed
+    regime unless ``regime`` is given."""
+    kwargs.setdefault("regime", RELAXED)
+    m_seq = tuple(Fraction(m) for m in kwargs.pop("m_seq"))
+    n_seq = tuple(int(n) for n in kwargs.pop("n_seq"))
+    return validate_config(ConstructionConfig(m_seq=m_seq, n_seq=n_seq, **kwargs))
 
 
 def micro_config(k: int = 3, horizon: int = 2, **overrides):

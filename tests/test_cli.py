@@ -232,8 +232,7 @@ JSON_VALUES = st.one_of(
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
 @given(desk=st.sampled_from(sorted(DESKS)), field=st.sampled_from(FIELDS), value=JSON_VALUES)
-def test_single_field_mutations_keep_the_exit_contract(desk, field, value, tmp_path, monkeypatch):
-    monkeypatch.delenv("BDLAB_HORIZON", raising=False)
+def test_single_field_mutations_keep_the_exit_contract(desk, field, value, tmp_path):
     doc = with_field(DESKS[desk], field, value)
     try:
         cfg = config_from_dict(doc)
@@ -298,8 +297,7 @@ JSON_DOCUMENTS = JSON_VALUES_ANY | st.fixed_dictionaries(
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
 @given(doc=JSON_DOCUMENTS)
-def test_arbitrary_json_documents_keep_the_exit_contract(doc, tmp_path, monkeypatch):
-    monkeypatch.delenv("BDLAB_HORIZON", raising=False)
+def test_arbitrary_json_documents_keep_the_exit_contract(doc, tmp_path):
     path = tmp_path / "arbitrary.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
@@ -333,22 +331,6 @@ def test_signed_denominator_exits_2(field, value, capsys, tmp_path):
     assert err == f"config error: malformed config value: signed denominator: {value!r}\n"
 
 
-def test_signed_denominator_horizon_override_exits_2(capsys, monkeypatch):
-    # -6/-2 once read as horizon 3
-    monkeypatch.setenv("BDLAB_HORIZON", "-6/-2")
-    code, out, err = run_cli(capsys, "enumerate", "--config", "desk-strict")
-    assert (code, out) == (2, "")
-    assert "BDLAB_HORIZON must be an integer" in err
-
-
-@pytest.mark.parametrize("value", ["1_0", "\u0661\u0660"])
-def test_underscored_or_non_ascii_horizon_override_exits_2(value, capsys, monkeypatch):
-    monkeypatch.setenv("BDLAB_HORIZON", value)
-    code, out, err = run_cli(capsys, "enumerate", "--config", "desk-strict")
-    assert (code, out) == (2, "")
-    assert "BDLAB_HORIZON must be an integer" in err
-
-
 def test_unknown_net_key_exits_2(capsys, tmp_path):
     doc = with_field(desk_strict().to_json_dict(), ("net", "level_cpa"), 4)
     path = tmp_path / "typo.json"
@@ -367,18 +349,27 @@ def test_timing_is_opt_in(capsys, micro_path):
     assert set(json.loads(timed)["timings"]) == {"gamma", "functional", "shift", "sequence"}
 
 
-def test_horizon_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("BDLAB_HORIZON", "3")
-    code, out, _ = run_cli(
-        capsys, "enumerate", "--config", "desk-strict", "--format", "json"
-    )
+def test_a_copied_fixture_file_sets_the_depth(capsys, tmp_path):
+    doc = json.loads((ROOT / "configs" / "desk-strict.json").read_text(encoding="utf-8"))
+    doc["horizon"] = 3
+    path = tmp_path / "desk-strict-3.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "enumerate", "--config", str(path), "--format", "json")
     assert code == 0
-    assert json.loads(out)["element_count"] == 34  # levels 3+7+24
+    payload = json.loads(out)
+    assert payload["element_count"] == 34
+    assert payload["level_counts"] == {"1": 3, "2": 7, "3": 24}
 
-    monkeypatch.setenv("BDLAB_HORIZON", "soon")
-    code, _, err = run_cli(capsys, "enumerate", "--config", "desk-strict")
-    assert code == 2
-    assert "BDLAB_HORIZON must be an integer" in err
+
+@pytest.mark.parametrize("value", ["3", "soon"])
+def test_the_environment_sets_no_depth(value, capsys, monkeypatch):
+    # a run's depth is its config's horizon; an override read here would
+    # print 34 elements for 3 and exit 2 for "soon"
+    argv = ["enumerate", "--config", "desk-strict", "--format", "json"]
+    monkeypatch.delenv("BDLAB_HORIZON", raising=False)
+    unset = run_cli(capsys, *argv)
+    monkeypatch.setenv("BDLAB_HORIZON", value)
+    assert run_cli(capsys, *argv)[:2] == unset[:2]
 
 
 def test_out_writes_file_instead_of_stdout(capsys, micro_path, tmp_path):
@@ -399,8 +390,7 @@ def test_out_writes_file_instead_of_stdout(capsys, micro_path, tmp_path):
 
 
 @pytest.mark.parametrize("config", ["micro", "desk-relaxed"])
-def test_out_file_holds_the_stdout_bytes(capsys, micro_path, tmp_path, monkeypatch, config):
-    monkeypatch.delenv("BDLAB_HORIZON", raising=False)
+def test_out_file_holds_the_stdout_bytes(capsys, micro_path, tmp_path, config):
     argv = ["enumerate", "--config", micro_path if config == "micro" else config, "--format", "json"]
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
@@ -419,8 +409,7 @@ ENUMERATE_CONFIGS = {
 
 
 @pytest.mark.parametrize("name", ENUMERATE_CONFIGS)
-def test_element_records_match_the_dict_reference(name, capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("BDLAB_HORIZON", raising=False)
+def test_element_records_match_the_dict_reference(name, capsys, tmp_path):
     cfg = ENUMERATE_CONFIGS[name]()
     universe = build_universe(cfg)
     records = [element_record(universe, el) for el in universe.elements]
@@ -517,11 +506,10 @@ def test_report_document(capsys):
     assert payload["chain"]["xi_chain"]
 
 
-def test_one_weight_config_keeps_the_exit_contract(capsys, tmp_path, monkeypatch):
+def test_one_weight_config_keeps_the_exit_contract(capsys, tmp_path):
     # With one weight there is no weight index 2 for the lower-bound
     # diagnostics or the helper pair: the sequence suite grades the refusal,
     # and report records the pair as unsatisfiable instead of raising.
-    monkeypatch.delenv("BDLAB_HORIZON", raising=False)
     cfg = micro_config(horizon=4, m_seq=(4,), n_seq=(16,), level_cap=6)
     path = tmp_path / "one-weight.json"
     path.write_text(stable_json(cfg.to_json_dict()))

@@ -7,6 +7,7 @@ import pytest
 
 from bdlab.config import (
     ConfigError,
+    ConstructionConfig,
     RELAXED,
     STRICT,
     config_from_dict,
@@ -14,11 +15,9 @@ from bdlab.config import (
     desk_strict,
     exact_log2,
     load_config_file,
-    make_config,
     validate_config,
-    with_env_horizon,
 )
-from conftest import with_field
+from conftest import make_config, with_field
 
 # Hand-computed growth ladder for the strict fixture:
 #   m doubles its exponent each step, n[j+1] = (16 n[j]) ** log2(m[j+1]).
@@ -126,18 +125,14 @@ def test_config_round_trips_through_dict():
     assert again.regime == cfg.regime
 
 
-def test_env_var_overrides_horizon(monkeypatch):
-    monkeypatch.setenv("BDLAB_HORIZON", "3")
-    cfg = config_from_dict(desk_relaxed().to_json_dict())
-    assert cfg.horizon == 3
-    monkeypatch.setenv("BDLAB_HORIZON", "nope")
-    with pytest.raises(ConfigError, match="BDLAB_HORIZON"):
-        config_from_dict(desk_relaxed().to_json_dict())
+def test_a_minimal_document_takes_the_record_defaults():
+    doc = {"k": 3, "m": ["4", "16"], "n": ["16", str(2**32)], "horizon": 2}
+    cfg = ConstructionConfig(k=3, m_seq=(Fraction(4), Fraction(16)), n_seq=(16, 2**32), horizon=2)
+    assert config_from_dict(doc) == validate_config(cfg)
 
 
 @pytest.mark.parametrize("name, factory", [("desk-strict", desk_strict), ("desk-relaxed", desk_relaxed)])
-def test_shipped_fixture_files_match_the_bundled_fixtures(name, factory, monkeypatch):
-    monkeypatch.delenv("BDLAB_HORIZON", raising=False)
+def test_shipped_fixture_files_match_the_bundled_fixtures(name, factory):
     assert load_config_file(str(CONFIGS / f"{name}.json")) == factory()
 
 
@@ -165,8 +160,7 @@ def test_config_file_errors_are_config_errors(tmp_path):
         (("m",), "4"),
     ],
 )
-def test_malformed_fields_are_config_errors(path, value, monkeypatch):
-    monkeypatch.delenv("BDLAB_HORIZON", raising=False)
+def test_malformed_fields_are_config_errors(path, value):
     doc = with_field(desk_relaxed().to_json_dict(), path, value)
     with pytest.raises(ConfigError, match="malformed config value"):
         config_from_dict(doc)
@@ -180,20 +174,18 @@ def test_malformed_fields_are_config_errors(path, value, monkeypatch):
         (("notes",), [], "'notes'"),
     ],
 )
-def test_unknown_keys_are_config_errors(path, value, named, monkeypatch):
-    monkeypatch.delenv("BDLAB_HORIZON", raising=False)
+def test_unknown_keys_are_config_errors(path, value, named):
     doc = with_field(desk_relaxed().to_json_dict(), path, value)
     with pytest.raises(ConfigError, match=f"unknown config keys: {named}"):
         config_from_dict(doc)
 
 
-def test_validate_is_idempotent_on_fixtures(monkeypatch):
-    monkeypatch.delenv("BDLAB_HORIZON", raising=False)
+def test_validate_is_idempotent_on_fixtures():
     empty_net = make_config(k=3, m_seq=(4, 16, 64), n_seq=(16, 18, 20), horizon=3, max_support=0)
     for cfg in (desk_strict(), desk_relaxed(), empty_net):
-        for again in (validate_config(cfg), with_env_horizon(with_env_horizon(cfg))):
-            assert again == cfg
-            assert again.notes == cfg.notes
+        again = validate_config(cfg)
+        assert again == cfg
+        assert again.notes == cfg.notes
     assert len(desk_relaxed().notes) == 7
     assert [n for n in empty_net.notes if not n.startswith("relaxed regime drops")] == [
         "net is empty (max_support=0); only zero-b odd-weight elements enumerate"

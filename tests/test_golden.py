@@ -141,7 +141,6 @@ GOLDEN = [
     "args, digest", GOLDEN, ids=[" ".join(args) for args, _ in GOLDEN]
 )
 def test_stdout_is_byte_identical(args, digest, capsys, monkeypatch):
-    monkeypatch.delenv("BDLAB_HORIZON", raising=False)
     monkeypatch.chdir(ROOT)  # config paths are relative to the checkout
     assert main(args) == 0
     out = capsys.readouterr().out
@@ -149,8 +148,7 @@ def test_stdout_is_byte_identical(args, digest, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("config, n", [("desk-strict", 60), ("desk-relaxed", 208)])
-def test_shift_duality_details_name_the_basis_size(config, n, capsys, monkeypatch):
-    monkeypatch.delenv("BDLAB_HORIZON", raising=False)
+def test_shift_duality_details_name_the_basis_size(config, n, capsys):
     assert main(["verify", "--config", config, "--suites", "shift"]) == 0
     lines = capsys.readouterr().out.splitlines()
     exhaustive = f"exhaustive over {n} elements"
@@ -158,10 +156,9 @@ def test_shift_duality_details_name_the_basis_size(config, n, capsys, monkeypatc
     assert f"  [PASS] pushforward respects the basis change -- {exhaustive}" in lines
 
 
-def test_three_weight_report_is_byte_identical(tmp_path, capsys, monkeypatch):
+def test_three_weight_report_is_byte_identical(tmp_path, capsys):
     """Three weights leave no index of the form 4j, so the chain is refused
     with "weight cap" and the sequence suite fails: exit status 1."""
-    monkeypatch.delenv("BDLAB_HORIZON", raising=False)
     cfg = micro_config(horizon=4, m_seq=(4, 16, 64), n_seq=(16, 18, 20), level_cap=6)
     path = tmp_path / "three-weights.json"
     path.write_text(stable_json(cfg.to_json_dict()))
@@ -176,11 +173,10 @@ PAIRS = [args for args, _ in GOLDEN if args[0] == "pair"]
 
 
 @pytest.mark.parametrize("argv", PAIRS, ids=[" ".join(args) for args in PAIRS])
-def test_pair_certifies_at_minimal_exactly_when_its_identities_hold(argv, monkeypatch):
+def test_pair_certifies_at_minimal_exactly_when_its_identities_hold(argv):
     """``certifies_at_minimal`` is read off the built report's identities;
     a full check at the minimal constant agrees, whatever the magnitude
     clauses read at the nominal constant."""
-    monkeypatch.delenv("BDLAB_HORIZON", raising=False)
     args = build_parser().parse_args(argv)
     universe = build_universe(resolve_config(args.config))
     built = build_exact_pair(universe, *helper_pair_parts(universe, args.count), args.j)

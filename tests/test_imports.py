@@ -1,6 +1,7 @@
 """Every name a package module imports is used by that module, every
-private module-level name is used by the package, and the public ones that
-only tests read are a pinned list that may only shrink.
+private module-level name is used by the package, the public ones that
+only tests read are a pinned list that may only shrink, and no module reads
+the process environment.
 
 A stdlib ``ast`` check in place of a linter: a name bound by an import must
 be read somewhere in the module, or be listed in its ``__all__``.  A name
@@ -55,6 +56,32 @@ def test_the_scan_sees_unused_and_exported_names():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_package_modules_use_every_import(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+ENVIRONMENT_READERS = ("environ", "environb", "getenv", "getenvb")
+
+
+def environment_reads(source: str) -> list[str]:
+    """``line n: name`` for each read of the process environment through
+    ``os``: an attribute or a ``from os import`` of one of its readers."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(node.lineno, a.name) for a in node.names if a.name in ENVIRONMENT_READERS]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_the_scan_sees_environment_reads():
+    source = "import os\nfrom os import getenv\nx = os.environ.get('A')\ny = os.getenv('B')\nz = os.sep\n"
+    assert environment_reads(source) == ["line 2: getenv", "line 3: environ", "line 4: getenv"]
+
+
+def test_package_reads_no_environment():
+    # a run is set by its config and its arguments alone
+    reads = {p.name: environment_reads(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {module: found for module, found in reads.items() if found} == {}
 
 
 def definitions(tree: ast.Module, methods: bool = False) -> list[tuple[str, ast.stmt]]:

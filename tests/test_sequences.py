@@ -366,7 +366,6 @@ VERB_PAIRS = [["pair"], ["pair", "--count", "4", "--j", "2"], ["depseq"], ["deps
 @pytest.mark.parametrize("config", ["desk-strict", "desk-relaxed"])
 @pytest.mark.parametrize("argv", VERB_PAIRS, ids=[" ".join(argv) for argv in VERB_PAIRS])
 def test_a_verb_evaluates_its_pair_terms_once(argv, config, monkeypatch, capsys):
-    monkeypatch.delenv("BDLAB_HORIZON", raising=False)
     calls = counting(monkeypatch, sequences, "_magnitude_terms")
     assert main([*argv, "--config", config]) == 0
     assert len(calls) == 1

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bdlab.cli import resolve_config
-from bdlab.config import desk_relaxed, desk_strict, make_config, validate_config
+from bdlab.config import desk_relaxed, desk_strict, validate_config
 from bdlab.elements import (
     BASE,
     TYPE1,
@@ -37,6 +37,9 @@ from bdlab.sequences import FAIL, PASS
 from bdlab.verify import run_gamma_suite, run_sequence_suite
 from conftest import micro_config
 from oracles import scan_extension_roots, scan_ids_by_weight, scan_odd_support_pool
+
+
+BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 
 
 def unit(eta: int, coeff=1) -> BFunctional:
@@ -414,6 +417,44 @@ def test_desk_relaxed_shape_is_pinned(relaxed_universe):
     )
 
 
+def replayed_element_data(u: Universe) -> list[tuple[int, bool, int]]:
+    """(age, odd_weight, sigma) of each element in id order, from its shape
+    alone: age 0 for a base element, 1 for t1 and 1 + the age of xi for t2;
+    an odd weight index; sigma = max(counter, rank) + 1 replayed by id."""
+    ages: list[int] = []
+    replayed, counter = [], 0
+    for el in u.elements:
+        ages.append(0 if el.kind == BASE else 1 if el.kind == TYPE1 else ages[el.xi] + 1)
+        counter = max(counter, el.rank) + 1
+        replayed.append((ages[-1], el.weight_idx % 2 == 1, counter))
+    return replayed
+
+
+def grown_strict_universe() -> Universe:
+    u = build_universe(desk_strict())
+    run_sequence_suite(u)
+    assert u.interior_interns
+    return u
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_universe(desk_strict()),
+        lambda: build_universe(desk_relaxed()),
+        lambda: build_universe(resolve_config(str(BENCH_CONFIGS / "wide.json"))),
+        grown_strict_universe,
+    ],
+    ids=["desk-strict", "desk-relaxed", "wide", "desk-strict-grown"],
+)
+def test_stored_age_odd_weight_and_sigma_match_a_replay(build):
+    u = build()
+    stored = [(el.age, el.odd_weight, u.sigma(el.gid)) for el in u.elements]
+    assert stored == replayed_element_data(u)
+    assert {odd for _, odd, _ in stored} == {False, True}
+    assert {el.kind for el in u.elements if el.age > 1} == {TYPE2}
+
+
 def assert_level_pools_match_direct_scans(u: Universe, rank: int) -> int:
     """Compare one level's indexed roots and pools, and the ids-by-weight
     index, with the scans they stand for; returns how many odd pools were
@@ -483,18 +524,14 @@ def counted_sigma_sets(monkeypatch) -> list[int]:
     return calls
 
 
-BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
-
-
 @pytest.mark.parametrize(
     "name",
     ["desk-strict", "desk-relaxed", str(BENCH_CONFIGS / "wide.json")],
     ids=["desk-strict", "desk-relaxed", "wide"],
 )
-def test_each_depth_is_a_prefix_of_the_next(name, monkeypatch):
+def test_each_depth_is_a_prefix_of_the_next(name):
     # One enumeration order: a deeper truncation only appends elements, and
     # every element already built keeps its id, shape and numbering.
-    monkeypatch.delenv("BDLAB_HORIZON", raising=False)
     cfg = resolve_config(name)
     shorter: list[str] = []
     for horizon in range(2, cfg.horizon + 4):
@@ -511,7 +548,6 @@ def test_each_depth_is_a_prefix_of_the_next(name, monkeypatch):
 def test_building_a_committed_config_reads_no_sigma_set(name, monkeypatch):
     # Their odd pools are empty, so no age extension needs a sigma-set to
     # filter singletons, and no enumerated element carries one to validate.
-    monkeypatch.delenv("BDLAB_HORIZON", raising=False)
     cfg = resolve_config(name)
     calls = counted_sigma_sets(monkeypatch)
     build_universe(cfg)
@@ -545,7 +581,6 @@ COMMITTED = [
     "name, distinct", COMMITTED, ids=["desk-strict", "desk-relaxed", "wide", "deep"]
 )
 def test_build_pushes_each_distinct_b_once(name, distinct, monkeypatch):
-    monkeypatch.delenv("BDLAB_HORIZON", raising=False)
     pushed = []
     push = Universe.push
 
@@ -565,8 +600,7 @@ def test_build_pushes_each_distinct_b_once(name, distinct, monkeypatch):
     ["desk-strict", "desk-relaxed", str(BENCH_CONFIGS / "wide.json")],
     ids=["desk-strict", "desk-relaxed", "wide"],
 )
-def test_elements_with_equal_b_share_one_object(name, monkeypatch):
-    monkeypatch.delenv("BDLAB_HORIZON", raising=False)
+def test_elements_with_equal_b_share_one_object(name):
     u = build_universe(resolve_config(name))
     first: dict[BFunctional, BFunctional] = {}
     for el in u.elements:
@@ -590,8 +624,7 @@ def unmemoized_image(u: Universe, el) -> Candidate | None:
 @pytest.mark.parametrize(
     "name", ["desk-relaxed", str(BENCH_CONFIGS / "wide.json")], ids=["desk-relaxed", "wide"]
 )
-def test_stored_images_match_a_push_that_reads_no_memo(name, monkeypatch):
-    monkeypatch.delenv("BDLAB_HORIZON", raising=False)
+def test_stored_images_match_a_push_that_reads_no_memo(name):
     u = build_universe(resolve_config(name))
     for el in u.elements:
         if el.kind == BASE:

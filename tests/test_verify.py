@@ -17,7 +17,7 @@ from bdlab.algebra import (
     row_store,
     to_e_basis,
 )
-from bdlab.config import RELAXED, desk_relaxed, desk_strict, make_config
+from bdlab.config import RELAXED, desk_relaxed, desk_strict
 from bdlab.elements import BASE, TYPE1, TYPE2, BFunctional, describe, t1_candidate
 from bdlab.sequences import IDENTITY, build_dependent_sequence
 from bdlab.shift import witness_id
@@ -31,7 +31,7 @@ from bdlab.verify import (
     run_sequence_suite,
     run_verification,
 )
-from conftest import micro_config, small_universes
+from conftest import make_config, micro_config, small_universes
 from oracles import (
     per_form_analysis_check,
     sampled_compact_differences,
